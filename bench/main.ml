@@ -1,123 +1,11 @@
-(* The benchmark harness.
+(* Bechamel micro-benchmarks of the core algorithmic pieces, one
+   [Test.make] per component, so performance regressions in the library
+   itself are visible. The paper's figures and their shape checks are
+   `mdrsim all`; the overload sweep is `mdrsim overload`. *)
 
-   Part 1 regenerates every table/figure of the paper's evaluation
-   (Figures 8-14, the dynamic-traffic study) plus the ablations listed
-   in DESIGN.md, printing the same series the paper plots together with
-   shape checks.
-
-   Part 2 runs Bechamel micro-benchmarks of the core algorithmic
-   pieces, one [Test.make] per component, so performance regressions in
-   the library itself are visible. *)
-
-module Experiments = Mdr_experiments.Experiments
 module Workload = Mdr_experiments.Workload
 open Bechamel
 open Toolkit
-
-let run_experiments () =
-  let failures = ref 0 in
-  List.iter
-    (fun (id, f) ->
-      Printf.printf "### %s\n%!" id;
-      let t0 = Unix.gettimeofday () in
-      let outcome = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      print_endline outcome.Experiments.rendered;
-      List.iter
-        (fun (label, ok) ->
-          if not ok then incr failures;
-          Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") label)
-        outcome.Experiments.checks;
-      Printf.printf "  (%.1fs)\n\n%!" dt)
-    (Experiments.all ());
-  !failures
-
-(* --- Overload scenario ------------------------------------------------- *)
-
-(* Push CAIRN to 0.8x/1.0x/1.2x of its feasible envelope and run the
-   full overload audit at each point, timing it. Emits
-   BENCH_overload.json so the wall-clock and delay/shed trajectory is
-   machine-trackable across commits. *)
-let overload_scenario () =
-  let module Overload = Mdr_faults.Overload in
-  let module Traffic = Mdr_fluid.Traffic in
-  let module Feasibility = Mdr_fluid.Feasibility in
-  let w = Workload.cairn ~load:1.0 in
-  let base = Workload.traffic w in
-  let packet_size = Workload.packet_size in
-  (* Admissible fractions are capped at 1; probe at a certainly
-     infeasible load and scale back to recover the envelope. *)
-  let probe = 32.0 in
-  let frac =
-    (Feasibility.report w.Workload.topo ~packet_size (Traffic.scale base probe))
-      .Feasibility.fraction
-  in
-  let envelope = probe *. frac in
-  (* Load multipliers fan out on the pool (MDR_JOBS); each task times
-     its own audit, so wall_clock_s stays the per-audit cost even when
-     rows run concurrently. *)
-  let rows =
-    Mdr_util.Pool.map_list
-      (fun mult ->
-        let offered = Traffic.scale base (mult *. envelope) in
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Overload.audit ~topo:w.Workload.topo ~packet_size ~base ~offered ()
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        (mult, dt, r))
-      [ 0.8; 1.0; 1.2 ]
-  in
-  Printf.printf
-    "### overload scenario (0.8x/1.0x/1.2x of the %.2fx feasible envelope)\n"
-    envelope;
-  print_string
-    (Overload.table
-       (List.map (fun (m, _, r) -> (Printf.sprintf "%.1fx" m, r)) rows));
-  print_newline ();
-  let jfloat v = if Float.is_finite v then Printf.sprintf "%.6f" v else "null" in
-  let json_row (mult, dt, (r : Overload.report)) =
-    let f = r.Overload.fluid in
-    Printf.sprintf
-      "    {\"load_multiplier\": %.3f, \"wall_clock_s\": %s, \
-       \"admitted_fraction\": %s, \"shed_fraction\": %s, \"base_delay_s\": %s, \
-       \"overload_delay_s\": %s, \"delay_ratio\": %s, \"degraded\": %b, \
-       \"costs_finite\": %b, \"saturated_links\": %d, \
-       \"successor_flaps_undamped\": %d, \"successor_flaps_damped\": %d, \
-       \"lfi_violations\": %d}"
-      mult (jfloat dt)
-      (jfloat f.Overload.admitted_fraction)
-      (jfloat f.Overload.shed_fraction)
-      (jfloat f.Overload.base_delay)
-      (jfloat f.Overload.overload_delay)
-      (jfloat f.Overload.delay_ratio)
-      f.Overload.degraded f.Overload.costs_finite f.Overload.saturated_links
-      r.Overload.undamped.Overload.successor_flaps
-      r.Overload.damped.Overload.successor_flaps
-      (r.Overload.undamped.Overload.lfi_violations
-      + r.Overload.damped.Overload.lfi_violations)
-  in
-  let oc = open_out "BENCH_overload.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"overload\",\n  \"topology\": \"%s\",\n  \
-     \"feasible_envelope\": %s,\n  \"rows\": [\n%s\n  ]\n}\n"
-    w.Workload.name (jfloat envelope)
-    (String.concat ",\n" (List.map json_row rows));
-  close_out oc;
-  Printf.printf "wrote BENCH_overload.json\n\n%!";
-  (* The scenario doubles as a shape check: costs finite everywhere,
-     zero LFI violations, and the >1x point must shed. *)
-  List.length
-    (List.filter
-       (fun (mult, _, (r : Overload.report)) ->
-         not
-           (r.Overload.fluid.Overload.costs_finite
-           && r.Overload.undamped.Overload.lfi_violations = 0
-           && r.Overload.damped.Overload.lfi_violations = 0
-           && (mult <= 1.0 || r.Overload.fluid.Overload.degraded)))
-       rows)
-
-(* --- Micro-benchmarks -------------------------------------------------- *)
 
 let bench_dijkstra =
   let w = Workload.cairn ~load:1.0 in
@@ -263,12 +151,4 @@ let micro_benchmarks () =
             [ name; cell ])
           rows))
 
-let () =
-  print_endline "=== Reproduction benches: A Simple Approximation to Minimum-Delay Routing ===";
-  print_endline "";
-  let experiment_failures = run_experiments () in
-  let overload_failures = overload_scenario () in
-  let failures = experiment_failures + overload_failures in
-  micro_benchmarks ();
-  Printf.printf "\n=== done: %d shape-check failure(s) ===\n" failures;
-  if failures > 0 then exit 1
+let () = micro_benchmarks ()

@@ -10,13 +10,29 @@ module Workload = Mdr_experiments.Workload
 
 open Cmdliner
 
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
+
+(* The benchmark commands' report file, announced after a blank line. *)
+let write_report path text =
+  write_file path text;
+  Printf.printf "\nwrote %s\n" path
+
+let exit_of_ok ok = if ok then 0 else 1
+
+(* The closing [NAME: PASS (...)] / [NAME: FAIL (...)] line of an audit
+   command, after a blank line; returns the exit code. *)
+let verdict name ok ~pass ~fail =
+  Printf.printf "\n%s: %s\n" name (if ok then pass else fail);
+  exit_of_ok ok
+
 let write_csv path (o : Experiments.outcome) =
   match o.series with
   | None -> Printf.eprintf "note: %s has no tabular data; no CSV written\n" o.title
   | Some series ->
-    let oc = open_out path in
-    output_string oc (Experiments.to_csv series);
-    close_out oc;
+    write_file path (Experiments.to_csv series);
     Printf.printf "wrote %s\n" path
 
 let print_outcome ?csv (o : Experiments.outcome) =
@@ -39,7 +55,13 @@ let seeds_arg =
   let doc = "Comma-separated simulation seeds; results are averaged." in
   Arg.(value & opt seeds_conv [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
 
-let exit_of_ok ok = if ok then 0 else 1
+let topo_arg =
+  let doc = "Topology: cairn or net1." in
+  Arg.(value & opt (enum [ ("cairn", `Cairn); ("net1", `Net1) ]) `Cairn
+       & info [ "topology"; "t" ] ~docv:"NAME" ~doc)
+
+let workload topo ~load =
+  match topo with `Cairn -> Workload.cairn ~load | `Net1 -> Workload.net1 ~load
 
 let csv_arg =
   let doc = "Also write the figure's data as CSV to $(docv)." in
@@ -99,17 +121,8 @@ let all_cmd =
 
 let compare_cmd =
   (* Ad-hoc three-way comparison on a chosen topology and load. *)
-  let topo_arg =
-    let doc = "Topology: cairn or net1." in
-    Arg.(value & opt (enum [ ("cairn", `Cairn); ("net1", `Net1) ]) `Cairn
-         & info [ "topology"; "t" ] ~docv:"NAME" ~doc)
-  in
   let run topo load seeds =
-    let w =
-      match topo with
-      | `Cairn -> Workload.cairn ~load
-      | `Net1 -> Workload.net1 ~load
-    in
+    let w = workload topo ~load in
     let module Sim = Mdr_netsim.Sim in
     let module Gallager = Mdr_gallager.Gallager in
     let opt = Gallager.solve (Workload.model w) w.Workload.topo (Workload.traffic w) in
@@ -139,21 +152,12 @@ let compare_cmd =
 let routes_cmd =
   (* Dump the converged MP routing table: per (router, destination),
      the loop-free successor set with its traffic fractions. *)
-  let topo_arg =
-    let doc = "Topology: cairn or net1." in
-    Arg.(value & opt (enum [ ("cairn", `Cairn); ("net1", `Net1) ]) `Cairn
-         & info [ "topology"; "t" ] ~docv:"NAME" ~doc)
-  in
   let node_arg =
     let doc = "Only print entries for this router (by name)." in
     Arg.(value & opt (some string) None & info [ "router"; "r" ] ~docv:"NAME" ~doc)
   in
   let run topo load node_filter =
-    let w =
-      match topo with
-      | `Cairn -> Workload.cairn ~load
-      | `Net1 -> Workload.net1 ~load
-    in
+    let w = workload topo ~load in
     let module Graph = Mdr_topology.Graph in
     let module Fluid = Mdr_fluid in
     let g = w.Workload.topo in
@@ -429,11 +433,6 @@ let overload_cmd =
   let module Overload = Mdr_faults.Overload in
   let module Traffic = Mdr_fluid.Traffic in
   let module Feasibility = Mdr_fluid.Feasibility in
-  let topo_arg =
-    let doc = "Topology: cairn or net1." in
-    Arg.(value & opt (enum [ ("cairn", `Cairn); ("net1", `Net1) ]) `Cairn
-         & info [ "topology"; "t" ] ~docv:"NAME" ~doc)
-  in
   let loads_arg =
     let doc =
       "Comma-separated load multipliers, as fractions of the topology's \
@@ -456,11 +455,7 @@ let overload_cmd =
       prerr_endline "overload: load multipliers must be > 0";
       2
     | loads ->
-      let w =
-        match topo with
-        | `Cairn -> Workload.cairn ~load:1.0
-        | `Net1 -> Workload.net1 ~load:1.0
-      in
+      let w = workload topo ~load:1.0 in
       let base = Workload.traffic w in
       let packet_size = Workload.packet_size in
       (* Admissible fractions are capped at 1, so probe at a certainly
@@ -553,12 +548,7 @@ let analysis_cmd ~name ~doc ~make_report =
     | Some root -> (
       try
         let report : Report.t = make_report ~root in
-        Option.iter
-          (fun f ->
-            let oc = open_out f in
-            output_string oc (Report.to_sarif report);
-            close_out oc)
-          sarif;
+        Option.iter (fun f -> write_file f (Report.to_sarif report)) sarif;
         print_string (if json then Report.to_json report else Report.render report);
         if Report.clean report then 0 else 1
       with Source_walk.Parse_failure { file; message } ->
@@ -633,15 +623,27 @@ let verify_cmd =
         Determinism.all_deterministic outcomes
       end
     in
-    Printf.printf "\nverify: %s\n"
-      (if interleave_ok && det_ok then "PASS" else "FAIL");
-    exit_of_ok (interleave_ok && det_ok)
+    verdict "verify" (interleave_ok && det_ok) ~pass:"PASS" ~fail:"FAIL"
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
          "Model-check MPDA message interleavings and sanitize experiment determinism.")
     Term.(const run $ max_states_arg $ seed_arg $ skip_det_arg)
+
+(* --jobs of the benchmark commands; 0 means MDR_JOBS, at least 2. *)
+let jobs_arg doc = Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N" ~doc)
+
+let with_jobs name jobs k =
+  if jobs < 0 then begin
+    prerr_endline (name ^ ": --jobs must be >= 1");
+    2
+  end
+  else k (if jobs > 0 then jobs else Stdlib.max 2 (Mdr_util.Pool.default_jobs ()))
+
+let out_arg default =
+  let doc = "Where to write the JSON report." in
+  Arg.(value & opt string default & info [ "out" ] ~docv:"FILE" ~doc)
 
 let perfbench_cmd =
   (* Parallel-speedup benchmark: run the chaos-campaign grid and the
@@ -652,102 +654,85 @@ let perfbench_cmd =
      how many cores the machine actually has. *)
   let module Campaign = Mdr_faults.Campaign in
   let module Interleave = Mdr_analysis.Interleave in
-  let module Pool = Mdr_util.Pool in
   let quick_arg =
     let doc = "Small preset (6 scenarios, 8 s churn, 4000-state cap) for CI." in
     Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let jobs_arg =
-    let doc = "Domains for the parallel runs (default: MDR_JOBS, at least 2)." in
-    Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc = "Master seed for the chaos campaign." in
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let out_arg =
-    let doc = "Where to write the JSON report." in
-    Arg.(value & opt string "BENCH_perf.json" & info [ "out" ] ~docv:"FILE" ~doc)
-  in
   let run quick jobs seed out =
-    if jobs < 0 then begin
-      prerr_endline "perfbench: --jobs must be >= 1";
-      2
-    end
-    else begin
-      let jobs = if jobs > 0 then jobs else Stdlib.max 2 (Pool.default_jobs ()) in
-      let time f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let scenarios = if quick then 6 else 24 in
-      let duration = if quick then 8.0 else 20.0 in
-      let max_states = if quick then 4_000 else 30_000 in
-      let profile = { Campaign.default_profile with Campaign.duration } in
-      let campaign j () =
-        Campaign.run_campaign ~jobs:j ~profile ~topo_of:rotating_topo ~seed
-          ~scenarios ()
-      in
-      let iscens = Interleave.bundled ~max_states () in
-      let sweep j () = Interleave.explore_all ~jobs:j iscens in
-      let idigest stats =
-        Digest.to_hex
-          (Digest.string
-             (String.concat "\n" (List.map Interleave.render_stats stats)))
-      in
-      Printf.printf
-        "perfbench: %d chaos scenarios x {MPDA, DV} (%.0f s churn) + %d \
-         interleave scenarios (cap %d); 1 vs %d domains\n\n"
-        scenarios duration (List.length iscens) max_states jobs;
-      let c_seq, ct_seq = time (campaign 1) in
-      let c_par, ct_par = time (campaign jobs) in
-      let i_seq, it_seq = time (sweep 1) in
-      let i_par, it_par = time (sweep jobs) in
-      let rows =
-        [
-          ("chaos-campaign", ct_seq, ct_par, Campaign.digest c_seq,
-           Campaign.digest c_par);
-          ("interleave-sweep", it_seq, it_par, idigest i_seq, idigest i_par);
-        ]
-      in
-      List.iter
-        (fun (name, ts, tp, ds, dp) ->
-          Printf.printf
-            "  %-17s seq %7.2f s  %d-domain %7.2f s  speedup x%.2f  md5 %s [%s]\n"
-            name ts jobs tp (ts /. tp) ds
-            (if String.equal ds dp then "match" else "MISMATCH: " ^ dp))
-        rows;
-      let json_row (name, ts, tp, ds, dp) =
-        Printf.sprintf
-          "    {\"workload\": %S, \"sequential_s\": %.6f, \"parallel_s\": %.6f, \
-           \"speedup\": %.4f, \"md5_sequential\": %S, \"md5_parallel\": %S, \
-           \"identical\": %b}"
-          name ts tp (ts /. tp) ds dp (String.equal ds dp)
-      in
-      let oc = open_out out in
-      Printf.fprintf oc
-        "{\n  \"benchmark\": \"perf-parallel\",\n  \"jobs\": %d,\n  \
-         \"quick\": %b,\n  \"seed\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
-        jobs quick seed
-        (String.concat ",\n" (List.map json_row rows));
-      close_out oc;
-      Printf.printf "\nwrote %s\n" out;
-      let ok =
-        List.for_all (fun (_, _, _, ds, dp) -> String.equal ds dp) rows
-      in
-      Printf.printf "\nperfbench: %s\n"
-        (if ok then "PASS (parallel digests match sequential)"
-         else "FAIL (parallel trace diverged from sequential)");
-      exit_of_ok ok
-    end
+    with_jobs "perfbench" jobs @@ fun jobs ->
+    let time f =
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      (r, Unix.gettimeofday () -. t0)
+    in
+    let scenarios = if quick then 6 else 24 in
+    let duration = if quick then 8.0 else 20.0 in
+    let max_states = if quick then 4_000 else 30_000 in
+    let profile = { Campaign.default_profile with Campaign.duration } in
+    let campaign j () =
+      Campaign.run_campaign ~jobs:j ~profile ~topo_of:rotating_topo ~seed
+        ~scenarios ()
+    in
+    let iscens = Interleave.bundled ~max_states () in
+    let sweep j () = Interleave.explore_all ~jobs:j iscens in
+    let idigest stats =
+      Digest.to_hex
+        (Digest.string
+           (String.concat "\n" (List.map Interleave.render_stats stats)))
+    in
+    Printf.printf
+      "perfbench: %d chaos scenarios x {MPDA, DV} (%.0f s churn) + %d \
+       interleave scenarios (cap %d); 1 vs %d domains\n\n"
+      scenarios duration (List.length iscens) max_states jobs;
+    let c_seq, ct_seq = time (campaign 1) in
+    let c_par, ct_par = time (campaign jobs) in
+    let i_seq, it_seq = time (sweep 1) in
+    let i_par, it_par = time (sweep jobs) in
+    let rows =
+      [
+        ("chaos-campaign", ct_seq, ct_par, Campaign.digest c_seq,
+         Campaign.digest c_par);
+        ("interleave-sweep", it_seq, it_par, idigest i_seq, idigest i_par);
+      ]
+    in
+    List.iter
+      (fun (name, ts, tp, ds, dp) ->
+        Printf.printf
+          "  %-17s seq %7.2f s  %d-domain %7.2f s  speedup x%.2f  md5 %s [%s]\n"
+          name ts jobs tp (ts /. tp) ds
+          (if String.equal ds dp then "match" else "MISMATCH: " ^ dp))
+      rows;
+    let json_row (name, ts, tp, ds, dp) =
+      Printf.sprintf
+        "    {\"workload\": %S, \"sequential_s\": %.6f, \"parallel_s\": %.6f, \
+         \"speedup\": %.4f, \"md5_sequential\": %S, \"md5_parallel\": %S, \
+         \"identical\": %b}"
+        name ts tp (ts /. tp) ds dp (String.equal ds dp)
+    in
+    write_report out
+      (Printf.sprintf
+         "{\n  \"benchmark\": \"perf-parallel\",\n  \"jobs\": %d,\n  \
+          \"quick\": %b,\n  \"seed\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
+         jobs quick seed
+         (String.concat ",\n" (List.map json_row rows)));
+    verdict "perfbench"
+      (List.for_all (fun (_, _, _, ds, dp) -> String.equal ds dp) rows)
+      ~pass:"PASS (parallel digests match sequential)"
+      ~fail:"FAIL (parallel trace diverged from sequential)"
   in
   Cmd.v
     (Cmd.info "perfbench"
        ~doc:
          "Time sequential vs multi-domain execution and assert bit-identical \
           traces.")
-    Term.(const run $ quick_arg $ jobs_arg $ seed_arg $ out_arg)
+    Term.(
+      const run $ quick_arg
+      $ jobs_arg "Domains for the parallel runs (default: MDR_JOBS, at least 2)."
+      $ seed_arg $ out_arg "BENCH_perf.json")
 
 (* ---- internet-scale SPF benchmark --------------------------------- *)
 
@@ -937,20 +922,12 @@ let scale_cmd =
     let doc = "Small preset (n in {100, 1000}) for CI." in
     Arg.(value & flag & info [ "quick" ] ~doc)
   in
-  let jobs_arg =
-    let doc = "Domains for the parallel digest-gate rerun." in
-    Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N" ~doc)
-  in
   let conv_max_arg =
     let doc =
       "Run the MPDA convergence bench only on cells with at most $(docv) \
        routers (the exact check costs n from-scratch Dijkstras)."
     in
     Arg.(value & opt int 1000 & info [ "conv-max" ] ~docv:"N" ~doc)
-  in
-  let out_arg =
-    let doc = "Where to write the JSON report." in
-    Arg.(value & opt string "BENCH_perf.json" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let perfbench_arg =
     let doc =
@@ -960,141 +937,126 @@ let scale_cmd =
     Arg.(value & opt (some string) None & info [ "perfbench" ] ~docv:"FILE" ~doc)
   in
   let run quick jobs seeds conv_max out perfbench_file =
-    if jobs < 0 then begin
-      prerr_endline "scale: --jobs must be >= 1";
-      2
-    end
-    else begin
-      let jobs = if jobs > 0 then jobs else Stdlib.max 2 (Pool.default_jobs ()) in
-      let sizes = if quick then [ 100; 1000 ] else [ 100; 1000; 5000; 10000 ] in
-      let gens = [ "ba"; "waxman"; "hier" ] in
-      let cells =
-        List.concat_map (fun g -> List.map (fun n -> (g, n)) sizes) gens
-      in
-      let tasks =
-        Array.of_list
-          (List.concat_map
-             (fun seed ->
-               List.mapi (fun i (g, n) -> (g, n, seed, i)) cells)
-             seeds)
-      in
-      Printf.printf
-        "scale: %d cells (%s x n in {%s}) x %d seed(s); conv bench at n <= %d\n\n"
-        (Array.length tasks)
-        (String.concat ", " gens)
-        (String.concat ", " (List.map string_of_int sizes))
-        (List.length seeds) conv_max;
-      (* Timed sequential pass: the only place the wall clock is read.
-         Rows print as they land — the big cells take a while. *)
-      let rows =
-        Array.map
-          (fun c ->
-            let r = run_cell ~now:Unix.gettimeofday ~conv_max c in
-            let per_incr = r.sr_incr_s /. float_of_int r.sr_changes *. 1e6 in
-            let per_full = r.sr_full_s /. float_of_int r.sr_changes *. 1e6 in
-            Printf.printf
-              "  %-6s n=%5d seed=%d  per-LSU incr %9.1f us  full %9.1f us  \
-               speedup x%7.1f  rep/fb %3d/%d  [%s]\n%!"
-              r.sr_gen r.sr_n r.sr_seed per_incr per_full
-              (per_full /. per_incr) r.sr_repairs r.sr_fallbacks
-              (if r.sr_equal then "exact" else "MISMATCH");
-            (match r.sr_conv with
-            | None -> ()
-            | Some (m, s, ex, rc, rp) ->
-                Printf.printf
-                  "         converge %7d msgs %6.2f s  reconverge %5d msgs  \
-                   %d repairs  [%s]\n%!"
-                  m s rc rp
-                  (if ex then "exact" else "NOT CONVERGED"));
-            r)
-          tasks
-      in
-      (* Pure parallel rerun: same cells over a domain pool, constant
-         clock, digest equality gates determinism across domains. *)
-      let digest_of rs =
-        Digest.to_hex
-          (Digest.string
-             (String.concat "\n" (List.map (fun r -> r.sr_digest) rs)))
-      in
-      let md5_seq = digest_of (Array.to_list rows) in
-      let par =
-        Pool.map_array ~jobs
-          (fun c -> run_cell ~now:(fun () -> 0.0) ~conv_max c)
-          tasks
-      in
-      let md5_par = digest_of (Array.to_list par) in
-      let identical = String.equal md5_seq md5_par in
-      Printf.printf "\n  digest seq %s  %d-domain %s [%s]\n" md5_seq jobs
-        md5_par
-        (if identical then "match" else "MISMATCH");
-      (* The acceptance gate: at n >= 5000 a single-link change must
-         repair at least 5x faster than recomputing from scratch. *)
-      let big = Array.to_list rows |> List.filter (fun r -> r.sr_target >= 5000) in
-      let speedup_ok =
-        List.for_all
-          (fun r -> r.sr_incr_s > 0.0 && r.sr_full_s /. r.sr_incr_s >= 5.0)
-          big
-      in
-      if big <> [] then
-        Printf.printf "  n>=5000 speedup gate (>= x5 per LSU): %s\n"
-          (if speedup_ok then "PASS" else "FAIL");
-      let all_equal = Array.for_all (fun r -> r.sr_equal) rows in
-      let all_conv =
-        Array.for_all
-          (fun r -> match r.sr_conv with Some (_, _, ex, _, _) -> ex | None -> true)
-          rows
-      in
-      let json_row r =
-        let conv_json =
-          match r.sr_conv with
-          | None -> "null"
+    with_jobs "scale" jobs @@ fun jobs ->
+    let sizes = if quick then [ 100; 1000 ] else [ 100; 1000; 5000; 10000 ] in
+    let gens = [ "ba"; "waxman"; "hier" ] in
+    let cells =
+      List.concat_map (fun g -> List.map (fun n -> (g, n)) sizes) gens
+    in
+    let tasks =
+      Array.of_list
+        (List.concat_map
+           (fun seed ->
+             List.mapi (fun i (g, n) -> (g, n, seed, i)) cells)
+           seeds)
+    in
+    Printf.printf
+      "scale: %d cells (%s x n in {%s}) x %d seed(s); conv bench at n <= %d\n\n"
+      (Array.length tasks)
+      (String.concat ", " gens)
+      (String.concat ", " (List.map string_of_int sizes))
+      (List.length seeds) conv_max;
+    (* Timed sequential pass: the only place the wall clock is read.
+       Rows print as they land — the big cells take a while. *)
+    let rows =
+      Array.map
+        (fun c ->
+          let r = run_cell ~now:Unix.gettimeofday ~conv_max c in
+          let per_incr = r.sr_incr_s /. float_of_int r.sr_changes *. 1e6 in
+          let per_full = r.sr_full_s /. float_of_int r.sr_changes *. 1e6 in
+          Printf.printf
+            "  %-6s n=%5d seed=%d  per-LSU incr %9.1f us  full %9.1f us  \
+             speedup x%7.1f  rep/fb %3d/%d  [%s]\n%!"
+            r.sr_gen r.sr_n r.sr_seed per_incr per_full
+            (per_full /. per_incr) r.sr_repairs r.sr_fallbacks
+            (if r.sr_equal then "exact" else "MISMATCH");
+          (match r.sr_conv with
+          | None -> ()
           | Some (m, s, ex, rc, rp) ->
-              Printf.sprintf
-                "{\"messages\": %d, \"seconds\": %.6f, \"exact\": %b, \
-                 \"reconverge_messages\": %d, \"spf_repairs\": %d}"
-                m s ex rc rp
-        in
-        let per_incr = r.sr_incr_s /. float_of_int r.sr_changes *. 1e6 in
-        let per_full = r.sr_full_s /. float_of_int r.sr_changes *. 1e6 in
-        Printf.sprintf
-          "    {\"gen\": %S, \"n\": %d, \"seed\": %d, \"changes\": %d, \
-           \"per_lsu_incr_us\": %.3f, \"per_lsu_full_us\": %.3f, \
-           \"speedup\": %.2f, \"repairs\": %d, \"fallbacks\": %d, \
-           \"engine_equal\": %b, \"convergence\": %s}"
-          r.sr_gen r.sr_n r.sr_seed r.sr_changes per_incr per_full
-          (per_full /. per_incr) r.sr_repairs r.sr_fallbacks r.sr_equal
-          conv_json
-      in
-      let perfbench_json =
-        match perfbench_file with
+              Printf.printf
+                "         converge %7d msgs %6.2f s  reconverge %5d msgs  \
+                 %d repairs  [%s]\n%!"
+                m s rc rp
+                (if ex then "exact" else "NOT CONVERGED"));
+          r)
+        tasks
+    in
+    (* Pure parallel rerun: same cells over a domain pool, constant
+       clock, digest equality gates determinism across domains. *)
+    let digest_of rs =
+      Digest.to_hex
+        (Digest.string
+           (String.concat "\n" (List.map (fun r -> r.sr_digest) rs)))
+    in
+    let md5_seq = digest_of (Array.to_list rows) in
+    let par =
+      Pool.map_array ~jobs
+        (fun c -> run_cell ~now:(fun () -> 0.0) ~conv_max c)
+        tasks
+    in
+    let md5_par = digest_of (Array.to_list par) in
+    let identical = String.equal md5_seq md5_par in
+    Printf.printf "\n  digest seq %s  %d-domain %s [%s]\n" md5_seq jobs
+      md5_par
+      (if identical then "match" else "MISMATCH");
+    (* The acceptance gate: at n >= 5000 a single-link change must
+       repair at least 5x faster than recomputing from scratch. *)
+    let big = Array.to_list rows |> List.filter (fun r -> r.sr_target >= 5000) in
+    let speedup_ok =
+      List.for_all
+        (fun r -> r.sr_incr_s > 0.0 && r.sr_full_s /. r.sr_incr_s >= 5.0)
+        big
+    in
+    if big <> [] then
+      Printf.printf "  n>=5000 speedup gate (>= x5 per LSU): %s\n"
+        (if speedup_ok then "PASS" else "FAIL");
+    let all_equal = Array.for_all (fun r -> r.sr_equal) rows in
+    let all_conv =
+      Array.for_all
+        (fun r -> match r.sr_conv with Some (_, _, ex, _, _) -> ex | None -> true)
+        rows
+    in
+    let json_row r =
+      let conv_json =
+        match r.sr_conv with
         | None -> "null"
-        | Some f ->
-            let ic = open_in f in
-            let len = in_channel_length ic in
-            let s = really_input_string ic len in
-            close_in ic;
-            String.trim s
+        | Some (m, s, ex, rc, rp) ->
+            Printf.sprintf
+              "{\"messages\": %d, \"seconds\": %.6f, \"exact\": %b, \
+               \"reconverge_messages\": %d, \"spf_repairs\": %d}"
+              m s ex rc rp
       in
-      let oc = open_out out in
-      Printf.fprintf oc
-        "{\n  \"benchmark\": \"scaling-spf\",\n  \"jobs\": %d,\n  \
-         \"quick\": %b,\n  \"seeds\": [%s],\n  \"md5_sequential\": %S,\n  \
-         \"md5_parallel\": %S,\n  \"identical\": %b,\n  \"rows\": [\n%s\n  \
-         ],\n  \"perfbench\": %s\n}\n"
-        jobs quick
-        (String.concat ", " (List.map string_of_int seeds))
-        md5_seq md5_par identical
-        (String.concat ",\n" (Array.to_list (Array.map json_row rows)))
-        perfbench_json;
-      close_out oc;
-      Printf.printf "\nwrote %s\n" out;
-      let ok = all_equal && all_conv && identical && speedup_ok in
-      Printf.printf "\nscale: %s\n"
-        (if ok then
-           "PASS (repairs bit-identical, convergence exact, domains agree)"
-         else "FAIL");
-      exit_of_ok ok
-    end
+      let per_incr = r.sr_incr_s /. float_of_int r.sr_changes *. 1e6 in
+      let per_full = r.sr_full_s /. float_of_int r.sr_changes *. 1e6 in
+      Printf.sprintf
+        "    {\"gen\": %S, \"n\": %d, \"seed\": %d, \"changes\": %d, \
+         \"per_lsu_incr_us\": %.3f, \"per_lsu_full_us\": %.3f, \
+         \"speedup\": %.2f, \"repairs\": %d, \"fallbacks\": %d, \
+         \"engine_equal\": %b, \"convergence\": %s}"
+        r.sr_gen r.sr_n r.sr_seed r.sr_changes per_incr per_full
+        (per_full /. per_incr) r.sr_repairs r.sr_fallbacks r.sr_equal
+        conv_json
+    in
+    let perfbench_json =
+      match perfbench_file with
+      | None -> "null"
+      | Some f -> String.trim (In_channel.with_open_text f In_channel.input_all)
+    in
+    write_report out
+      (Printf.sprintf
+         "{\n  \"benchmark\": \"scaling-spf\",\n  \"jobs\": %d,\n  \
+          \"quick\": %b,\n  \"seeds\": [%s],\n  \"md5_sequential\": %S,\n  \
+          \"md5_parallel\": %S,\n  \"identical\": %b,\n  \"rows\": [\n%s\n  \
+          ],\n  \"perfbench\": %s\n}\n"
+         jobs quick
+         (String.concat ", " (List.map string_of_int seeds))
+         md5_seq md5_par identical
+         (String.concat ",\n" (Array.to_list (Array.map json_row rows)))
+         perfbench_json);
+    verdict "scale"
+      (all_equal && all_conv && identical && speedup_ok)
+      ~pass:"PASS (repairs bit-identical, convergence exact, domains agree)"
+      ~fail:"FAIL"
   in
   Cmd.v
     (Cmd.info "scale"
@@ -1102,8 +1064,9 @@ let scale_cmd =
          "Benchmark incremental vs full SPF and MPDA convergence on \
           internet-like topologies up to 10k nodes.")
     Term.(
-      const run $ quick_arg $ jobs_arg $ seeds_arg $ conv_max_arg $ out_arg
-      $ perfbench_arg)
+      const run $ quick_arg
+      $ jobs_arg "Domains for the parallel digest-gate rerun."
+      $ seeds_arg $ conv_max_arg $ out_arg "BENCH_perf.json" $ perfbench_arg)
 
 (* ---- the route-server daemon and its crash-recovery audit ---------- *)
 
@@ -1116,15 +1079,13 @@ let named_topo = function
   | "net1" -> Mdr_topology.Net1.topology ()
   | path -> Mdr_topology.Parser.topology_of_file path
 
-let server_update = function
-  | Procfault.Cost_change { src; dst; cost } ->
-      Mdr_server.Update.Set_cost { src; dst; cost }
-  | Procfault.Fail { a; b } -> Mdr_server.Update.Link_down { a; b }
-  | Procfault.Restore { a; b; cost } -> Mdr_server.Update.Link_up { a; b; cost }
-
 let serve_topo_arg =
   let doc = "Topology: cairn, net1, or a file path." in
   Arg.(value & opt string "cairn" & info [ "topo" ] ~docv:"TOPOLOGY" ~doc)
+
+let audit_dir_arg default =
+  let doc = "Scratch directory for the audit's server states." in
+  Arg.(value & opt string default & info [ "dir" ] ~docv:"DIR" ~doc)
 
 let describe_alarm = function
   | Server.Stale { age; budget } ->
@@ -1151,6 +1112,36 @@ let describe_wire_alarm = function
       Printf.sprintf "%d corrupt frame stream(s) dropped" frames
   | Wire_server.Quarantined { client; strikes } ->
       Printf.sprintf "client %d quarantined after %d strikes" client strikes
+
+(* The wire audits' reconnect SLOs, pooled by one grid axis (chaos
+   intensity, client count): a table on stdout, rows in the JSON report,
+   and the latency fields every per-run JSON row carries. *)
+let print_slo_table ~by ~axis ~key rows =
+  Printf.printf "\nreconnect SLO by %s:\n%s" by
+    (Mdr_util.Tab.render
+       ~header:[ axis; "samples"; "p50 s"; "p95 s"; "max s" ]
+       (List.map
+          (fun (k, (s : Mdr_faults.Recovery.slo)) ->
+            [
+              key k;
+              string_of_int s.count;
+              Printf.sprintf "%.3f" s.p50;
+              Printf.sprintf "%.3f" s.p95;
+              Printf.sprintf "%.3f" s.max_;
+            ])
+          rows))
+
+let slo_json ~axis ~key (k, (s : Mdr_faults.Recovery.slo)) =
+  Printf.sprintf
+    "    {\"%s\": %s, \"count\": %d, \"p50_s\": %.4f, \"p95_s\": %.4f, \
+     \"max_s\": %.4f}"
+    axis (key k) s.count s.p50 s.p95 s.max_
+
+let reconnect_json (s : Mdr_faults.Recovery.slo) =
+  Printf.sprintf
+    "\"reconnect_count\": %d, \"reconnect_p50_s\": %.4f, \
+     \"reconnect_p95_s\": %.4f, \"reconnect_max_s\": %.4f"
+    s.count s.p50 s.p95 s.max_
 
 let parse_wire_addr spec =
   let malformed = Error "ADDR must be unix:PATH or tcp:HOST:PORT" in
@@ -1186,11 +1177,8 @@ let parse_wire_addr spec =
    the target's directory, then rename over it, so a scraper never
    reads a torn page. *)
 let write_metrics ~path text =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".metrics" ".tmp" in
-  let oc = open_out tmp in
-  output_string oc text;
-  close_out oc;
+  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".metrics" ".tmp" in
+  write_file tmp text;
   Sys.rename tmp path
 
 (* The daemon accept loop: nonblocking listener, one Transport.of_fd
@@ -1344,125 +1332,128 @@ let serve_cmd =
           "serve: --updates/--snapshot-every/--max-seconds must be >= 0, \
            --queue >= 1";
         2
-    | Ok addr -> begin
+    | Ok addr -> (
       let topo = named_topo topo_name in
       let cost = Procfault.default_base_cost in
       let config =
         { Server.default_config with snapshot_every; queue_capacity = queue }
       in
-      let srv =
+      match
         if resume then Server.restore ~config ~now:0.0 ~dir ~topo ~cost ()
         else Server.create ~config ~dir ~topo ~cost ()
-      in
-      (match (Server.health srv ~now:0.0).Server.last_restore with
-      | Some info ->
-          Printf.printf
-            "restored from %s: seq %d, %d journal records replayed%s, %.1f ms\n"
-            (if info.Server.from_snapshot then "snapshot" else "genesis")
-            (Server.seq srv) info.Server.replayed
-            (if info.Server.torn_skipped then ", torn tail skipped" else "")
-            (info.Server.duration *. 1e3)
-      | None -> Printf.printf "fresh server: seq 0\n");
-      let wire_stats =
-        match addr with
-        | Some addr ->
-            let stats, _shutdown =
-              listen_loop srv ~addr ~once ~max_seconds ~metrics
-            in
-            Some stats
-        | None ->
-            let stream =
-              Procfault.stream
-                ~rng:(Mdr_util.Rng.create ~seed)
-                ~topo ~updates ()
-            in
-            List.iteri
-              (fun i u ->
-                let now = float_of_int (i + 1) in
-                Server.offer srv ~now (server_update u);
-                ignore (Server.poll srv ~now);
-                List.iter
-                  (fun alarm ->
-                    Printf.printf "  alarm: %s\n" (describe_alarm alarm))
-                  (Server.heartbeat srv ~now:(now +. 0.5)))
-              stream;
-            None
-      in
-      let now = float_of_int (updates + 1) in
-      (* drain any held-down cost updates before shutting down *)
-      let guard = ref 0 in
-      let now = ref now in
-      let continue = ref true in
-      while !continue do
-        incr guard;
-        if !guard > 10_000 then failwith "serve: backlog failed to drain";
-        ignore (Server.poll srv ~now:!now);
-        let h = Server.health srv ~now:!now in
-        if h.Server.queue_depth = 0 && h.Server.pending_timers = 0 then
-          continue := false
-        else now := !now +. 1.0
-      done;
-      Server.checkpoint srv;
-      let h = Server.health srv ~now:!now in
-      let ok = Server.lfi_ok srv && Server.settled srv in
-      (match wire_stats with
-      | Some st ->
-          Printf.printf
-            "wire: %d sessions (%d reaped, %d closed), %d frames, %d applied, \
-             %d duplicates, %d rejects, %d malformed\n\
-             served to seq %d, snapshot at %d\nfingerprint %s\n"
-            st.Wire_server.opened st.Wire_server.reaped st.Wire_server.closed
-            st.Wire_server.frames st.Wire_server.applied
-            st.Wire_server.duplicates st.Wire_server.rejects
-            st.Wire_server.malformed (Server.seq srv) h.Server.snap_seq
-            (Server.fingerprint srv)
-      | None ->
-          Printf.printf
-            "served %d updates: seq %d, snapshot at %d, %d shed, %d coalesced, \
-             %d absorbed\nfingerprint %s\n"
-            updates (Server.seq srv) h.Server.snap_seq
-            h.Server.ingest.Mdr_server.Ingest.shed
-            h.Server.ingest.Mdr_server.Ingest.coalesced
-            h.Server.ingest.Mdr_server.Ingest.absorbed
-            (Server.fingerprint srv));
-      Printf.printf "spf: %d full runs, %d incremental repairs, %d fallbacks\n"
-        h.Server.spf_full_runs h.Server.spf_repairs h.Server.spf_fallbacks;
-      (match routes_from with
-      | None -> ()
-      | Some spec ->
-          let n = Mdr_topology.Graph.node_count topo in
-          let src =
-            match int_of_string_opt spec with
-            | Some i -> i
-            | None -> (
-                match Mdr_topology.Graph.node_of_name topo spec with
-                | i -> i
-                | exception _ -> -1)
+      with
+      | exception Server.Unreadable reason ->
+          Printf.eprintf "serve: cannot restore from %s: %s\n" dir reason;
+          2
+      | srv ->
+          (match (Server.health srv ~now:0.0).Server.last_restore with
+          | Some info ->
+              Printf.printf
+                "restored from %s: seq %d, %d journal records replayed%s, %.1f ms\n"
+                (if info.Server.from_snapshot then "snapshot" else "genesis")
+                (Server.seq srv) info.Server.replayed
+                (if info.Server.torn_skipped then ", torn tail skipped" else "")
+                (info.Server.duration *. 1e3)
+          | None -> Printf.printf "fresh server: seq 0\n");
+          let wire_stats =
+            match addr with
+            | Some addr ->
+                let stats, _shutdown =
+                  listen_loop srv ~addr ~once ~max_seconds ~metrics
+                in
+                Some stats
+            | None ->
+                let stream =
+                  Procfault.stream
+                    ~rng:(Mdr_util.Rng.create ~seed)
+                    ~topo ~updates ()
+                in
+                List.iteri
+                  (fun i u ->
+                    let now = float_of_int (i + 1) in
+                    Server.offer srv ~now (Mdr_server.Update.of_procfault u);
+                    ignore (Server.poll srv ~now);
+                    List.iter
+                      (fun alarm ->
+                        Printf.printf "  alarm: %s\n" (describe_alarm alarm))
+                      (Server.heartbeat srv ~now:(now +. 0.5)))
+                  stream;
+                None
           in
-          if src < 0 || src >= n then
-            Printf.printf "routes: unknown node %S\n" spec
-          else
-            for dst = 0 to n - 1 do
-              if dst <> src then begin
-                let r = Server.route srv ~src ~dst in
-                let split = Server.split srv ~src ~dst in
-                Printf.printf "  %s -> %s: dist %.3f via [%s]\n"
-                  (Mdr_topology.Graph.name topo src)
-                  (Mdr_topology.Graph.name topo dst)
-                  r.Server.distance
-                  (String.concat "; "
-                     (List.map
-                        (fun (k, f) ->
-                          Printf.sprintf "%s %.0f%%"
-                            (Mdr_topology.Graph.name topo k)
-                            (100.0 *. f))
-                        split))
-              end
-            done);
-      Server.close srv;
-      Printf.printf "serve: %s\n" (if ok then "PASS (LFI clean, settled)" else "FAIL");
-      exit_of_ok ok
-    end
+          let now = float_of_int (updates + 1) in
+          (* drain any held-down cost updates before shutting down *)
+          let guard = ref 0 in
+          let now = ref now in
+          let continue = ref true in
+          while !continue do
+            incr guard;
+            if !guard > 10_000 then failwith "serve: backlog failed to drain";
+            ignore (Server.poll srv ~now:!now);
+            let h = Server.health srv ~now:!now in
+            if h.Server.queue_depth = 0 && h.Server.pending_timers = 0 then
+              continue := false
+            else now := !now +. 1.0
+          done;
+          Server.checkpoint srv;
+          let h = Server.health srv ~now:!now in
+          let ok = Server.lfi_ok srv && Server.settled srv in
+          (match wire_stats with
+          | Some st ->
+              Printf.printf
+                "wire: %d sessions (%d reaped, %d closed), %d frames, %d applied, \
+                 %d duplicates, %d rejects, %d malformed\n\
+                 served to seq %d, snapshot at %d\nfingerprint %s\n"
+                st.Wire_server.opened st.Wire_server.reaped st.Wire_server.closed
+                st.Wire_server.frames st.Wire_server.applied
+                st.Wire_server.duplicates st.Wire_server.rejects
+                st.Wire_server.malformed (Server.seq srv) h.Server.snap_seq
+                (Server.fingerprint srv)
+          | None ->
+              Printf.printf
+                "served %d updates: seq %d, snapshot at %d, %d shed, %d coalesced, \
+                 %d absorbed\nfingerprint %s\n"
+                updates (Server.seq srv) h.Server.snap_seq
+                h.Server.ingest.Mdr_server.Ingest.shed
+                h.Server.ingest.Mdr_server.Ingest.coalesced
+                h.Server.ingest.Mdr_server.Ingest.absorbed
+                (Server.fingerprint srv));
+          Printf.printf "spf: %d full runs, %d incremental repairs, %d fallbacks\n"
+            h.Server.spf_full_runs h.Server.spf_repairs h.Server.spf_fallbacks;
+          (match routes_from with
+          | None -> ()
+          | Some spec ->
+              let n = Mdr_topology.Graph.node_count topo in
+              let src =
+                match int_of_string_opt spec with
+                | Some i -> i
+                | None -> (
+                    match Mdr_topology.Graph.node_of_name topo spec with
+                    | i -> i
+                    | exception _ -> -1)
+              in
+              if src < 0 || src >= n then
+                Printf.printf "routes: unknown node %S\n" spec
+              else
+                for dst = 0 to n - 1 do
+                  if dst <> src then begin
+                    let r = Server.route srv ~src ~dst in
+                    let split = Server.split srv ~src ~dst in
+                    Printf.printf "  %s -> %s: dist %.3f via [%s]\n"
+                      (Mdr_topology.Graph.name topo src)
+                      (Mdr_topology.Graph.name topo dst)
+                      r.Server.distance
+                      (String.concat "; "
+                         (List.map
+                            (fun (k, f) ->
+                              Printf.sprintf "%s %.0f%%"
+                                (Mdr_topology.Graph.name topo k)
+                                (100.0 *. f))
+                            split))
+                  end
+                done);
+          Server.close srv;
+          Printf.printf "serve: %s\n" (if ok then "PASS (LFI clean, settled)" else "FAIL");
+          exit_of_ok ok)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1477,10 +1468,6 @@ let serve_cmd =
       $ max_seconds_arg $ metrics_arg)
 
 let serve_audit_cmd =
-  let dir_arg =
-    let doc = "Scratch directory for the audit's server states." in
-    Arg.(value & opt string "_serve_audit" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
   let updates_arg =
     let doc = "Updates per audit run." in
     Arg.(value & opt int 60 & info [ "updates" ] ~docv:"N" ~doc)
@@ -1502,10 +1489,6 @@ let serve_audit_cmd =
   let budget_arg =
     let doc = "Updates the stormed server applies per tick." in
     Arg.(value & opt int 8 & info [ "budget" ] ~docv:"N" ~doc)
-  in
-  let out_arg =
-    let doc = "Where to write the JSON report." in
-    Arg.(value & opt string "BENCH_serve.json" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let run topo_name dir updates kills seeds intensities budget out =
     if updates < kills + 2 || kills < 1 || budget < 1
@@ -1564,7 +1547,7 @@ let serve_audit_cmd =
           ~dir:(Filename.concat dir "sweep")
           ~topo ~seed:storm_seed ()
       in
-      Printf.printf "restore latency vs snapshot interval:\n%s\n"
+      Printf.printf "restore latency vs snapshot interval:\n%s"
         (Mdr_util.Tab.render
            ~header:[ "snapshot every"; "journal records"; "restore mean ms"; "restore max ms" ]
            (List.map
@@ -1612,28 +1595,22 @@ let serve_audit_cmd =
           (p.Server_audit.restore_mean_s *. 1e3)
           (p.Server_audit.restore_max_s *. 1e3)
       in
-      let oc = open_out out in
-      Printf.fprintf oc
-        "{\n  \"benchmark\": \"serve-crash-recovery\",\n  \"topology\": %S,\n  \
-         \"updates\": %d,\n  \"kills\": %d,\n  \"audits\": [\n%s\n  ],\n  \
-         \"storm\": [\n%s\n  ],\n  \"snapshot_sweep\": [\n%s\n  ]\n}\n"
-        topo_name updates kills
-        (String.concat ",\n" (List.map audit_json audits))
-        (String.concat ",\n" (List.map storm_json storms))
-        (String.concat ",\n" (List.map sweep_json sweep));
-      close_out oc;
-      Printf.printf "wrote %s\n" out;
-      let ok =
-        List.for_all (fun (_, r) -> Server_audit.ok r) audits
+      write_report out
+        (Printf.sprintf
+           "{\n  \"benchmark\": \"serve-crash-recovery\",\n  \"topology\": %S,\n  \
+            \"updates\": %d,\n  \"kills\": %d,\n  \"audits\": [\n%s\n  ],\n  \
+            \"storm\": [\n%s\n  ],\n  \"snapshot_sweep\": [\n%s\n  ]\n}\n"
+           topo_name updates kills
+           (String.concat ",\n" (List.map audit_json audits))
+           (String.concat ",\n" (List.map storm_json storms))
+           (String.concat ",\n" (List.map sweep_json sweep)));
+      verdict "serve-audit"
+        (List.for_all (fun (_, r) -> Server_audit.ok r) audits
         && List.for_all
              (fun (s : Server_audit.storm_report) -> s.Server_audit.storm_lfi_ok)
-             storms
-      in
-      Printf.printf "\nserve-audit: %s\n"
-        (if ok then
-           "PASS (every kill recovered fingerprint-identical, LFI clean)"
-         else "FAIL (crash recovery diverged or LFI violated)");
-      exit_of_ok ok
+             storms)
+        ~pass:"PASS (every kill recovered fingerprint-identical, LFI clean)"
+        ~fail:"FAIL (crash recovery diverged or LFI violated)"
     end
   in
   Cmd.v
@@ -1644,8 +1621,9 @@ let serve_audit_cmd =
           byte-identical state; also bench storm shedding and \
           restore-latency vs snapshot cadence into BENCH_serve.json.")
     Term.(
-      const run $ serve_topo_arg $ dir_arg $ updates_arg $ kills_arg
-      $ audit_seeds_arg $ intensities_arg $ budget_arg $ out_arg)
+      const run $ serve_topo_arg $ audit_dir_arg "_serve_audit" $ updates_arg
+      $ kills_arg $ audit_seeds_arg $ intensities_arg $ budget_arg
+      $ out_arg "BENCH_serve.json")
 
 let wire_client_cmd =
   let connect_arg =
@@ -1699,7 +1677,7 @@ let wire_client_cmd =
           let topo = named_topo topo_name in
           let stream =
             Array.of_list
-              (List.map server_update
+              (List.map Mdr_server.Update.of_procfault
                  (Procfault.stream
                     ~rng:(Mdr_util.Rng.create ~seed)
                     ~topo ~updates ()))
@@ -1774,11 +1752,6 @@ let wire_client_cmd =
       $ max_seconds_arg $ client_id_arg $ claim_arg)
 
 let serve_wire_audit_cmd =
-  let dir_arg =
-    let doc = "Scratch directory for the audit's server states." in
-    Arg.(
-      value & opt string "_serve_wire_audit" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
   let updates_arg =
     let doc = "Updates per audit run." in
     Arg.(value & opt int 60 & info [ "updates" ] ~docv:"N" ~doc)
@@ -1798,10 +1771,6 @@ let serve_wire_audit_cmd =
       value
       & opt (list float) [ 0.5; 1.0; 2.0 ]
       & info [ "intensities" ] ~docv:"LIST" ~doc)
-  in
-  let out_arg =
-    let doc = "Where to write the JSON report." in
-    Arg.(value & opt string "BENCH_serve.json" & info [ "out" ] ~docv:"FILE" ~doc)
   in
   let run topo_name dir updates seeds intensities out =
     if updates < 1 || seeds = [] || intensities = []
@@ -1827,19 +1796,8 @@ let serve_wire_audit_cmd =
       in
       print_string (Wire_audit.report results);
       let slo = Wire_audit.slo_by_intensity results in
-      Printf.printf "\nreconnect SLO by intensity (pooled):\n%s"
-        (Mdr_util.Tab.render
-           ~header:[ "intensity"; "samples"; "p50 s"; "p95 s"; "max s" ]
-           (List.map
-              (fun (i, (s : Mdr_faults.Recovery.slo)) ->
-                [
-                  Printf.sprintf "%g" i;
-                  string_of_int s.Mdr_faults.Recovery.count;
-                  Printf.sprintf "%.3f" s.Mdr_faults.Recovery.p50;
-                  Printf.sprintf "%.3f" s.Mdr_faults.Recovery.p95;
-                  Printf.sprintf "%.3f" s.Mdr_faults.Recovery.max_;
-                ])
-              slo));
+      let key = Printf.sprintf "%g" in
+      print_slo_table ~by:"intensity (pooled)" ~axis:"intensity" ~key slo;
       let run_json (r : Wire_audit.result) =
         Printf.sprintf
           "    {\"seed\": %d, \"intensity\": %g, \"ok\": %b, \
@@ -1850,9 +1808,7 @@ let serve_wire_audit_cmd =
            \"reaped\": %d, \"chaos_chunks\": %d, \"chaos_flips\": %d, \
            \"chaos_truncations\": %d, \"chaos_duplicates\": %d, \
            \"chaos_delays\": %d, \"chaos_stalls\": %d, \
-           \"chaos_disconnects\": %d, \"reconnect_count\": %d, \
-           \"reconnect_p50_s\": %.4f, \"reconnect_p95_s\": %.4f, \
-           \"reconnect_max_s\": %.4f, \"wall_s\": %.2f}"
+           \"chaos_disconnects\": %d, %s, \"wall_s\": %.2f}"
           r.Wire_audit.seed r.Wire_audit.intensity r.Wire_audit.ok
           r.Wire_audit.client_done r.Wire_audit.fingerprint_ok
           r.Wire_audit.exactly_once r.Wire_audit.lfi r.Wire_audit.settled
@@ -1866,36 +1822,23 @@ let serve_wire_audit_cmd =
           r.Wire_audit.chaos.Mdr_faults.Wirefault.delays
           r.Wire_audit.chaos.Mdr_faults.Wirefault.stalls
           r.Wire_audit.chaos.Mdr_faults.Wirefault.disconnects
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.count
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.p50
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.p95
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.max_
+          (reconnect_json r.Wire_audit.reconnect_slo)
           r.Wire_audit.wall_s
       in
-      let slo_json (i, (s : Mdr_faults.Recovery.slo)) =
-        Printf.sprintf
-          "    {\"intensity\": %g, \"count\": %d, \"p50_s\": %.4f, \
-           \"p95_s\": %.4f, \"max_s\": %.4f}"
-          i s.Mdr_faults.Recovery.count s.Mdr_faults.Recovery.p50
-          s.Mdr_faults.Recovery.p95 s.Mdr_faults.Recovery.max_
-      in
-      let oc = open_out out in
-      Printf.fprintf oc
-        "{\n  \"benchmark\": \"serve-wire-chaos\",\n  \"topology\": %S,\n  \
-         \"updates\": %d,\n  \"runs\": [\n%s\n  ],\n  \
-         \"reconnect_slo_by_intensity\": [\n%s\n  ]\n}\n"
-        topo_name updates
-        (String.concat ",\n" (List.map run_json results))
-        (String.concat ",\n" (List.map slo_json slo));
-      close_out oc;
-      Printf.printf "\nwrote %s\n" out;
-      let ok = List.for_all (fun (r : Wire_audit.result) -> r.Wire_audit.ok) results in
-      Printf.printf "\nserve-wire-audit: %s\n"
-        (if ok then
-           "PASS (every session recovered, fingerprints byte-identical, \
-            exactly-once, LFI clean)"
-         else "FAIL (a chaos session diverged, stalled, or violated LFI)");
-      exit_of_ok ok
+      write_report out
+        (Printf.sprintf
+           "{\n  \"benchmark\": \"serve-wire-chaos\",\n  \"topology\": %S,\n  \
+            \"updates\": %d,\n  \"runs\": [\n%s\n  ],\n  \
+            \"reconnect_slo_by_intensity\": [\n%s\n  ]\n}\n"
+           topo_name updates
+           (String.concat ",\n" (List.map run_json results))
+           (String.concat ",\n" (List.map (slo_json ~axis:"intensity" ~key) slo)));
+      verdict "serve-wire-audit"
+        (List.for_all (fun (r : Wire_audit.result) -> r.Wire_audit.ok) results)
+        ~pass:
+          "PASS (every session recovered, fingerprints byte-identical, \
+           exactly-once, LFI clean)"
+        ~fail:"FAIL (a chaos session diverged, stalled, or violated LFI)"
     end
   in
   Cmd.v
@@ -1908,15 +1851,11 @@ let serve_wire_audit_cmd =
           exactly-once applies, and bench reconnect SLOs into \
           BENCH_serve.json.")
     Term.(
-      const run $ serve_topo_arg $ dir_arg $ updates_arg $ audit_seeds_arg
-      $ intensities_arg $ out_arg)
+      const run $ serve_topo_arg $ audit_dir_arg "_serve_wire_audit"
+      $ updates_arg $ audit_seeds_arg $ intensities_arg
+      $ out_arg "BENCH_serve.json")
 
 let serve_multi_audit_cmd =
-  let dir_arg =
-    let doc = "Scratch directory for the audit's server states." in
-    Arg.(
-      value & opt string "_serve_multi_audit" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
   let updates_arg =
     let doc = "Updates per client per run." in
     Arg.(value & opt int 30 & info [ "updates" ] ~docv:"N" ~doc)
@@ -1949,10 +1888,6 @@ let serve_multi_audit_cmd =
                run." in
     Arg.(value & opt int 2 & info [ "client-kills" ] ~docv:"N" ~doc)
   in
-  let out_arg =
-    let doc = "Where to write the JSON report." in
-    Arg.(value & opt string "BENCH_serve.json" & info [ "out" ] ~docv:"FILE" ~doc)
-  in
   let run topo_name dir updates seeds clients intensity server_kills
       client_kills out =
     if updates < 1 || seeds = [] || clients = []
@@ -1980,34 +1915,18 @@ let serve_multi_audit_cmd =
       in
       print_string (Wire_audit.report_multi results);
       let slo = Wire_audit.multi_slo_by_clients results in
-      Printf.printf "\nreconnect SLO by client count (pooled per-client):\n%s"
-        (Mdr_util.Tab.render
-           ~header:[ "clients"; "samples"; "p50 s"; "p95 s"; "max s" ]
-           (List.map
-              (fun (c, (s : Mdr_faults.Recovery.slo)) ->
-                [
-                  string_of_int c;
-                  string_of_int s.Mdr_faults.Recovery.count;
-                  Printf.sprintf "%.3f" s.Mdr_faults.Recovery.p50;
-                  Printf.sprintf "%.3f" s.Mdr_faults.Recovery.p95;
-                  Printf.sprintf "%.3f" s.Mdr_faults.Recovery.max_;
-                ])
-              slo));
+      print_slo_table ~by:"client count (pooled per-client)" ~axis:"clients"
+        ~key:string_of_int slo;
       let client_json (c : Wire_audit.client_report) =
         Printf.sprintf
           "{\"client\": %d, \"done\": %b, \"acked\": %d, \"resumes\": %d, \
            \"reconnects\": %d, \"dial_failures\": %d, \"retries\": %d, \
-           \"fast_forwarded\": %d, \"throttled\": %d, \"shed\": %d, \
-           \"reconnect_count\": %d, \"reconnect_p50_s\": %.4f, \
-           \"reconnect_p95_s\": %.4f, \"reconnect_max_s\": %.4f}"
+           \"fast_forwarded\": %d, \"throttled\": %d, \"shed\": %d, %s}"
           c.Wire_audit.client c.Wire_audit.client_done c.Wire_audit.acked
           c.Wire_audit.resumes c.Wire_audit.reconnects
           c.Wire_audit.dial_failures c.Wire_audit.retries
           c.Wire_audit.fast_forwarded c.Wire_audit.throttled c.Wire_audit.shed
-          c.Wire_audit.reconnect_slo.Mdr_faults.Recovery.count
-          c.Wire_audit.reconnect_slo.Mdr_faults.Recovery.p50
-          c.Wire_audit.reconnect_slo.Mdr_faults.Recovery.p95
-          c.Wire_audit.reconnect_slo.Mdr_faults.Recovery.max_
+          (reconnect_json c.Wire_audit.reconnect_slo)
       in
       let run_json (r : Wire_audit.multi_result) =
         Printf.sprintf
@@ -2018,9 +1937,7 @@ let serve_multi_audit_cmd =
            \"settled\": %b, \"server_kills\": %d, \"client_kills\": %d, \
            \"grants\": %d, \"fenced\": %d, \"throttled\": %d, \
            \"quarantines\": %d, \"evicted\": %d, \"duplicates\": %d, \
-           \"malformed\": %d, \"reconnect_count\": %d, \
-           \"reconnect_p50_s\": %.4f, \"reconnect_p95_s\": %.4f, \
-           \"reconnect_max_s\": %.4f, \"wall_s\": %.2f,\n     \
+           \"malformed\": %d, %s, \"wall_s\": %.2f,\n     \
            \"per_client\": [%s]}"
           r.Wire_audit.seed r.Wire_audit.clients r.Wire_audit.intensity
           r.Wire_audit.updates_per_client r.Wire_audit.ok r.Wire_audit.all_done
@@ -2031,44 +1948,28 @@ let serve_multi_audit_cmd =
           r.Wire_audit.grants r.Wire_audit.fenced r.Wire_audit.throttled
           r.Wire_audit.quarantines r.Wire_audit.evicted r.Wire_audit.duplicates
           r.Wire_audit.malformed
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.count
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.p50
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.p95
-          r.Wire_audit.reconnect_slo.Mdr_faults.Recovery.max_
+          (reconnect_json r.Wire_audit.reconnect_slo)
           r.Wire_audit.wall_s
           (String.concat ", " (List.map client_json r.Wire_audit.per_client))
       in
-      let slo_json (c, (s : Mdr_faults.Recovery.slo)) =
-        Printf.sprintf
-          "    {\"clients\": %d, \"count\": %d, \"p50_s\": %.4f, \
-           \"p95_s\": %.4f, \"max_s\": %.4f}"
-          c s.Mdr_faults.Recovery.count s.Mdr_faults.Recovery.p50
-          s.Mdr_faults.Recovery.p95 s.Mdr_faults.Recovery.max_
-      in
-      let oc = open_out out in
-      Printf.fprintf oc
-        "{\n  \"benchmark\": \"serve-multi-chaos\",\n  \"topology\": %S,\n  \
-         \"updates_per_client\": %d,\n  \"intensity\": %g,\n  \
-         \"runs\": [\n%s\n  ],\n  \
-         \"reconnect_slo_by_clients\": [\n%s\n  ]\n}\n"
-        topo_name updates intensity
-        (String.concat ",\n" (List.map run_json results))
-        (String.concat ",\n" (List.map slo_json slo));
-      close_out oc;
-      Printf.printf "\nwrote %s\n" out;
-      let ok =
-        List.for_all
-          (fun (r : Wire_audit.multi_result) -> r.Wire_audit.ok)
-          results
-      in
-      Printf.printf "\nserve-multi-audit: %s\n"
-        (if ok then
-           "PASS (every cell byte-identical to its sequential reference, \
-            exactly-once per client, zero stale-epoch applies, LFI clean)"
-         else
-           "FAIL (a cell diverged, lost or double-applied a client's \
-            update, or let a fenced write through)");
-      exit_of_ok ok
+      write_report out
+        (Printf.sprintf
+           "{\n  \"benchmark\": \"serve-multi-chaos\",\n  \"topology\": %S,\n  \
+            \"updates_per_client\": %d,\n  \"intensity\": %g,\n  \
+            \"runs\": [\n%s\n  ],\n  \
+            \"reconnect_slo_by_clients\": [\n%s\n  ]\n}\n"
+           topo_name updates intensity
+           (String.concat ",\n" (List.map run_json results))
+           (String.concat ",\n"
+              (List.map (slo_json ~axis:"clients" ~key:string_of_int) slo)));
+      verdict "serve-multi-audit"
+        (List.for_all (fun (r : Wire_audit.multi_result) -> r.Wire_audit.ok) results)
+        ~pass:
+          "PASS (every cell byte-identical to its sequential reference, \
+           exactly-once per client, zero stale-epoch applies, LFI clean)"
+        ~fail:
+          "FAIL (a cell diverged, lost or double-applied a client's \
+           update, or let a fenced write through)"
     end
   in
   Cmd.v
@@ -2082,9 +1983,9 @@ let serve_multi_audit_cmd =
           exactly-once per client, zero stale-epoch applies, and bench \
           per-client reconnect/shed SLOs into BENCH_serve.json.")
     Term.(
-      const run $ serve_topo_arg $ dir_arg $ updates_arg $ audit_seeds_arg
-      $ clients_arg $ intensity_arg $ server_kills_arg $ client_kills_arg
-      $ out_arg)
+      const run $ serve_topo_arg $ audit_dir_arg "_serve_multi_audit"
+      $ updates_arg $ audit_seeds_arg $ clients_arg $ intensity_arg
+      $ server_kills_arg $ client_kills_arg $ out_arg "BENCH_serve.json")
 
 let dot_cmd =
   let topo_arg =
@@ -2092,14 +1993,7 @@ let dot_cmd =
     Arg.(value & pos 0 string "cairn" & info [] ~docv:"TOPOLOGY" ~doc)
   in
   let run name =
-    let module Parser = Mdr_topology.Parser in
-    let g =
-      match name with
-      | "cairn" -> Mdr_topology.Cairn.topology ()
-      | "net1" -> Mdr_topology.Net1.topology ()
-      | path -> Parser.topology_of_file path
-    in
-    print_string (Parser.to_dot g);
+    print_string (Mdr_topology.Parser.to_dot (named_topo name));
     0
   in
   Cmd.v

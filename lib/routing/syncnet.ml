@@ -22,9 +22,9 @@ let push_outputs t ~from outputs =
     (fun (o : Router.output) -> Queue.add (from, o.Router.dst, o.Router.msg) t.q)
     outputs
 
-let create ?(mode = Router.Mpda) ?spf ~topo ~cost () =
+let create ~topo ~cost () =
   let n = Graph.node_count topo in
-  let routers = Array.init n (fun id -> Router.create ?spf ~mode ~id ~n ()) in
+  let routers = Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ()) in
   let t = { n; routers; q = Queue.create (); delivered = 0 } in
   (* Bring every adjacency up in deterministic link order; the initial
      full-table exchanges queue up behind one another exactly like any

@@ -10,13 +10,8 @@
 type t
 
 val create :
-  ?mode:Router.mode ->
-  ?spf:Router.spf ->
-  topo:Mdr_topology.Graph.t ->
-  cost:(Mdr_topology.Graph.link -> float) ->
-  unit ->
-  t
-(** One router per topology node; every adjacency comes up immediately
+  topo:Mdr_topology.Graph.t -> cost:(Mdr_topology.Graph.link -> float) -> unit -> t
+(** One MPDA router per topology node; every adjacency comes up immediately
     (in deterministic link order) with its cost from [cost], and the
     resulting full-table LSUs are queued. Call {!run} to converge. *)
 

@@ -26,12 +26,6 @@ type result = {
   restore_slo : Recovery.slo;
 }
 
-let to_update (u : Procfault.update) : Update.t =
-  match u with
-  | Procfault.Cost_change { src; dst; cost } -> Update.Set_cost { src; dst; cost }
-  | Procfault.Fail { a; b } -> Update.Link_down { a; b }
-  | Procfault.Restore { a; b; cost } -> Update.Link_up { a; b; cost }
-
 let default_audit_config =
   { Server.default_config with snapshot_every = 8 }
 
@@ -65,7 +59,7 @@ let run ?(config = default_audit_config) ?(updates = 60) ?(kills = 6) ?cost
   let kill_list =
     Procfault.random_kills ~rng:(Rng.substream ~seed ~index:1) ~updates ~kills
   in
-  let updates_arr = Array.of_list (List.map to_update stream) in
+  let updates_arr = Array.of_list (List.map Update.of_procfault stream) in
   (* Sequence numbers whose reference fingerprint a kill will need:
      the update itself for Between / Mid_snapshot (it was durable), the
      one before for Mid_journal (the torn update was never accepted). *)
@@ -248,7 +242,7 @@ let storm ?(config = default_storm_config) ?(ticks = 50) ~intensity ~budget
       ~rng:(Rng.substream ~seed ~index:2)
       ~topo ~updates:(ticks * intensity) ()
   in
-  let updates_arr = Array.of_list (List.map to_update stream) in
+  let updates_arr = Array.of_list (List.map Update.of_procfault stream) in
   let srv = Server.create ~config ~dir ~topo ~cost () in
   let applied = ref 0 in
   let degraded = ref 0 in
@@ -311,7 +305,7 @@ let sweep_snapshot_interval ?(intervals = [ 1; 4; 16; 64; 0 ]) ?(updates = 200)
   let stream =
     Procfault.stream ~rng:(Rng.substream ~seed ~index:3) ~topo ~updates ()
   in
-  let updates_arr = Array.of_list (List.map to_update stream) in
+  let updates_arr = Array.of_list (List.map Update.of_procfault stream) in
   List.map
     (fun snapshot_every ->
       let config = { default_audit_config with snapshot_every } in

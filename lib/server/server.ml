@@ -147,7 +147,7 @@ let arm_torn t ~torn_at =
    because it is a deterministic function of the seed messages, the whole
    server state is a pure function of the accepted update sequence —
    which is what lets snapshot + replay reproduce it bit-for-bit. *)
-let pump t seeds =
+let pump routers link_state seeds =
   let q = Queue.create () in
   let push from outs =
     List.iter (fun (o : Router.output) -> Queue.push (from, o) q) outs
@@ -161,18 +161,19 @@ let pump t seeds =
     let from, ({ dst; msg } : Router.output) = Queue.pop q in
     (* A message only arrives if its link still exists; the receiver
        additionally drops traffic from neighbors it considers down. *)
-    if Hashtbl.mem t.link_state (from, dst) then
-      push dst (Router.handle_msg t.routers.(dst) ~from_:from msg)
+    if Hashtbl.mem link_state (from, dst) then
+      push dst (Router.handle_msg routers.(dst) ~from_:from msg)
   done
 
 (* ---- applying updates ------------------------------------------------ *)
 
 let apply_mem t (u : Update.t) =
+  let pump = pump t.routers t.link_state in
   match u with
   | Update.Set_cost { src; dst; cost } ->
       if Hashtbl.mem t.link_state (src, dst) then begin
         Hashtbl.replace t.link_state (src, dst) cost;
-        pump t [ (src, Router.handle_link_cost t.routers.(src) ~nbr:dst ~cost) ]
+        pump [ (src, Router.handle_link_cost t.routers.(src) ~nbr:dst ~cost) ]
       end
       (* cost news about a down link changes nothing until it comes up *)
   | Update.Link_down { a; b } ->
@@ -181,7 +182,7 @@ let apply_mem t (u : Update.t) =
         Hashtbl.remove t.link_state (b, a);
         let outs_a = Router.handle_link_down t.routers.(a) ~nbr:b in
         let outs_b = Router.handle_link_down t.routers.(b) ~nbr:a in
-        pump t [ (a, outs_a); (b, outs_b) ]
+        pump [ (a, outs_a); (b, outs_b) ]
       end
   | Update.Link_up { a; b; cost } ->
       if Hashtbl.mem t.link_state (a, b) then begin
@@ -190,14 +191,14 @@ let apply_mem t (u : Update.t) =
         Hashtbl.replace t.link_state (b, a) cost;
         let outs_a = Router.handle_link_cost t.routers.(a) ~nbr:b ~cost in
         let outs_b = Router.handle_link_cost t.routers.(b) ~nbr:a ~cost in
-        pump t [ (a, outs_a); (b, outs_b) ]
+        pump [ (a, outs_a); (b, outs_b) ]
       end
       else begin
         Hashtbl.replace t.link_state (a, b) cost;
         Hashtbl.replace t.link_state (b, a) cost;
         let outs_a = Router.handle_link_up t.routers.(a) ~nbr:b ~cost in
         let outs_b = Router.handle_link_up t.routers.(b) ~nbr:a ~cost in
-        pump t [ (a, outs_a); (b, outs_b) ]
+        pump [ (a, outs_a); (b, outs_b) ]
       end
 
 (* ---- snapshot payload ------------------------------------------------ *)
@@ -264,13 +265,13 @@ let snapshot_payload t =
   Buffer.add_int32_be buf (Int32.of_int t.epoch);
   Buffer.contents buf
 
-exception Bad_snapshot of string
+exception Unreadable of string
 
 let decode_snapshot ~topo payload =
   let pos = ref 0 in
   let need n =
     if !pos + n > String.length payload then
-      raise (Bad_snapshot "snapshot payload truncated")
+      raise (Unreadable "snapshot payload truncated")
   in
   let read_digest () =
     need 16;
@@ -288,7 +289,7 @@ let decode_snapshot ~topo payload =
     need 4;
     let v = Int32.to_int (String.get_int32_be payload !pos) in
     pos := !pos + 4;
-    if v < 0 then raise (Bad_snapshot "negative length field");
+    if v < 0 then raise (Unreadable "negative length field");
     v
   in
   let read_f64 () =
@@ -300,12 +301,12 @@ let decode_snapshot ~topo payload =
   let digest = read_digest () in
   if not (String.equal digest (topo_digest topo)) then
     raise
-      (Bad_snapshot
+      (Unreadable
          "snapshot was taken for a different topology (digest mismatch)");
   let snap_seq = read_i64 () in
   let n = read_u32 () in
   if n <> Graph.node_count topo then
-    raise (Bad_snapshot "snapshot router count does not match topology");
+    raise (Unreadable "snapshot router count does not match topology");
   let routers =
     Array.init n (fun _ ->
         let len = read_u32 () in
@@ -347,7 +348,7 @@ let decode_snapshot ~topo payload =
   done;
   let epoch = read_u32 () in
   if !pos <> String.length payload then
-    raise (Bad_snapshot "trailing bytes in snapshot payload");
+    raise (Unreadable "trailing bytes in snapshot payload");
   (snap_seq, routers, link_state, marks, grants, claim_tbl, epoch)
 
 (* ---- construction ---------------------------------------------------- *)
@@ -362,19 +363,7 @@ let genesis ~topo ~cost =
     Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ())
   in
   let link_state = Hashtbl.create (max 16 (2 * Graph.link_count topo)) in
-  let shell = (routers, link_state) in
-  let pump_shell seeds =
-    let q = Queue.create () in
-    let push from outs =
-      List.iter (fun (o : Router.output) -> Queue.push (from, o) q) outs
-    in
-    List.iter (fun (from, outs) -> push from outs) seeds;
-    while not (Queue.is_empty q) do
-      let from, ({ dst; msg } : Router.output) = Queue.pop q in
-      if Hashtbl.mem link_state (from, dst) then
-        push dst (Router.handle_msg routers.(dst) ~from_:from msg)
-    done
-  in
+  let pump = pump routers link_state in
   (* Links must come up duplex-atomically: a router's link-up LSU
      demands an ACK, and the peer drops messages from neighbors it
      still considers down — bringing the directions up one pump apart
@@ -387,7 +376,7 @@ let genesis ~topo ~cost =
             let c_fwd = cost l and c_rev = cost rev in
             Hashtbl.replace link_state (l.src, l.dst) c_fwd;
             Hashtbl.replace link_state (l.dst, l.src) c_rev;
-            pump_shell
+            pump
               [
                 (l.src, Router.handle_link_up routers.(l.src) ~nbr:l.dst ~cost:c_fwd);
                 (l.dst, Router.handle_link_up routers.(l.dst) ~nbr:l.src ~cost:c_rev);
@@ -397,10 +386,10 @@ let genesis ~topo ~cost =
       | None ->
           let c = cost l in
           Hashtbl.replace link_state (l.src, l.dst) c;
-          pump_shell
+          pump
             [ (l.src, Router.handle_link_up routers.(l.src) ~nbr:l.dst ~cost:c) ])
     (Graph.links topo);
-  shell
+  (routers, link_state)
 
 let make ?(marks = Hashtbl.create 16) ?(grants = Hashtbl.create 16)
     ?(claim_tbl = Hashtbl.create 32) ?(epoch = 0) ~config ~dir ~topo ~routers
@@ -606,10 +595,7 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
         Printf.eprintf "snapshot %s: unreadable (%s); falling back to genesis\n%!"
           (snapshot_path dir) reason;
         None
-    | `Snapshot payload -> (
-        match decode_snapshot ~topo payload with
-        | base -> Some base
-        | exception Bad_snapshot reason -> failwith ("Server.restore: " ^ reason))
+    | `Snapshot payload -> Some (decode_snapshot ~topo payload)
   in
   let from_snapshot = Option.is_some base in
   let base_seq, routers, link_state, marks, grants, claim_tbl, epoch =
@@ -622,7 +608,8 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
   in
   let journal, replay =
     if Sys.file_exists (journal_path dir) then
-      Journal.open_append ~fsync:config.fsync ~path:(journal_path dir) ()
+      try Journal.open_append ~fsync:config.fsync ~path:(journal_path dir) ()
+      with Failure reason -> raise (Unreadable reason)
     else
       ( Journal.create ~fsync:config.fsync ~path:(journal_path dir) (),
         { Journal.entries = []; torn = false; clean_bytes = Codec.header_len } )
@@ -637,23 +624,14 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
     (fun (rec_seq, payload) ->
       if rec_seq > tmp.seq then begin
         if rec_seq <> tmp.seq + 1 then
-          failwith
-            (Printf.sprintf
-               "Server.restore: journal gap (have seq %d, next record is %d)"
-               tmp.seq rec_seq);
+          raise
+            (Unreadable
+               (Printf.sprintf "journal gap (have seq %d, next record is %d)"
+                  tmp.seq rec_seq));
         let e =
           try Update.decode_entry payload
           with Update.Corrupt reason ->
-            failwith ("Server.restore: corrupt journal payload: " ^ reason)
-        in
-        let e =
-          (* a v1 payload decodes with seq 0: renumber it as the local
-             writer's next accepted update *)
-          match e with
-          | Update.Apply { client = 0; seq = 0; epoch = 0; update } ->
-              Update.Apply
-                { client = 0; seq = client_seq tmp ~client:0 + 1; epoch = 0; update }
-          | e -> e
+            raise (Unreadable ("corrupt journal payload: " ^ reason))
         in
         apply_entry_mem tmp e;
         tmp.seq <- rec_seq;

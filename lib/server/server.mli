@@ -62,6 +62,11 @@ val create :
 (** Fresh server: every link up at its [cost], an empty journal in
     [dir] (created if missing), any stale state files removed. *)
 
+exception Unreadable of string
+(** {!restore} cannot rebuild from the state it found: a journal with a
+    bad header, a sequence gap or an undecodable entry, or a snapshot
+    that does not decode against [topo]. The message names the fault. *)
+
 val restore :
   ?config:config ->
   ?now:float ->
@@ -76,7 +81,7 @@ val restore :
     file is removed; the journal chain must be gapless.
     [topo] and [cost] must describe the same network the directory was
     written with (checked via a topology digest stored in the
-    snapshot). @raise Failure on corruption that loses accepted
+    snapshot). @raise Unreadable on corruption that loses accepted
     updates. *)
 
 val seq : t -> int

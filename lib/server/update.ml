@@ -7,6 +7,11 @@ type t =
 
 exception Corrupt of string
 
+let of_procfault = function
+  | Mdr_faults.Procfault.Cost_change { src; dst; cost } -> Set_cost { src; dst; cost }
+  | Mdr_faults.Procfault.Fail { a; b } -> Link_down { a; b }
+  | Mdr_faults.Procfault.Restore { a; b; cost } -> Link_up { a; b; cost }
+
 let encode u =
   let b = Buffer.create 17 in
   let node v = Buffer.add_int32_be b (Int32.of_int v) in
@@ -105,9 +110,7 @@ let decode_entry s =
              (Printf.sprintf "Claim entry is %d bytes (expected %d pairs)" len n));
       let pairs = List.init n (fun i -> (u32 (13 + (8 * i)), u32 (17 + (8 * i)))) in
       Claim { client; epoch; pairs }
-  (* Version-1 journals framed a bare update; accept them so a server
-     upgraded in place replays its old journal as local writes. *)
-  | _ -> Apply { client = 0; seq = 0; epoch = 0; update = decode s }
+  | c -> raise (Corrupt (Printf.sprintf "unknown entry tag %d" (Char.code c)))
 
 let check_cost what c =
   if not (Float.is_finite c) || c <= 0.0 then

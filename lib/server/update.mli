@@ -16,6 +16,9 @@ exception Corrupt of string
 (** A payload that passed the journal's CRC but does not decode — a
     format-version mismatch, not a torn write. *)
 
+val of_procfault : Mdr_faults.Procfault.update -> t
+(** The fault generator's seeded update in the server's input language. *)
+
 val encode : t -> string
 
 val decode : string -> t
@@ -48,8 +51,8 @@ val touched : t -> int * int
 val encode_entry : entry -> string
 
 val decode_entry : string -> entry
-(** @raise Corrupt on an unknown tag or malformed envelope. A bare v1
-    update payload decodes as [Apply { client = 0; seq = 0; epoch = 0 }]
-    (the local-path writer); replay normalizes the sequence number. *)
+(** @raise Corrupt on an unknown tag or malformed envelope, including a
+    bare {!encode}d update (the v1 record format, which journal replay
+    refuses by version before any entry is decoded). *)
 
 val describe : Mdr_topology.Graph.t -> t -> string

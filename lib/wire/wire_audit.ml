@@ -32,11 +32,6 @@ type result = {
 
 let default_audit_config = { Server.default_config with snapshot_every = 16 }
 
-let to_update = function
-  | Procfault.Cost_change { src; dst; cost } -> Update.Set_cost { src; dst; cost }
-  | Procfault.Fail { a; b } -> Update.Link_down { a; b }
-  | Procfault.Restore { a; b; cost } -> Update.Link_up { a; b; cost }
-
 (* Rng.substream index namespace within one run: 0 = update stream,
    1 = client backoff jitter, 2 + 2c / 3 + 2c = connection c's
    client->server / server->client fault lines. *)
@@ -52,7 +47,7 @@ let run ?(config = default_audit_config) ?wire_config ?client_config ?(updates =
     invalid_arg "Wire_audit.run: intensity must be finite and >= 0";
   let stream =
     Array.of_list
-      (List.map to_update
+      (List.map Update.of_procfault
          (Procfault.stream ~rng:(Rng.substream ~seed ~index:0) ~topo ~updates ()))
   in
   (* Reference: the same stream applied directly, no wire in the way. *)
@@ -274,7 +269,7 @@ let run_multi ?(config = default_audit_config) ?wire_config ?client_config
   let streams =
     Array.init n (fun i ->
         Array.of_list
-          (List.map to_update
+          (List.map Update.of_procfault
              (Procfault.stream_on
                 ~rng:(Rng.substream ~seed ~index:(10 + i + 1))
                 ~topo ~pairs:buckets.(i) ~updates ())))

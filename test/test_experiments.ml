@@ -1,6 +1,6 @@
 (* Tests for the experiments layer: workload construction, CSV
    rendering, and the cheap experiments end to end (the expensive
-   figure regenerations run in bench/main.exe; their shape checks are
+   figure regenerations run in `mdrsim all`; their shape checks are
    also asserted by the integration suite at reduced scale). *)
 
 module Workload = Mdr_experiments.Workload

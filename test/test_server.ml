@@ -64,13 +64,8 @@ let small_topo () =
 
 let cost = Procfault.default_base_cost
 
-let server_update = function
-  | Procfault.Cost_change { src; dst; cost } -> Update.Set_cost { src; dst; cost }
-  | Procfault.Fail { a; b } -> Update.Link_down { a; b }
-  | Procfault.Restore { a; b; cost } -> Update.Link_up { a; b; cost }
-
 let stream topo ~seed ~updates =
-  List.map server_update
+  List.map Update.of_procfault
     (Procfault.stream ~rng:(Rng.substream ~seed ~index:0) ~topo ~updates ())
 
 (* ---- codec ----------------------------------------------------------- *)
@@ -145,6 +140,20 @@ let test_update_roundtrip () =
   match Update.decode "\255garbage" with
   | _ -> Alcotest.fail "unknown tag accepted"
   | exception Update.Corrupt _ -> ()
+
+(* A bare update is the v1 journal record; journal replay refuses v1
+   by version, so the entry decoder must not read one as a write. *)
+let test_update_bare_entry_refused () =
+  List.iter
+    (fun u ->
+      match Update.decode_entry (Update.encode u) with
+      | _ -> Alcotest.fail "bare update decoded as a journal entry"
+      | exception Update.Corrupt _ -> ())
+    [
+      Update.Set_cost { src = 0; dst = 1; cost = 3.25 };
+      Update.Link_down { a = 4; b = 3 };
+      Update.Link_up { a = 2; b = 5; cost = 42.0 };
+    ]
 
 let test_update_validate () =
   let topo = small_topo () in
@@ -604,6 +613,39 @@ let test_fencing_new_epoch_wins () =
       check_int "re-claim journaled nothing" before (Server.seq s);
       Server.close s)
 
+(* Every way the state directory can be unreadable surfaces as the
+   one typed error, never as a bare Failure. *)
+let test_restore_unreadable () =
+  let topo = small_topo () in
+  let unreadable what setup =
+    with_dir (fun d ->
+        setup d;
+        match Server.restore ~dir:d ~topo ~cost () with
+        | s ->
+            Server.close s;
+            Alcotest.failf "%s: restore succeeded" what
+        | exception Server.Unreadable _ -> ())
+  in
+  let journal d = Filename.concat d "journal.bin" in
+  let entry u =
+    Update.encode_entry (Update.Apply { client = 0; seq = 1; epoch = 0; update = u })
+  in
+  let u = Update.Set_cost { src = 0; dst = 1; cost = 2.0 } in
+  unreadable "v1 journal header" (fun d ->
+      write_file (journal d) (Codec.header ~magic:"MDRJ" ~version:1));
+  unreadable "journal gap" (fun d ->
+      let j = Journal.create ~path:(journal d) () in
+      Journal.append j ~seq:2 ~payload:(entry u);
+      Journal.close j);
+  unreadable "corrupt journal payload" (fun d ->
+      let j = Journal.create ~path:(journal d) () in
+      Journal.append j ~seq:1 ~payload:(Update.encode u);
+      Journal.close j);
+  unreadable "snapshot for another topology" (fun d ->
+      match Snapshot.write ~path:(Filename.concat d "snapshot.bin") "junk" with
+      | `Ok -> ()
+      | `Torn -> Alcotest.fail "unexpected torn")
+
 let test_fencing_epoch_persists_across_restart () =
   let topo = small_topo () in
   with_dir (fun d ->
@@ -690,6 +732,8 @@ let suite =
       test_codec_short_record;
     Alcotest.test_case "update: binary roundtrip" `Quick test_update_roundtrip;
     Alcotest.test_case "update: topology validation" `Quick test_update_validate;
+    Alcotest.test_case "update: bare v1 update is not an entry" `Quick
+      test_update_bare_entry_refused;
     Alcotest.test_case "journal: append/replay roundtrip" `Quick
       test_journal_roundtrip;
     Alcotest.test_case "journal: torn tail skipped and truncated" `Quick
@@ -718,6 +762,8 @@ let suite =
       test_corruption_counters_torn_tail;
     Alcotest.test_case "server: snapshot-fallback corruption counted" `Quick
       test_corruption_counters_snapshot_fallback;
+    Alcotest.test_case "server: unreadable state is a typed error" `Quick
+      test_restore_unreadable;
     Alcotest.test_case "fencing: stale epoch rejected" `Quick
       test_fencing_stale_epoch_rejected;
     Alcotest.test_case "fencing: new epoch wins, re-claim idempotent" `Quick
