@@ -63,9 +63,10 @@ let bench_packet_sim =
   Test.make ~name:"netsim: 2 simulated seconds of NET1"
     (Staged.stage (fun () -> ignore (Mdr_netsim.Sim.run ~config:cfg topo flows)))
 
-let bench_incr_spf =
-  (* Steady-state single-link repair on a warm 1000-node BA table —
-     the per-LSU hot path `mdrsim scale` sweeps at larger n. *)
+(* A warm 1000-node BA table, its shortest-path state from root 0 and
+   both CSR views built — the per-LSU hot path `mdrsim scale` sweeps at
+   larger n. *)
+let ba1000 () =
   let module T = Mdr_routing.Topo_table in
   let module I = Mdr_routing.Incr_spf in
   let rng = Mdr_util.Rng.substream ~seed:1 ~index:0 in
@@ -81,6 +82,12 @@ let bench_incr_spf =
   I.full iws st table;
   ignore (T.csr table ~n:1000);
   ignore (T.csr_in table ~n:1000);
+  (topo, table, iws, st)
+
+let bench_incr_spf =
+  let module T = Mdr_routing.Topo_table in
+  let module I = Mdr_routing.Incr_spf in
+  let topo, table, iws, st = ba1000 () in
   let l = List.hd (Mdr_topology.Graph.links topo) in
   let flip = ref false in
   Test.make ~name:"incr_spf: BA-1000 single-link repair"
@@ -91,6 +98,25 @@ let bench_incr_spf =
          ignore
            (I.update iws st table
               ~changes:[ { T.head = l.src; tail = l.dst; cost } ])))
+
+(* A structural change: the link into the last-added node (a BA leaf)
+   on its shortest path goes away and comes back, so the CSR views take
+   an edge removal and an insertion rather than a cost patch. *)
+let bench_incr_spf_tree_edge =
+  let module T = Mdr_routing.Topo_table in
+  let module I = Mdr_routing.Incr_spf in
+  let _, table, iws, st = ba1000 () in
+  let tail = 999 in
+  let head = st.I.parent.(tail) in
+  let cost = Option.get (T.cost table ~head ~tail) in
+  let step change =
+    T.apply_entry table change;
+    ignore (I.update iws st table ~changes:[ change ])
+  in
+  Test.make ~name:"incr_spf: BA-1000 tree-edge move"
+    (Staged.stage (fun () ->
+         step { T.head; tail; cost = infinity };
+         step { T.head; tail; cost }))
 
 let bench_estimator =
   Test.make ~name:"estimator: busy-period sample"
@@ -114,6 +140,7 @@ let micro_benchmarks () =
       bench_ah_step;
       bench_packet_sim;
       bench_incr_spf;
+      bench_incr_spf_tree_edge;
       bench_estimator;
     ]
   in

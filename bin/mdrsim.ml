@@ -819,9 +819,11 @@ let scale_cmd =
     let iws = Incr_spf.workspace () in
     let st = Incr_spf.create ~n ~root:0 in
     Incr_spf.full iws st table;
-    (* Warm both CSR views: the router builds them once per topology
-       and cost-only changes patch them in place, so view construction
-       is setup cost, not per-LSU cost. *)
+    (* Warm both CSR views before timing: this bench changes costs
+       only, which patch a view in place, so view construction is
+       charged to neither engine. In a router it is not setup cost: an
+       LSU that adds or removes a link makes the next read merge that
+       edit into each view. *)
     ignore (Topo_table.csr table ~n);
     ignore (Topo_table.csr_in table ~n);
     let dws = Dijkstra.workspace () in

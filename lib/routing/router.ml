@@ -207,12 +207,14 @@ let apply_lsu t ~from_ ~reset entries =
     let pre = Topo_table.version table in
     (* Record each touched edge's original cost so the net changes —
        and only the net changes — drive the repair. *)
-    let orig = ref [] in
+    let orig = ref [] and seen = Hashtbl.create 16 in
     List.iter
       (fun (e : Topo_table.entry) ->
         let key = (e.head, e.tail) in
-        if not (List.mem_assoc key !orig) then
-          orig := (key, Topo_table.cost table ~head:e.head ~tail:e.tail) :: !orig;
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.replace seen key ();
+          orig := (key, Topo_table.cost table ~head:e.head ~tail:e.tail) :: !orig
+        end;
         Topo_table.apply_entry table e)
       entries;
     let changes =
@@ -284,25 +286,18 @@ let preferred_for t nbrs j =
 let rebuild_merged t =
   let merged = Topo_table.create () in
   let nbrs = up_neighbors t in
-  let known = Hashtbl.create 32 in
-  List.iter
-    (fun k ->
-      Hashtbl.replace known k ();
-      match Hashtbl.find_opt t.nbr_tables k with
+  (* Only a node of some neighbor's table (or a neighbor itself) has a
+     finite neighbor distance, so scanning every id skips nothing. *)
+  for j = 0 to t.n - 1 do
+    if j <> t.id then
+      match preferred_for t nbrs j with
       | None -> ()
-      | Some tab -> List.iter (fun v -> Hashtbl.replace known v ()) (Topo_table.nodes tab))
-    nbrs;
-  Sorted_tbl.iter
-    (fun j () ->
-      if j <> t.id then
-        match preferred_for t nbrs j with
-        | None -> ()
-        | Some (p, _) ->
-          let tab = Hashtbl.find t.nbr_tables p in
-          List.iter
-            (fun (tail, cost) -> Topo_table.set merged ~head:j ~tail ~cost)
-            (Topo_table.out_links tab ~head:j))
-    known;
+      | Some (p, _) ->
+        let tab = Hashtbl.find t.nbr_tables p in
+        List.iter
+          (fun (tail, cost) -> Topo_table.set merged ~head:j ~tail ~cost)
+          (Topo_table.out_links tab ~head:j)
+  done;
   (* Step 5: adjacent links override anything neighbors said about
      links headed at this router. *)
   List.iter

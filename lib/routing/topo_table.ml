@@ -4,17 +4,30 @@ type entry = { head : int; tail : int; cost : float }
 
 type csr = { row : int array; dst : int array; cost : float array }
 
+(* An edit not yet merged into a cached view: the [key -> other] edge
+   (head -> tail in the forward view, tail -> head in the transpose)
+   now costs [to_cost], or is gone when that is [infinity]. The cost is
+   stored so that a merge needs no hash lookup. *)
+type edit = { key : int; other : int; to_cost : float }
+
+(* A cached view always describes the table's current contents: [view]
+   with [log] applied on top. *)
+type view_cache = {
+  n : int;
+  view : csr;
+  owned : bool;
+      (* false after [copy]: [view] is shared with another table, so an
+         in-place cost patch must clone the cost column first *)
+  log : edit list;  (* newest first *)
+  logged : int;  (* length of [log] *)
+}
+
 type t = {
   links : (int * int, float) Hashtbl.t;
   adjacency : (int, (int, float) Hashtbl.t) Hashtbl.t;
   mutable version : int;
-  mutable csr_cache : (int * int * csr) option;  (* (version, n, view) *)
-  mutable csr_in_cache : (int * int * csr) option;  (* transpose view *)
-  mutable cache_owned : bool;
-      (* false after [copy]: the cached views are shared with another
-         table, so an in-place cost patch must clone the cost arrays
-         first (the row/dst structure is immutable while a view is
-         valid, so only costs need copy-on-write) *)
+  mutable csr_cache : view_cache option;
+  mutable csr_in_cache : view_cache option;  (* transpose view *)
 }
 
 let create () =
@@ -24,19 +37,20 @@ let create () =
     version = 0;
     csr_cache = None;
     csr_in_cache = None;
-    cache_owned = true;
   }
 
 (* Every *actual* mutation bumps [version]; no-op writes (same cost,
    absent removal, empty clear) leave it alone so readers keying off
-   the version — the CSR cache here, the per-neighbor Dijkstra skip in
-   Router — stay valid as long as the contents truly haven't moved. *)
+   the version — the per-neighbor Dijkstra skip in Router — stay valid
+   as long as the contents truly haven't moved. *)
 let touch t = t.version <- t.version + 1
 
 (* The copy keeps the original's version counter (same contents, same
    version: readers' seen-versions stay valid across copies) and shares
-   its CSR snapshot — the snapshot arrays are write-once, so sharing is
-   safe and the copy's first shortest-path run skips the rebuild. *)
+   its cached views — view arrays are only ever written by an in-place
+   cost patch, which clones an unowned cost column first, and the edit
+   logs are immutable, so sharing is safe and the copy's first
+   shortest-path run skips the rebuild. *)
 let copy t =
   let fresh = create () in
   Sorted_tbl.iter (fun k v -> Hashtbl.replace fresh.links k v) t.links;
@@ -44,12 +58,11 @@ let copy t =
     (fun h out -> Hashtbl.replace fresh.adjacency h (Hashtbl.copy out))
     t.adjacency;
   fresh.version <- t.version;
+  let share = Option.map (fun c -> { c with owned = false }) in
+  t.csr_cache <- share t.csr_cache;
+  t.csr_in_cache <- share t.csr_in_cache;
   fresh.csr_cache <- t.csr_cache;
   fresh.csr_in_cache <- t.csr_in_cache;
-  (* Both tables now point at the same view arrays; neither may patch
-     them in place without cloning the cost columns first. *)
-  fresh.cache_owned <- false;
-  t.cache_owned <- false;
   fresh
 
 let clear t =
@@ -77,35 +90,37 @@ let patch_cost view ~key ~other ~cost =
   done;
   if !idx >= 0 then view.cost.(!idx) <- cost
 
-let patch_cache t cache ~key ~other ~cost =
+(* Carry a cached view over one mutation of the [key -> other] edge.
+   [bounded] says the view also drops edges whose [other] end is
+   outside [0, n) (the transpose view). A cost change to a view with no
+   pending edits is patched in place; anything else is logged, until
+   the log would hold as many edits as the view has edges — then a
+   rebuild is cheaper than a merge, so the view is dropped. *)
+let log_edit cache ~key ~other ~cost ~structural ~bounded =
   match cache with
-  | Some (v, n, view) when v = t.version - 1 ->
-    (* The view was current before this mutation bumped the version.
-       Edges whose key endpoint is outside [0, n) are not in the view;
-       an absent edge makes the binary search miss harmlessly. *)
-    if key >= 0 && key < n then patch_cost view ~key ~other ~cost;
-    Some (t.version, n, view)
-  | Some _ | None -> None
+  | None -> None
+  | Some c ->
+    if key < 0 || key >= c.n || (bounded && (other < 0 || other >= c.n)) then cache
+    else if c.log = [] && not structural then
+      if c.owned then begin
+        patch_cost c.view ~key ~other ~cost;
+        cache
+      end
+      else begin
+        let view = { c.view with cost = Array.copy c.view.cost } in
+        patch_cost view ~key ~other ~cost;
+        Some { c with view; owned = true }
+      end
+    else if c.logged + 1 >= Array.length c.view.dst then None
+    else
+      Some
+        { c with log = { key; other; to_cost = cost } :: c.log; logged = c.logged + 1 }
 
-let own_caches t =
-  if not t.cache_owned then begin
-    (* Clone the mutable cost columns once; the row/dst structure
-       arrays stay shared (immutable while any view is valid). *)
-    let clone = function
-      | Some (v, n, view) -> Some (v, n, { view with cost = Array.copy view.cost })
-      | None -> None
-    in
-    t.csr_cache <- clone t.csr_cache;
-    t.csr_in_cache <- clone t.csr_in_cache;
-    t.cache_owned <- true
-  end
-
-let patch_caches t ~head ~tail ~cost =
-  if t.csr_cache <> None || t.csr_in_cache <> None then begin
-    own_caches t;
-    t.csr_cache <- patch_cache t t.csr_cache ~key:head ~other:tail ~cost;
-    t.csr_in_cache <- patch_cache t t.csr_in_cache ~key:tail ~other:head ~cost
-  end
+let log_edits t ~head ~tail ~cost ~structural =
+  t.csr_cache <-
+    log_edit t.csr_cache ~key:head ~other:tail ~cost ~structural ~bounded:false;
+  t.csr_in_cache <-
+    log_edit t.csr_in_cache ~key:tail ~other:head ~cost ~structural ~bounded:true
 
 let set t ~head ~tail ~cost =
   if not (Float.is_finite cost) || cost < 0.0 then
@@ -113,15 +128,7 @@ let set t ~head ~tail ~cost =
   if head = tail then invalid_arg "Topo_table.set: self-loop";
   match Hashtbl.find_opt t.links (head, tail) with
   | Some old when Float.equal old cost -> ()
-  | Some _ ->
-    Hashtbl.replace t.links (head, tail) cost;
-    (match Hashtbl.find_opt t.adjacency head with
-    | Some out -> Hashtbl.replace out tail cost
-    | None -> assert false);
-    touch t;
-    (* Same edge set, one cost moved: keep the CSR views hot. *)
-    patch_caches t ~head ~tail ~cost
-  | None ->
+  | found ->
     Hashtbl.replace t.links (head, tail) cost;
     let out =
       match Hashtbl.find_opt t.adjacency head with
@@ -132,9 +139,8 @@ let set t ~head ~tail ~cost =
         out
     in
     Hashtbl.replace out tail cost;
-    t.csr_cache <- None;
-    t.csr_in_cache <- None;
-    touch t
+    touch t;
+    log_edits t ~head ~tail ~cost ~structural:(Option.is_none found)
 
 let remove t ~head ~tail =
   if Hashtbl.mem t.links (head, tail) then begin
@@ -144,9 +150,8 @@ let remove t ~head ~tail =
     | Some out ->
       Hashtbl.remove out tail;
       if Hashtbl.length out = 0 then Hashtbl.remove t.adjacency head);
-    t.csr_cache <- None;
-    t.csr_in_cache <- None;
-    touch t
+    touch t;
+    log_edits t ~head ~tail ~cost:infinity ~structural:true
   end
 
 let cost t ~head ~tail = Hashtbl.find_opt t.links (head, tail)
@@ -183,68 +188,155 @@ let size t = Hashtbl.length t.links
 
 let version t = t.version
 
-let csr t ~n =
-  match t.csr_cache with
-  | Some (v, cached_n, view) when v = t.version && cached_n = n -> view
-  | Some _ | None ->
-    (* [entries] is sorted by (head, tail), which is exactly CSR fill
-       order — and per-head sorted by tail, the same order [out_links]
-       yields, so algorithms see identical edge sequences either way. *)
-    let es = entries t in
-    let in_range e = e.head >= 0 && e.head < n in
-    let row = Array.make (n + 1) 0 in
-    List.iter (fun e -> if in_range e then row.(e.head + 1) <- row.(e.head + 1) + 1) es;
-    for i = 1 to n do
-      row.(i) <- row.(i) + row.(i - 1)
+(* (key, other) order, and only the newest edit of each edge: [log] is
+   newest first and the sort is stable, so each run starts with it. *)
+let net_edits log =
+  let sorted =
+    List.stable_sort
+      (fun a b ->
+        if a.key = b.key then Int.compare a.other b.other else Int.compare a.key b.key)
+      log
+  in
+  let rec dedup acc = function
+    | [] -> Array.of_list (List.rev acc)
+    | e :: rest -> (
+      match acc with
+      | p :: _ when p.key = e.key && p.other = e.other -> dedup acc rest
+      | _ -> dedup (e :: acc) rest)
+  in
+  dedup [] sorted
+
+(* Merge sorted edits into a view in one linear pass, into fresh arrays
+   (the old view may be shared with a copy). Each edit lands at the
+   lower bound of its [other] in its row of the old view; the unedited
+   runs between landings are blitted whole. *)
+let merge old log =
+  let edits = net_edits log in
+  let k = Array.length edits in
+  let n = Array.length old.row - 1 in
+  let at = Array.make k 0 and hit = Array.make k false in
+  for e = 0 to k - 1 do
+    let { key; other; _ } = edits.(e) in
+    let lo = ref old.row.(key) and hi = ref old.row.(key + 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if old.dst.(mid) < other then lo := mid + 1 else hi := mid
     done;
-    let m = row.(n) in
-    let dst = Array.make m 0 and cost = Array.make m 0.0 in
-    let pos = ref 0 in
-    List.iter
-      (fun e ->
-        if in_range e then begin
-          dst.(!pos) <- e.tail;
-          cost.(!pos) <- e.cost;
-          incr pos
-        end)
-      es;
-    let view = { row; dst; cost } in
-    t.csr_cache <- Some (t.version, n, view);
-    view
+    at.(e) <- !lo;
+    hit.(e) <- !lo < old.row.(key + 1) && old.dst.(!lo) = other
+  done;
+  let row = Array.make (n + 1) 0 in
+  let shift = ref 0 and e = ref 0 in
+  for i = 0 to n do
+    while !e < k && edits.(!e).key < i do
+      let finite = Float.is_finite edits.(!e).to_cost in
+      if finite && not hit.(!e) then incr shift
+      else if (not finite) && hit.(!e) then decr shift;
+      incr e
+    done;
+    row.(i) <- old.row.(i) + !shift
+  done;
+  let m = row.(n) in
+  let dst = Array.make m 0 and cost = Array.create_float m in
+  let src = ref 0 and out = ref 0 in
+  let copy_upto stop =
+    let len = stop - !src in
+    if len > 0 then begin
+      (* [Array.blit] into an int array outside the minor heap runs a
+         write barrier per element; a typed loop is a plain store. *)
+      for i = 0 to len - 1 do
+        dst.(!out + i) <- old.dst.(!src + i)
+      done;
+      Array.blit old.cost !src cost !out len;
+      src := stop;
+      out := !out + len
+    end
+  in
+  for e = 0 to k - 1 do
+    copy_upto at.(e);
+    if hit.(e) then incr src;
+    let { other; to_cost; _ } = edits.(e) in
+    if Float.is_finite to_cost then begin
+      dst.(!out) <- other;
+      cost.(!out) <- to_cost;
+      incr out
+    end
+  done;
+  copy_upto (Array.length old.dst);
+  { row; dst; cost }
+
+let build_csr t ~n =
+  (* [entries] is sorted by (head, tail), which is exactly CSR fill
+     order — and per-head sorted by tail, the same order [out_links]
+     yields, so algorithms see identical edge sequences either way. *)
+  let es = entries t in
+  let in_range e = e.head >= 0 && e.head < n in
+  let row = Array.make (n + 1) 0 in
+  List.iter (fun e -> if in_range e then row.(e.head + 1) <- row.(e.head + 1) + 1) es;
+  for i = 1 to n do
+    row.(i) <- row.(i) + row.(i - 1)
+  done;
+  let m = row.(n) in
+  let dst = Array.make m 0 and cost = Array.make m 0.0 in
+  let pos = ref 0 in
+  List.iter
+    (fun e ->
+      if in_range e then begin
+        dst.(!pos) <- e.tail;
+        cost.(!pos) <- e.cost;
+        incr pos
+      end)
+    es;
+  { row; dst; cost }
+
+let build_csr_in t ~n =
+  (* Transpose view: rows indexed by tail, entries are in-edges.
+     Only edges with both endpoints in [0, n) are kept — an in-edge
+     from an out-of-range head would be useless to a shortest-path
+     repair over nodes [0, n). Scanning [entries] (sorted by
+     (head, tail)) and bucketing by tail yields each row's heads in
+     ascending order, matching the forward view's per-row sort. *)
+  let es = entries t in
+  let in_range e = e.head >= 0 && e.head < n && e.tail >= 0 && e.tail < n in
+  let row = Array.make (n + 1) 0 in
+  List.iter (fun e -> if in_range e then row.(e.tail + 1) <- row.(e.tail + 1) + 1) es;
+  for i = 1 to n do
+    row.(i) <- row.(i) + row.(i - 1)
+  done;
+  let m = row.(n) in
+  let dst = Array.make m 0 and cost = Array.make m 0.0 in
+  let pos = Array.make n 0 in
+  Array.blit row 0 pos 0 n;
+  List.iter
+    (fun e ->
+      if in_range e then begin
+        let p = pos.(e.tail) in
+        dst.(p) <- e.head;
+        cost.(p) <- e.cost;
+        pos.(e.tail) <- p + 1
+      end)
+    es;
+  { row; dst; cost }
+
+(* The cache made current for width [n]: as is when it has no pending
+   edits, merged when it has, rebuilt from [entries] when there is no
+   view of that width. *)
+let up_to_date cache t ~n ~build =
+  match cache with
+  | Some ({ n = cn; log = []; _ } as c) when cn = n -> c
+  | Some c when c.n = n ->
+    { n; view = merge c.view c.log; owned = true; log = []; logged = 0 }
+  | Some _ | None -> { n; view = build t ~n; owned = true; log = []; logged = 0 }
+
+let csr t ~n =
+  let c = up_to_date t.csr_cache t ~n ~build:build_csr in
+  t.csr_cache <- Some c;
+  c.view
 
 let csr_in t ~n =
-  match t.csr_in_cache with
-  | Some (v, cached_n, view) when v = t.version && cached_n = n -> view
-  | Some _ | None ->
-    (* Transpose view: rows indexed by tail, entries are in-edges.
-       Only edges with both endpoints in [0, n) are kept — an in-edge
-       from an out-of-range head would be useless to a shortest-path
-       repair over nodes [0, n). Scanning [entries] (sorted by
-       (head, tail)) and bucketing by tail yields each row's heads in
-       ascending order, matching the forward view's per-row sort. *)
-    let es = entries t in
-    let in_range e = e.head >= 0 && e.head < n && e.tail >= 0 && e.tail < n in
-    let row = Array.make (n + 1) 0 in
-    List.iter (fun e -> if in_range e then row.(e.tail + 1) <- row.(e.tail + 1) + 1) es;
-    for i = 1 to n do
-      row.(i) <- row.(i) + row.(i - 1)
-    done;
-    let m = row.(n) in
-    let dst = Array.make m 0 and cost = Array.make m 0.0 in
-    let pos = Array.make n 0 in
-    Array.blit row 0 pos 0 n;
-    List.iter
-      (fun e ->
-        if in_range e then begin
-          let p = pos.(e.tail) in
-          dst.(p) <- e.head;
-          cost.(p) <- e.cost;
-          pos.(e.tail) <- p + 1
-        end)
-      es;
-    let view = { row; dst; cost } in
-    t.csr_in_cache <- Some (t.version, n, view);
-    view
+  let c = up_to_date t.csr_in_cache t ~n ~build:build_csr_in in
+  t.csr_in_cache <- Some c;
+  c.view
 
 let diff ~old_table ~new_table =
   let changes = ref [] in

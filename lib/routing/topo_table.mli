@@ -14,7 +14,9 @@ val copy : t -> t
 val clear : t -> unit
 
 val set : t -> head:int -> tail:int -> cost:float -> unit
-(** Add or change a link. [cost] must be finite and positive. *)
+(** Add or change a link. [cost] must be finite and non-negative; zero
+    is accepted ({!Incr_spf} answers a zero-cost edge with a full run).
+    Raises [Invalid_argument] otherwise, or on a self-loop. *)
 
 val remove : t -> head:int -> tail:int -> unit
 
@@ -39,8 +41,8 @@ val version : t -> int
 (** Monotonic change counter, bumped only by mutations that actually
     alter the table (a [set] to the current cost, a [remove] of an
     absent link, or a [clear] of an empty table leave it unchanged).
-    Readers cache derived state — the CSR view here, per-neighbor
-    shortest paths in the router — keyed on it. *)
+    Readers cache derived state — per-neighbor shortest paths in the
+    router — keyed on it. *)
 
 type csr = {
   row : int array;  (** length n+1; edges of head [h] occupy [row.(h) .. row.(h+1)-1] *)
@@ -52,19 +54,28 @@ type csr = {
     allocation or hashing. *)
 
 val csr : t -> n:int -> csr
-(** The CSR view restricted to heads in [0, n)]. Cached; rebuilt only
-    when {!version} (or [n]) changes. The returned arrays must not be
-    mutated by callers and are valid snapshots only until the next
-    mutation. A pure cost change ({!set} on an existing link) patches
-    the cached view's cost cell in place instead of invalidating it, so
-    per-LSU shortest-path repair never pays a CSR rebuild; structural
-    changes (add/remove) still invalidate. *)
+(** The CSR view restricted to heads in [0, n)]. The returned arrays
+    must not be mutated by callers and are valid snapshots only until
+    the next mutation of this table; a mutation of a {!copy} never
+    touches them.
+
+    The view is cached per table and kept across mutations, so the
+    per-LSU shortest-path repair pays neither a rebuild nor a sort:
+    - a cost change ({!set} on an existing link) to a view with no
+      pending edits patches its cost cell in place;
+    - any other change (a new link, {!remove}, or a cost change behind
+      pending edits) is logged, and the next read merges the log into
+      fresh arrays in one pass over the view.
+    A view is rebuilt from {!entries} on the first read, on a read with
+    another [n], after {!clear}, and once its log holds as many edits
+    as it has edges. Every read equals, element for element, the view
+    rebuilt from scratch. *)
 
 val csr_in : t -> n:int -> csr
 (** The transpose of {!csr}: [row] is indexed by tail and each row
     lists the in-edges' heads (ascending) with their costs. Only edges
-    with both endpoints in [0, n)] appear. Cached and cost-patched in
-    place exactly like the forward view. *)
+    with both endpoints in [0, n)] appear. Cached, patched and merged
+    exactly like the forward view. *)
 
 val diff : old_table:t -> new_table:t -> entry list
 (** LSU entries that transform [old_table] into [new_table]:

@@ -411,6 +411,86 @@ let test_syncnet_converges_to_shortest_paths () =
   let _, repairs, _ = Syncnet.spf_totals net in
   check "repairs engaged" true (repairs > 0)
 
+(* Topo_table's cached CSR views under random mutation: every read of
+   either view, at either of two widths, must equal bit for bit the
+   view of a fresh table built from [entries], and a view handed out
+   must not move until its own table is mutated — in particular not
+   when a copy sharing it is. *)
+let bits_equal (a : Topo_table.csr) (b : Topo_table.csr) =
+  a.row = b.row && a.dst = b.dst
+  && Array.length a.cost = Array.length b.cost
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.cost b.cost
+
+let copy_view (v : Topo_table.csr) =
+  { Topo_table.row = Array.copy v.row; dst = Array.copy v.dst; cost = Array.copy v.cost }
+
+let prop_csr_views_match_rebuild =
+  QCheck.Test.make ~name:"Topo_table CSR views == rebuild (random edit streams)"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 4 + Rng.int rng ~bound:20 in
+      let widths = [| n; 1 + (n / 2) |] in
+      (* Ids reach past [n] so both views must drop out-of-range edges. *)
+      let node () = Rng.int rng ~bound:(n + 3) in
+      let pool = ref [| random_table rng ~n |] in
+      (* (table index, view, snapshot of it) for views not yet invalidated *)
+      let handed = ref [] in
+      let pick () = Rng.int rng ~bound:(Array.length !pool) in
+      let mutated i = handed := List.filter (fun (j, _, _) -> j <> i) !handed in
+      for step = 1 to 300 do
+        let i = pick () in
+        let t = !pool.(i) in
+        let entries = Array.of_list (Topo_table.entries t) in
+        (match Rng.int rng ~bound:20 with
+        | 0 ->
+          Topo_table.clear t;
+          mutated i
+        | 1 when Array.length !pool < 4 ->
+          pool := Array.append !pool [| Topo_table.copy t |]
+        | 2 | 3 | 4 | 5 when Array.length entries > 0 ->
+          let e = entries.(Rng.int rng ~bound:(Array.length entries)) in
+          Topo_table.remove t ~head:e.Topo_table.head ~tail:e.Topo_table.tail;
+          mutated i
+        | 6 | 7 | 8 when Array.length entries > 0 ->
+          let e = entries.(Rng.int rng ~bound:(Array.length entries)) in
+          Topo_table.set t ~head:e.Topo_table.head ~tail:e.Topo_table.tail
+            ~cost:(dyadic rng);
+          mutated i
+        | 9 | 10 | 11 | 12 | 13 ->
+          let h = node () and tl = node () in
+          if h <> tl then begin
+            Topo_table.set t ~head:h ~tail:tl ~cost:(dyadic rng);
+            mutated i
+          end
+        | _ ->
+          let width = widths.(Rng.int rng ~bound:2) in
+          let fresh = Topo_table.create () in
+          Array.iter (Topo_table.apply_entry fresh) entries;
+          let forward = Rng.int rng ~bound:2 = 0 in
+          let read tab =
+            if forward then Topo_table.csr tab ~n:width
+            else Topo_table.csr_in tab ~n:width
+          in
+          let got = read t in
+          if not (bits_equal got (read fresh)) then
+            QCheck.Test.fail_reportf "step %d: %s view of width %d differs from rebuild"
+              step
+              (if forward then "forward" else "transpose")
+              width;
+          handed := (i, got, copy_view got) :: !handed);
+        List.iter
+          (fun (j, v, snap) ->
+            if not (bits_equal v snap) then
+              QCheck.Test.fail_reportf
+                "step %d: a view of table %d moved without its own mutation" step j)
+          !handed
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "incr_spf: empty changes noop" `Quick test_empty_changes_noop;
@@ -430,4 +510,5 @@ let suite =
       test_syncnet_converges_to_shortest_paths;
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
     QCheck_alcotest.to_alcotest prop_router_full_incremental_equal;
+    QCheck_alcotest.to_alcotest prop_csr_views_match_rebuild;
   ]
