@@ -118,6 +118,63 @@ let bench_incr_spf_tree_edge =
          step { T.head; tail; cost = infinity };
          step { T.head; tail; cost }))
 
+(* A router whose one neighbor (node 0 of the BA-1000 graph) reported
+   its shortest-path tree; the neighbor then moves its largest subtree
+   hanging at depth >= 2 under another node, and back, each move one
+   LSU (a new parent link and the old one's removal). The router runs
+   PDA so every LSU is applied and followed by its MTU. *)
+let bench_router_subtree_move =
+  let module T = Mdr_routing.Topo_table in
+  let module I = Mdr_routing.Incr_spf in
+  let module R = Mdr_routing.Router in
+  let _, table, _, st = ba1000 () in
+  let n = 1000 and parent = st.I.parent in
+  let cost v = Option.get (T.cost table ~head:parent.(v) ~tail:v) in
+  let rec depth v = if parent.(v) < 0 then 0 else 1 + depth parent.(v) in
+  let rec inside ~top v = v = top || (v >= 0 && inside ~top parent.(v)) in
+  let size = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let u = ref v in
+    while !u >= 0 do
+      size.(!u) <- size.(!u) + 1;
+      u := parent.(!u)
+    done
+  done;
+  let v = ref (-1) in
+  for u = 0 to n - 1 do
+    if depth u >= 2 && (!v < 0 || size.(u) > size.(!v)) then v := u
+  done;
+  let v = !v and p = parent.(!v) in
+  let p' = ref 0 in
+  while !p' = p || inside ~top:v !p' do
+    incr p'
+  done;
+  let p' = !p' and c = cost v in
+  (* Both entries end at [v], so (head, tail) order is head order. *)
+  let move ~from ~onto =
+    let entries =
+      [ { T.head = onto; tail = v; cost = c }; { T.head = from; tail = v; cost = infinity } ]
+    in
+    let entries = if onto < from then entries else List.rev entries in
+    { R.entries; reset = false; seq = None; ack_of = None }
+  in
+  let tree =
+    List.filter_map
+      (fun u ->
+        if parent.(u) < 0 then None
+        else Some { T.head = parent.(u); tail = u; cost = cost u })
+      (List.init n Fun.id)
+  in
+  let id, _ = List.hd (T.out_links table ~head:0) in
+  let r = R.create ~mode:R.Pda ~id ~n () in
+  ignore (R.handle_link_up r ~nbr:0 ~cost:(Option.get (T.cost table ~head:id ~tail:0)));
+  ignore (R.handle_msg r ~from_:0 { R.entries = tree; reset = true; seq = None; ack_of = None });
+  let away = move ~from:p ~onto:p' and back = move ~from:p' ~onto:p in
+  Test.make ~name:"router: neighbor LSU, BA-1000 subtree move"
+    (Staged.stage (fun () ->
+         ignore (R.handle_msg r ~from_:0 away);
+         ignore (R.handle_msg r ~from_:0 back)))
+
 let bench_estimator =
   Test.make ~name:"estimator: busy-period sample"
     (Staged.stage (fun () ->
@@ -141,6 +198,7 @@ let micro_benchmarks () =
       bench_packet_sim;
       bench_incr_spf;
       bench_incr_spf_tree_edge;
+      bench_router_subtree_move;
       bench_estimator;
     ]
   in

@@ -18,14 +18,11 @@ type t = {
   id : int;
   n : int;
   mutable main : Topo_table.t;
-  nbr_tables : (int, Topo_table.t) Hashtbl.t;
-  nbr_dist : (int, float array) Hashtbl.t;  (* D_jk: from nbr k to each dst *)
-  nbr_spf : (int, Incr_spf.state) Hashtbl.t;
-      (* per-neighbor maintained SPF tree; its [dist] aliases the
-         [nbr_dist] entry, so every reader of D_jk sees the repaired
-         values with no copying. The state's version against the
-         neighbor table's version replaces the old seen-version skip. *)
-  iws : Incr_spf.ws;  (* per-router repair/SPF scratch; never shared *)
+  nbrs : (int, Nbr_forest.t) Hashtbl.t;
+      (* T_k^i per neighbor k, kept after k goes down (then empty); its
+         [dist] is D_jk, from k to each dst *)
+  fws : Nbr_forest.ws;  (* per-router neighbor-table scratch; never shared *)
+  iws : Incr_spf.ws;  (* per-router main-table SPF scratch; never shared *)
   parent_buf : int array;  (* main-table SPF parents, maintained in place *)
   prev_parent : int array;  (* parents before the last repair, for tree deltas *)
   mutable merged : Topo_table.t;
@@ -75,9 +72,8 @@ let create ?(spf = Incremental) ~mode ~id ~n () =
     id;
     n;
     main = Topo_table.create ();
-    nbr_tables = Hashtbl.create 8;
-    nbr_dist = Hashtbl.create 8;
-    nbr_spf = Hashtbl.create 8;
+    nbrs = Hashtbl.create 8;
+    fws = Nbr_forest.workspace ();
     iws = Incr_spf.workspace ();
     parent_buf;
     prev_parent = Array.make n (-1);
@@ -114,14 +110,17 @@ let feasible_distance t ~dst = t.fd.(dst)
 (* --- Successor sets (Eq. 17 / line 4 of MPDA), computed lazily ------- *)
 
 let neighbor_distance t ~nbr ~dst =
-  match Hashtbl.find_opt t.nbr_dist nbr with
+  match Hashtbl.find_opt t.nbrs nbr with
   | None -> infinity
-  | Some d -> d.(dst)
+  | Some f -> (Nbr_forest.dist f).(dst)
 
 let link_cost t ~nbr =
   match Hashtbl.find_opt t.adjacent nbr with Some c -> c | None -> infinity
 
-let up_neighbors t = Sorted_tbl.keys t.adjacent
+(* Monomorphic key sort: this runs several times per event. *)
+let int_keys tbl = List.map fst (Sorted_tbl.bindings_by Int.compare tbl)
+
+let up_neighbors t = int_keys t.adjacent
 
 let force_successors t =
   if t.succ_dirty then begin
@@ -149,102 +148,37 @@ let spf_stats t = Incr_spf.stats t.iws
 
 (* --- NTU: neighbor-table maintenance ------------------------------- *)
 
-let nbr_table t ~nbr =
-  match Hashtbl.find_opt t.nbr_tables nbr with
-  | Some tab -> tab
+let nbr_forest t ~nbr =
+  match Hashtbl.find_opt t.nbrs nbr with
+  | Some f -> f
   | None ->
-    let tab = Topo_table.create () in
-    Hashtbl.replace t.nbr_tables nbr tab;
-    tab
+    let f = Nbr_forest.create ~n:t.n ~root:nbr in
+    Hashtbl.replace t.nbrs nbr f;
+    f
 
-let nbr_state t ~nbr =
-  match Hashtbl.find_opt t.nbr_spf nbr with
-  | Some st -> st
-  | None ->
-    let dist =
-      match Hashtbl.find_opt t.nbr_dist nbr with
-      | Some d -> d
-      | None ->
-        let d = Array.make t.n infinity in
-        Hashtbl.replace t.nbr_dist nbr d;
-        d
-    in
-    let st = Incr_spf.create_into ~dist ~parent:(Array.make t.n (-1)) ~n:t.n ~root:nbr in
-    Hashtbl.replace t.nbr_spf nbr st;
-    st
-
-(* [changes]: Some (pre_version, entries) when the caller mutated the
-   neighbor table from [pre_version] by exactly [entries] — the repair
-   contract. Anything else (resets, link events, version gaps) takes
-   the full recompute, which also invalidates the merged topology
-   since the incremental MTU can no longer tell what moved. *)
-let refresh_neighbor_distances ?changes t ~nbr =
-  let table = nbr_table t ~nbr in
-  let st = nbr_state t ~nbr in
-  let current = Topo_table.version table in
-  if st.Incr_spf.version <> current || st.Incr_spf.version < 0 then begin
-    match (t.spf, changes) with
-    | Incremental, Some (pre, cs) when st.Incr_spf.version = pre -> (
-      match
-        Incr_spf.update t.iws st table ~changes:cs ~on_changed:(fun j ->
-            Hashtbl.replace t.dirty j ())
-      with
-      | Incr_spf.Repaired _ -> ()
-      | Incr_spf.Recomputed -> t.merged_valid <- false)
-    | _ ->
-      Incr_spf.full t.iws st table;
-      t.merged_valid <- false
-  end
-
+(* A data LSU updates only the subtrees it moved, marking the nodes
+   whose D_k changed and the heads of the changed links (the merged
+   rows that may copy from this neighbor). A full-table LSU, and every
+   LSU in [Full] mode, recomputes the distances from scratch and drops
+   merged-topology continuity. *)
 let apply_lsu t ~from_ ~reset entries =
-  let table = nbr_table t ~nbr:from_ in
-  if reset then begin
-    Topo_table.clear table;
-    List.iter (Topo_table.apply_entry table) entries;
-    refresh_neighbor_distances t ~nbr:from_
-  end
-  else begin
-    let pre = Topo_table.version table in
-    (* Record each touched edge's original cost so the net changes —
-       and only the net changes — drive the repair. *)
-    let orig = ref [] and seen = Hashtbl.create 16 in
-    List.iter
-      (fun (e : Topo_table.entry) ->
-        let key = (e.head, e.tail) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          orig := (key, Topo_table.cost table ~head:e.head ~tail:e.tail) :: !orig
-        end;
-        Topo_table.apply_entry table e)
-      entries;
-    let changes =
-      List.fold_left
-        (fun acc ((head, tail), old) ->
-          let now = Topo_table.cost table ~head ~tail in
-          let same =
-            match (old, now) with
-            | None, None -> true
-            | Some a, Some b -> Float.equal a b
-            | Some _, None | None, Some _ -> false
-          in
-          if same then acc
-          else
-            { Topo_table.head; tail; cost = Option.value now ~default:infinity }
-            :: acc)
-        [] !orig
-    in
-    let changes =
-      List.sort
-        (fun (a : Topo_table.entry) (b : Topo_table.entry) ->
-          match Int.compare a.head b.head with
-          | 0 -> Int.compare a.tail b.tail
-          | c -> c)
-        changes
-    in
-    (* The merged rows of entry heads may copy from this neighbor. *)
-    List.iter (fun (c : Topo_table.entry) -> Hashtbl.replace t.dirty c.head ()) changes;
-    refresh_neighbor_distances t ~nbr:from_ ~changes:(pre, changes)
-  end
+  let f = nbr_forest t ~nbr:from_ in
+  try
+    if reset then begin
+      Nbr_forest.load t.fws f entries;
+      t.merged_valid <- false
+    end
+    else begin
+      let mark j = Hashtbl.replace t.dirty j () in
+      let changes = Nbr_forest.apply ~on_changed:mark t.fws f entries in
+      List.iter (fun (c : Topo_table.entry) -> mark c.head) changes;
+      if t.spf = Full then begin
+        Nbr_forest.recompute t.fws f;
+        t.merged_valid <- false
+      end
+    end
+  with Invalid_argument m ->
+    invalid_arg (Printf.sprintf "Router %d: LSU from neighbor %d: %s" t.id from_ m)
 
 (* --- MTU: rebuild or repair the main table -------------------------- *)
 
@@ -273,30 +207,36 @@ let refresh_first_hops t =
     ignore (resolve j)
   done
 
-let preferred_for t nbrs j =
+(* The tables of the up neighbors [nbrs] with their link costs, looked
+   up once per MTU rather than twice per neighbor per row. *)
+let sources t nbrs = List.map (fun k -> (Hashtbl.find t.nbrs k, link_cost t ~nbr:k)) nbrs
+
+(* The table of the neighbor minimizing D_jk + l_k, the first in id
+   order on ties; None when no neighbor reaches j. *)
+let preferred_for sources j =
   List.fold_left
-    (fun best k ->
-      let d = neighbor_distance t ~nbr:k ~dst:j +. link_cost t ~nbr:k in
+    (fun best (f, l) ->
+      let d = (Nbr_forest.dist f).(j) +. l in
       match best with
       | Some (_, bd) when bd <= d -> best
-      | _ -> if Float.is_finite d then Some (k, d) else best)
-    None nbrs
+      | _ -> if Float.is_finite d then Some (f, d) else best)
+    None sources
 
 (* Steps 2-5 from scratch: the fallback (and Full-mode) path. *)
 let rebuild_merged t =
   let merged = Topo_table.create () in
   let nbrs = up_neighbors t in
+  let sources = sources t nbrs in
   (* Only a node of some neighbor's table (or a neighbor itself) has a
      finite neighbor distance, so scanning every id skips nothing. *)
   for j = 0 to t.n - 1 do
     if j <> t.id then
-      match preferred_for t nbrs j with
+      match preferred_for sources j with
       | None -> ()
-      | Some (p, _) ->
-        let tab = Hashtbl.find t.nbr_tables p in
+      | Some (f, _) ->
         List.iter
           (fun (tail, cost) -> Topo_table.set merged ~head:j ~tail ~cost)
-          (Topo_table.out_links tab ~head:j)
+          (Nbr_forest.children f j)
   done;
   (* Step 5: adjacent links override anything neighbors said about
      links headed at this router. *)
@@ -310,11 +250,15 @@ let entry_compare (a : Topo_table.entry) (b : Topo_table.entry) =
   | 0 -> Int.compare a.tail b.tail
   | c -> c
 
+let same_row a b =
+  List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && Float.equal c1 c2) a b
+
 (* Re-derive the merged rows of the dirty destinations in place,
    returning the net merged changes sorted by (head, tail) — the input
    the incremental SPF repair requires. *)
 let repair_merged t =
   let nbrs = up_neighbors t in
+  let sources = sources t nbrs in
   let acc = ref [] in
   let set_merged ~head ~tail ~cost =
     match Topo_table.cost t.merged ~head ~tail with
@@ -329,22 +273,23 @@ let repair_merged t =
       acc := { Topo_table.head; tail; cost = infinity } :: !acc
     end
   in
-  let dirty = Sorted_tbl.keys t.dirty in
+  let dirty = int_keys t.dirty in
   Hashtbl.reset t.dirty;
   List.iter
     (fun j ->
       if j <> t.id then begin
         let old_row = Topo_table.out_links t.merged ~head:j in
-        match preferred_for t nbrs j with
+        match preferred_for sources j with
         | None -> List.iter (fun (tail, _) -> remove_merged ~head:j ~tail) old_row
-        | Some (p, _) ->
-          let tab = Hashtbl.find t.nbr_tables p in
-          let new_row = Topo_table.out_links tab ~head:j in
-          List.iter
-            (fun (tail, _) ->
-              if not (List.mem_assoc tail new_row) then remove_merged ~head:j ~tail)
-            old_row;
-          List.iter (fun (tail, cost) -> set_merged ~head:j ~tail ~cost) new_row
+        | Some (f, _) ->
+          let new_row = Nbr_forest.children f j in
+          if not (same_row old_row new_row) then begin
+            List.iter
+              (fun (tail, _) ->
+                if not (List.mem_assoc tail new_row) then remove_merged ~head:j ~tail)
+              old_row;
+            List.iter (fun (tail, cost) -> set_merged ~head:j ~tail ~cost) new_row
+          end
       end)
     dirty;
   (* Keep the adjacency-owned row in sync (step 5); on the pure data
@@ -462,7 +407,7 @@ let compose_outputs t ~changes ~ack_to =
   t.needs_full <- [];
   let data_targets =
     if changes = [] then full_targets
-    else List.sort_uniq compare (full_targets @ nbrs)
+    else List.sort_uniq Int.compare (full_targets @ nbrs)
   in
   let outputs = ref [] in
   let ack_consumed = ref false in
@@ -550,10 +495,7 @@ let handle_link_up t ~nbr ~cost =
     invalid_arg "Router.handle_link_up: bad cost";
   Hashtbl.replace t.adjacent nbr cost;
   t.merged_valid <- false;
-  if not (Hashtbl.mem t.nbr_tables nbr) then begin
-    Hashtbl.replace t.nbr_tables nbr (Topo_table.create ());
-    refresh_neighbor_distances t ~nbr
-  end;
+  ignore (nbr_forest t ~nbr);
   if not (List.mem nbr t.needs_full) then t.needs_full <- nbr :: t.needs_full;
   process t ~ack_to:None ~ack_received:None
 
@@ -566,10 +508,7 @@ let handle_link_down ?(unconfirmed = false) t ~nbr =
        hold — and route on — its old view of us, so it keeps a claim on
        FD until {!confirm_link_down}. *)
     if unconfirmed then Hashtbl.replace t.ghosts nbr ();
-    (match Hashtbl.find_opt t.nbr_tables nbr with
-    | Some tab -> Topo_table.clear tab
-    | None -> ());
-    refresh_neighbor_distances t ~nbr;
+    Nbr_forest.clear (nbr_forest t ~nbr);
     t.needs_full <- List.filter (fun k -> k <> nbr) t.needs_full;
     (* Pending ACKs from the failed neighbor count as received. *)
     let ack = Hashtbl.find_opt t.pending nbr |> Option.map (fun s -> (nbr, s)) in
@@ -637,33 +576,14 @@ let copy t =
     Sorted_tbl.iter (fun k v -> Hashtbl.replace fresh k (copy_v v)) src;
     fresh
   in
-  let nbr_dist = copy_tbl Array.copy t.nbr_dist in
-  (* Rebuild the per-neighbor states over the *copied* distance arrays,
-     carrying the sync versions so current trees stay current. *)
-  let nbr_spf = Hashtbl.create (Hashtbl.length t.nbr_spf) in
-  Sorted_tbl.iter
-    (fun k (st : Incr_spf.state) ->
-      match Hashtbl.find_opt nbr_dist k with
-      | None -> ()
-      | Some dist ->
-        let fresh =
-          Incr_spf.create_into ~dist
-            ~parent:(Array.copy st.Incr_spf.parent)
-            ~n:t.n ~root:k
-        in
-        fresh.Incr_spf.version <- st.Incr_spf.version;
-        fresh.Incr_spf.has_zero <- st.Incr_spf.has_zero;
-        Hashtbl.replace nbr_spf k fresh)
-    t.nbr_spf;
   let dist = Array.copy t.dist in
   let parent_buf = Array.copy t.parent_buf in
   let main_spf = Incr_spf.create_into ~dist ~parent:parent_buf ~n:t.n ~root:t.id in
   {
     t with
     main = Topo_table.copy t.main;
-    nbr_tables = copy_tbl Topo_table.copy t.nbr_tables;
-    nbr_dist;
-    nbr_spf;
+    nbrs = copy_tbl Nbr_forest.copy t.nbrs;
+    fws = Nbr_forest.workspace ();
     iws = Incr_spf.workspace ();
     parent_buf;
     prev_parent = Array.copy t.prev_parent;
@@ -687,7 +607,9 @@ let copy t =
    closures, no custom blocks. Canonical behaviour after a round-trip
    does not depend on hashtable layout anyway: every protocol-visible
    iteration goes through Sorted_tbl. Sharing is preserved, so the
-   SPF states still alias the distance arrays after a round-trip. *)
+   main SPF state still aliases [dist] and [parent_buf] after a
+   round-trip. The bytes follow this record's layout, so any change to
+   it must bump the snapshot file version (Mdr_server.Snapshot). *)
 let snapshot t =
   force_successors t;
   Marshal.to_string t []
@@ -697,37 +619,37 @@ let restore s =
   (* The marshalled scratch is valid but may be stale-sized; a fresh
      workspace keeps restore independent of how big the writer's last
      runs were. *)
-  { t with iws = Incr_spf.workspace () }
+  { t with fws = Nbr_forest.workspace (); iws = Incr_spf.workspace () }
 
 let fingerprint t =
   force_successors t;
   let b = Buffer.create 512 in
   let flt v = Buffer.add_string b (Printf.sprintf "%h," v) in
   let int v = Buffer.add_string b (string_of_int v ^ ",") in
-  let table tab =
+  let table entries =
     List.iter
       (fun (e : Topo_table.entry) ->
         int e.head;
         int e.tail;
         flt e.cost)
-      (Topo_table.entries tab);
+      entries;
     Buffer.add_char b ';'
   in
   int t.id;
   Buffer.add_string b (match t.mode with Mpda -> "M" | Pda -> "P");
   Buffer.add_string b (if t.active then "A|" else "p|");
-  table t.main;
+  table (Topo_table.entries t.main);
   Sorted_tbl.iter
-    (fun k tab ->
+    (fun k f ->
       int k;
-      table tab)
-    t.nbr_tables;
+      table (Nbr_forest.entries f))
+    t.nbrs;
   Buffer.add_char b '|';
   Sorted_tbl.iter
-    (fun k d ->
+    (fun k f ->
       int k;
-      Array.iter flt d)
-    t.nbr_dist;
+      Array.iter flt (Nbr_forest.dist f))
+    t.nbrs;
   Buffer.add_char b '|';
   Sorted_tbl.iter
     (fun k c ->

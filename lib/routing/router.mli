@@ -23,13 +23,22 @@
 type mode = Pda | Mpda
 
 type spf = Full | Incremental
-(** SPF engine selection: [Full] recomputes every shortest-path tree
-    from scratch at each event (the pre-incremental behaviour, kept as
-    the equivalence oracle); [Incremental] (the default) repairs the
-    per-neighbor trees and the merged-table tree in place with
-    {!Incr_spf}, falling back to full recomputation whenever continuity
-    is lost. The two modes are behaviorally identical — equal
-    {!fingerprint}s on every event sequence — differing only in cost. *)
+(** SPF engine selection for the main table: [Full] recomputes the
+    merged topology and its shortest-path tree from scratch at each
+    event (the pre-incremental behaviour, kept as the equivalence
+    oracle); [Incremental] (the default) repairs the merged rows and the
+    tree in place with {!Incr_spf}, falling back to full recomputation
+    whenever continuity is lost. The two modes are behaviorally
+    identical — equal {!fingerprint}s on every event sequence —
+    differing only in cost.
+
+    A neighbor table is the tree the neighbor reported, kept as an
+    in-forest ({!Nbr_forest}): its distances are path sums, so no
+    shortest-path run is made for it in either mode. An LSU updates
+    the distances below the links it moved; in [Full] mode they are
+    then recomputed from scratch as well. An LSU that would give a node
+    two parents, or a link into the neighbor itself, raises
+    [Invalid_argument] naming this router, the neighbor and the node. *)
 
 type msg = {
   entries : Topo_table.entry list;  (** topology changes; empty for a pure ACK *)
@@ -79,7 +88,10 @@ val handle_link_cost : t -> nbr:int -> cost:float -> output list
 
 val handle_msg : t -> from_:int -> msg -> output list
 (** Process one received LSU. Messages from neighbors whose link is
-    locally down are dropped. *)
+    locally down are dropped. Raises [Invalid_argument] when the LSU
+    would leave the neighbor's table other than an in-forest (see
+    {!spf}) or names a node outside [0, n); the router is then
+    unchanged. *)
 
 val is_passive : t -> bool
 
@@ -115,9 +127,10 @@ val stats_active_phases : t -> int
     computation holding the FD frozen until all neighbors ACK. *)
 
 val spf_stats : t -> Incr_spf.stats
-(** Live counters of the router's SPF engine: full runs vs incremental
-    repairs vs fallbacks, and total repaired nodes. In [Full] mode only
-    [full_runs] moves. *)
+(** Live counters of the router's main-table SPF engine: full runs vs
+    incremental repairs vs fallbacks, and total repaired nodes. In
+    [Full] mode only [full_runs] moves. Neighbor tables run no SPF and
+    are not counted. *)
 
 val copy : t -> t
 (** Deep copy: the clone shares no mutable state with the original.
@@ -136,9 +149,11 @@ val snapshot : t -> string
     persistence hook used by the route-server's snapshot files. Unlike
     {!fingerprint} it is exact and invertible — {!restore} yields a
     router with an equal fingerprint and identical behaviour on all
-    future inputs — but it is only meaningful to the build that wrote
-    it; durable files must guard it with their own framing and
-    checksums (see [Mdr_server.Snapshot]). *)
+    future inputs — but it is the [Marshal] image of the router's
+    in-memory record, so only a build with the same record layout can
+    read it. Durable files must guard it with their own framing,
+    checksums and a format version that is bumped whenever that layout
+    changes (see [Mdr_server.Snapshot]). *)
 
 val restore : string -> t
 (** Inverse of {!snapshot}. The input must come from {!snapshot} of

@@ -41,7 +41,7 @@ let create () =
 
 (* Every *actual* mutation bumps [version]; no-op writes (same cost,
    absent removal, empty clear) leave it alone so readers keying off
-   the version — the per-neighbor Dijkstra skip in Router — stay valid
+   the version — the merged-table SPF state in Router — stay valid
    as long as the contents truly haven't moved. *)
 let touch t = t.version <- t.version + 1
 
@@ -173,7 +173,7 @@ let out_links t ~head =
   match Hashtbl.find_opt t.adjacency head with
   | None -> []
   | Some out ->
-    Sorted_tbl.fold (fun tail cost acc -> (tail, cost) :: acc) out [] |> List.rev
+    Sorted_tbl.bindings_by Int.compare out
 
 let nodes t =
   let seen = Hashtbl.create 16 in

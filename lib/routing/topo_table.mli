@@ -2,7 +2,9 @@
 
     A table stores directed links [head -> tail] with their cost — the
     triplets [h; t; d] of the paper. The router's main table T_i and
-    the per-neighbor tables T_k^i are all values of this type. *)
+    its merged topology are values of this type; the per-neighbor
+    tables T_k^i are in-forests ({!Nbr_forest}) that speak the same
+    {!entry} type. *)
 
 type t
 
@@ -30,7 +32,7 @@ val entries : t -> entry list
 (** All links, sorted by (head, tail) for deterministic output. *)
 
 val out_links : t -> head:int -> (int * float) list
-(** (tail, cost) of links headed at [head]. *)
+(** (tail, cost) of links headed at [head], ascending by tail. *)
 
 val nodes : t -> int list
 (** Every node appearing as a head or tail, sorted. *)
@@ -41,8 +43,8 @@ val version : t -> int
 (** Monotonic change counter, bumped only by mutations that actually
     alter the table (a [set] to the current cost, a [remove] of an
     absent link, or a [clear] of an empty table leave it unchanged).
-    Readers cache derived state — per-neighbor shortest paths in the
-    router — keyed on it. *)
+    Readers cache derived state — the router's main shortest-path tree
+    over its merged topology — keyed on it. *)
 
 type csr = {
   row : int array;  (** length n+1; edges of head [h] occupy [row.(h) .. row.(h+1)-1] *)

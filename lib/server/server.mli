@@ -238,9 +238,12 @@ type health = {
   ingest : Ingest.stats;
   last_restore : restore_info option;
   corruption : corruption;
-  spf_full_runs : int;  (** full Dijkstra runs, summed over all routers *)
-  spf_repairs : int;  (** incremental SPF repairs, summed over all routers *)
-  spf_fallbacks : int;  (** repairs that fell back to a full run *)
+  spf_full_runs : int;
+      (** full Dijkstra runs over the main tables, summed over all
+          routers ({!Mdr_routing.Router.spf_stats}; neighbor tables run
+          no SPF) *)
+  spf_repairs : int;  (** incremental main-table SPF repairs, summed over all routers *)
+  spf_fallbacks : int;  (** main-table repairs that fell back to a full run *)
 }
 
 val health : t -> now:float -> health

@@ -1,5 +1,5 @@
 let magic = "MDRS"
-let version = 2
+let version = 3
 
 let write_all fd s =
   let len = String.length s in

@@ -491,6 +491,207 @@ let prop_csr_views_match_rebuild =
       done;
       true)
 
+(* --- Nbr_forest: neighbor tables as in-forests ------------------------ *)
+
+module Nbr_forest = Mdr_routing.Nbr_forest
+
+let float_bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let row_bits_equal a b =
+  List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && float_bits_equal c1 c2) a b
+
+let entries_bits_equal a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Topo_table.entry) (y : Topo_table.entry) ->
+         x.head = y.head && x.tail = y.tail && float_bits_equal x.cost y.cost)
+       a b
+
+(* The head of the single link into each node of an in-forest table;
+   -1 when nothing links into it. *)
+let parents table ~n =
+  let par = Array.make n (-1) in
+  List.iter (fun (e : Topo_table.entry) -> par.(e.tail) <- e.head) (Topo_table.entries table);
+  par
+
+(* Is [a] an ancestor of (or equal to) [v]? Bounded, since a detached
+   part of the forest may be a cycle. *)
+let is_ancestor par ~a v =
+  let rec up v steps = v = a || (v >= 0 && steps > 0 && up par.(v) (steps - 1)) in
+  up v (Array.length par)
+
+(* A random tree over a random subset of [0, n) hanging from [root]. *)
+let random_tree rng ~n ~root =
+  let t = Topo_table.create () in
+  let order = Array.init n Fun.id in
+  Rng.shuffle rng order;
+  let placed = ref [ root ] in
+  Array.iter
+    (fun v ->
+      if v <> root && Rng.int rng ~bound:5 > 0 then begin
+        let ps = Array.of_list !placed in
+        Topo_table.set t ~head:ps.(Rng.int rng ~bound:(Array.length ps)) ~tail:v
+          ~cost:(dyadic rng);
+        placed := v :: !placed
+      end)
+    order;
+  t
+
+(* One to three tree edits on a copy of [table] — reparent, detach a
+   subtree, re-attach a detached node (sometimes under its own subtree,
+   which leaves a cycle cut off from the root), change a link cost —
+   and the LSU between the two: net changes sorted by (head, tail). *)
+let random_tree_lsu rng table ~n ~root =
+  let next = Topo_table.copy table in
+  for _ = 0 to Rng.int rng ~bound:3 do
+    let par = parents next ~n in
+    let v = Rng.int rng ~bound:n in
+    let p' = Rng.int rng ~bound:n in
+    if v <> root then
+      if par.(v) < 0 then begin
+        if p' <> v then Topo_table.set next ~head:p' ~tail:v ~cost:(dyadic rng)
+      end
+      else
+        match Rng.int rng ~bound:3 with
+        | 0 -> Topo_table.remove next ~head:par.(v) ~tail:v
+        | 1 -> Topo_table.set next ~head:par.(v) ~tail:v ~cost:(dyadic rng)
+        | _ ->
+          if p' <> par.(v) && not (is_ancestor par ~a:v p') then begin
+            Topo_table.remove next ~head:par.(v) ~tail:v;
+            Topo_table.set next ~head:p' ~tail:v ~cost:(dyadic rng)
+          end
+  done;
+  Topo_table.diff ~old_table:table ~new_table:next
+
+(* The same LSU out of order and with stale earlier entries for some of
+   its links: applied in sequence, the last entry per link wins. *)
+let scramble rng lsu =
+  let a = Array.of_list lsu in
+  Rng.shuffle rng a;
+  let stale =
+    List.filter_map
+      (fun (e : Topo_table.entry) ->
+        if Rng.int rng ~bound:3 = 0 then Some { e with cost = dyadic rng } else None)
+      lsu
+  in
+  stale @ Array.to_list a
+
+let forest_mismatch ws (f, table) ~n =
+  let root = Nbr_forest.root f in
+  let st = Incr_spf.create ~n ~root in
+  Incr_spf.full ws st table;
+  let dist = Nbr_forest.dist f in
+  let bad = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !bad = None then bad := Some m) fmt in
+  for v = 0 to n - 1 do
+    if not (float_bits_equal dist.(v) st.Incr_spf.dist.(v)) then
+      fail "dist %d: forest %h, full %h" v dist.(v) st.Incr_spf.dist.(v);
+    if Nbr_forest.spf_parent f v <> st.Incr_spf.parent.(v) then
+      fail "parent %d: forest %d, full %d" v (Nbr_forest.spf_parent f v)
+        st.Incr_spf.parent.(v);
+    if not (row_bits_equal (Nbr_forest.children f v) (Topo_table.out_links table ~head:v)) then
+      fail "children of %d differ from out_links" v
+  done;
+  if not (entries_bits_equal (Nbr_forest.entries f) (Topo_table.entries table)) then
+    fail "entries differ";
+  !bad
+
+let prop_nbr_forest_matches_dijkstra =
+  QCheck.Test.make ~name:"Nbr_forest == Dijkstra (random tree-diff LSU streams)"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = if seed mod 2 = 0 then 3 + Rng.int rng ~bound:8 else 40 + Rng.int rng ~bound:80 in
+      let root = Rng.int rng ~bound:n in
+      let ws = Incr_spf.workspace () and fws = Nbr_forest.workspace () in
+      let fresh () =
+        let table = random_tree rng ~n ~root in
+        let f = Nbr_forest.create ~n ~root in
+        Nbr_forest.load fws f (Topo_table.entries table);
+        (f, table)
+      in
+      (* Copies join the pool and are edited independently; every
+         member is checked after every step, so shared state between a
+         copy and its origin shows up as a mismatch. *)
+      let pool = ref [| fresh () |] in
+      for step = 1 to 120 do
+        let i = Rng.int rng ~bound:(Array.length !pool) in
+        let f, table = !pool.(i) in
+        (match Rng.int rng ~bound:20 with
+        | 0 ->
+          let table' = random_tree rng ~n ~root in
+          Nbr_forest.load fws f (Topo_table.entries table');
+          Topo_table.clear table;
+          List.iter (Topo_table.apply_entry table) (Topo_table.entries table')
+        | 1 ->
+          Nbr_forest.clear f;
+          Topo_table.clear table
+        | 2 when Array.length !pool < 4 ->
+          pool := Array.append !pool [| (Nbr_forest.copy f, Topo_table.copy table) |]
+        | _ ->
+          let lsu = random_tree_lsu rng table ~n ~root in
+          let sent = if Rng.int rng ~bound:4 = 0 then scramble rng lsu else lsu in
+          let before = Array.copy (Nbr_forest.dist f) in
+          let changed = ref [] in
+          let net =
+            Nbr_forest.apply ~on_changed:(fun v -> changed := v :: !changed) fws f sent
+          in
+          List.iter (Topo_table.apply_entry table) sent;
+          if not (entries_bits_equal net lsu) then
+            QCheck.Test.fail_reportf "step %d: net changes differ from the diff" step;
+          let moved =
+            List.filter
+              (fun v -> not (float_bits_equal before.(v) (Nbr_forest.dist f).(v)))
+              (List.init n Fun.id)
+          in
+          if List.sort Int.compare !changed <> moved then
+            QCheck.Test.fail_reportf "step %d: changed report [%s] <> moved [%s]" step
+              (String.concat ";" (List.map string_of_int (List.sort Int.compare !changed)))
+              (String.concat ";" (List.map string_of_int moved)));
+        Array.iteri
+          (fun j member ->
+            match forest_mismatch ws member ~n with
+            | None -> ()
+            | Some m -> QCheck.Test.fail_reportf "step %d, table %d (n=%d): %s" step j n m)
+          !pool
+      done;
+      true)
+
+let test_nbr_forest_rejects_non_forest () =
+  let e head tail = { Topo_table.head; tail; cost = 1.0 } in
+  let f = Nbr_forest.create ~n:5 ~root:0 in
+  let ws = Nbr_forest.workspace () in
+  ignore (Nbr_forest.apply ws f [ e 0 1; e 1 2 ]);
+  let before = Nbr_forest.entries f and dist = Array.copy (Nbr_forest.dist f) in
+  let raises what lsu =
+    match Nbr_forest.apply ws f lsu with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ ->
+      check (what ^ ": table unchanged") true
+        (entries_bits_equal before (Nbr_forest.entries f)
+        && Array.for_all2 float_bits_equal dist (Nbr_forest.dist f))
+  in
+  raises "second parent" [ e 0 2 ];
+  raises "two new parents" [ e 0 3; e 1 3 ];
+  raises "link into the root" [ e 2 0 ];
+  raises "self-loop" [ e 2 2 ];
+  raises "node out of range" [ e 2 5 ];
+  (* A move is one batch: the new parent link may precede the old
+     link's removal. *)
+  ignore (Nbr_forest.apply ws f [ e 0 2; { (e 1 2) with cost = infinity } ]);
+  check "moved" true (row_bits_equal (Nbr_forest.children f 0) [ (1, 1.0); (2, 1.0) ])
+
+let test_router_two_parent_lsu_raises () =
+  let r = Router.create ~mode:Router.Mpda ~id:0 ~n:4 () in
+  ignore (Router.handle_link_up r ~nbr:1 ~cost:1.0);
+  let lsu entries = { Router.entries; reset = false; seq = None; ack_of = None } in
+  let e head tail = { Topo_table.head; tail; cost = 1.0 } in
+  ignore (Router.handle_msg r ~from_:1 (lsu [ e 1 2 ]));
+  Alcotest.check_raises "named error"
+    (Invalid_argument "Router 0: LSU from neighbor 1: Nbr_forest: node 2 would have two parents")
+    (fun () -> ignore (Router.handle_msg r ~from_:1 (lsu [ e 3 2 ])))
+
 let suite =
   [
     Alcotest.test_case "incr_spf: empty changes noop" `Quick test_empty_changes_noop;
@@ -511,4 +712,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
     QCheck_alcotest.to_alcotest prop_router_full_incremental_equal;
     QCheck_alcotest.to_alcotest prop_csr_views_match_rebuild;
+    Alcotest.test_case "nbr_forest: non-forest LSUs rejected, table kept" `Quick
+      test_nbr_forest_rejects_non_forest;
+    Alcotest.test_case "router: two-parent LSU raises a named error" `Quick
+      test_router_two_parent_lsu_raises;
+    QCheck_alcotest.to_alcotest prop_nbr_forest_matches_dijkstra;
   ]

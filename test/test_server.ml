@@ -528,6 +528,54 @@ let test_corruption_counters_snapshot_fallback () =
       check_str "still the same state" fp (Server.fingerprint s2);
       Server.close s2)
 
+(* Snapshot payloads hold Router.snapshot's Marshal bytes, which only a
+   build with the same router layout can read. A snapshot file of the
+   previous format version must be refused on its header alone and the
+   state rebuilt from genesis + journal, never unmarshalled. The
+   directory is the one a kill between the snapshot rename and the
+   journal reset leaves: a snapshot plus a journal holding every
+   record. *)
+let test_old_snapshot_version_falls_back () =
+  let topo = small_topo () in
+  with_dir (fun d ->
+      let journal = Filename.concat d "journal.bin" in
+      let snapshot = Filename.concat d "snapshot.bin" in
+      let s = Server.create ~dir:d ~topo ~cost () in
+      List.iteri
+        (fun i u -> Server.apply s ~now:(float_of_int (i + 1)) u)
+        (stream topo ~seed:31 ~updates:12);
+      let fp = Server.fingerprint s in
+      let records = read_file journal in
+      Server.checkpoint s;
+      Server.close s;
+      write_file journal records;
+      let restored ~now =
+        let s = Server.restore ~now ~dir:d ~topo ~cost () in
+        let h = Server.health s ~now in
+        let from_snapshot =
+          match h.Server.last_restore with
+          | Some r -> r.Server.from_snapshot
+          | None -> Alcotest.fail "no restore info"
+        in
+        let r = (Server.fingerprint s, from_snapshot, h.Server.corruption) in
+        Server.close s;
+        r
+      in
+      let header v = Codec.header ~magic:"MDRS" ~version:v in
+      let bytes = read_file snapshot in
+      check_str "written as v3" (header 3) (String.sub bytes 0 Codec.header_len);
+      let fp3, from3, c3 = restored ~now:20.0 in
+      check_str "v3 restores the writer's state" fp fp3;
+      check "v3 read from the snapshot" true from3;
+      check_int "v3 no fallback" 0 c3.Server.snapshot_fallbacks;
+      write_file snapshot
+        (header 2 ^ String.sub bytes Codec.header_len
+                      (String.length bytes - Codec.header_len));
+      let fp2, from2, c2 = restored ~now:21.0 in
+      check_str "v2 rebuilt to the writer's state" fp fp2;
+      check "v2 not read" false from2;
+      check_int "v2 fallback counted" 1 c2.Server.snapshot_fallbacks)
+
 (* ---- audit ----------------------------------------------------------- *)
 
 let test_audit_small () =
@@ -764,6 +812,8 @@ let suite =
       test_corruption_counters_snapshot_fallback;
     Alcotest.test_case "server: unreadable state is a typed error" `Quick
       test_restore_unreadable;
+    Alcotest.test_case "server: v2 snapshot refused, rebuilt from journal" `Quick
+      test_old_snapshot_version_falls_back;
     Alcotest.test_case "fencing: stale epoch rejected" `Quick
       test_fencing_stale_epoch_rejected;
     Alcotest.test_case "fencing: new epoch wins, re-claim idempotent" `Quick
