@@ -28,6 +28,19 @@ let verdict name ok ~pass ~fail =
   Printf.printf "\n%s: %s\n" name (if ok then pass else fail);
   exit_of_ok ok
 
+(* A topology or flow file that cannot be read or parsed is a usage
+   error: one stderr line and exit 2 (the exit-code contract, at the
+   end of this file). *)
+let read_input_file read path =
+  match read path with
+  | v -> v
+  | exception Mdr_topology.Parser.Parse_error { line; message } ->
+    Printf.eprintf "mdrsim: %s: line %d: %s\n" path line message;
+    exit 2
+  | exception Sys_error reason ->
+    Printf.eprintf "mdrsim: %s\n" reason;
+    exit 2
+
 let write_csv path (o : Experiments.outcome) =
   match o.series with
   | None -> Printf.eprintf "note: %s has no tabular data; no CSV written\n" o.title
@@ -201,11 +214,11 @@ let custom_cmd =
   (* Run the full three-way comparison on a user-supplied topology and
      flow set. *)
   let topo_file =
-    Arg.(required & opt (some file) None
+    Arg.(required & opt (some string) None
          & info [ "topo" ] ~docv:"FILE" ~doc:"Topology file (see Mdr_topology.Parser).")
   in
   let flow_file =
-    Arg.(required & opt (some file) None
+    Arg.(required & opt (some string) None
          & info [ "flows" ] ~docv:"FILE" ~doc:"Flow file: 'flow <src> <dst> <mbps>' lines.")
   in
   let damping_arg =
@@ -219,49 +232,45 @@ let custom_cmd =
     let module Graph = Mdr_topology.Graph in
     let module Parser = Mdr_topology.Parser in
     let module Sim = Mdr_netsim.Sim in
-    try
-      let g = Parser.topology_of_file topo_path in
-      let flows = Parser.flows_of_file g flow_path in
-      if flows = [] then begin
-        Printf.eprintf "no flows in %s\n" flow_path;
-        1
-      end
-      else begin
-        let specs =
-          List.map (fun (src, dst, rate_bits) -> { Sim.src; dst; rate_bits; burst = None }) flows
-        in
-        let pkt = Mdr_experiments.Workload.packet_size in
-        let traffic =
-          Mdr_fluid.Traffic.of_flows ~n:(Graph.node_count g)
-            (List.map
-               (fun (src, dst, rate_bits) ->
-                 { Mdr_fluid.Traffic.src; dst; rate = rate_bits /. pkt })
-               flows)
-        in
-        let model = Mdr_fluid.Evaluate.model g ~packet_size:pkt in
-        let opt = Mdr_gallager.Gallager.solve model g traffic in
-        let avg scheme =
-          Mdr_util.Stats.mean_of_list
-            (List.map
-               (fun seed ->
-                 (Sim.run
-                    ~config:
-                      { Sim.default_config with scheme; sim_time = 60.0; warmup = 15.0; seed; damping }
-                    g specs)
-                   .Sim.avg_delay)
-               seeds)
-        in
-        let mp = avg Sim.Mp and sp = avg Sim.Sp in
-        Printf.printf
-          "%d routers, %d links, %d flows (%d-seed means):\n  OPT (fluid bound) %8.3f ms\n  MP  (measured)    %8.3f ms\n  SP  (measured)    %8.3f ms   (x%.2f vs MP)\n"
-          (Graph.node_count g) (Graph.link_count g) (List.length flows)
-          (List.length seeds) (1000.0 *. opt.avg_delay) (1000.0 *. mp)
-          (1000.0 *. sp) (sp /. mp);
-        0
-      end
-    with Parser.Parse_error { line; message } ->
-      Printf.eprintf "parse error at line %d: %s\n" line message;
+    let g = read_input_file Parser.topology_of_file topo_path in
+    let flows = read_input_file (Parser.flows_of_file g) flow_path in
+    if flows = [] then begin
+      Printf.eprintf "no flows in %s\n" flow_path;
       1
+    end
+    else begin
+      let specs =
+        List.map (fun (src, dst, rate_bits) -> { Sim.src; dst; rate_bits; burst = None }) flows
+      in
+      let pkt = Mdr_experiments.Workload.packet_size in
+      let traffic =
+        Mdr_fluid.Traffic.of_flows ~n:(Graph.node_count g)
+          (List.map
+             (fun (src, dst, rate_bits) ->
+               { Mdr_fluid.Traffic.src; dst; rate = rate_bits /. pkt })
+             flows)
+      in
+      let model = Mdr_fluid.Evaluate.model g ~packet_size:pkt in
+      let opt = Mdr_gallager.Gallager.solve model g traffic in
+      let avg scheme =
+        Mdr_util.Stats.mean_of_list
+          (List.map
+             (fun seed ->
+               (Sim.run
+                  ~config:
+                    { Sim.default_config with scheme; sim_time = 60.0; warmup = 15.0; seed; damping }
+                  g specs)
+                 .Sim.avg_delay)
+             seeds)
+      in
+      let mp = avg Sim.Mp and sp = avg Sim.Sp in
+      Printf.printf
+        "%d routers, %d links, %d flows (%d-seed means):\n  OPT (fluid bound) %8.3f ms\n  MP  (measured)    %8.3f ms\n  SP  (measured)    %8.3f ms   (x%.2f vs MP)\n"
+        (Graph.node_count g) (Graph.link_count g) (List.length flows)
+        (List.length seeds) (1000.0 *. opt.avg_delay) (1000.0 *. mp)
+        (1000.0 *. sp) (sp /. mp);
+      0
+    end
   in
   Cmd.v
     (Cmd.info "custom"
@@ -1079,7 +1088,7 @@ module Procfault = Mdr_faults.Procfault
 let named_topo = function
   | "cairn" -> Mdr_topology.Cairn.topology ()
   | "net1" -> Mdr_topology.Net1.topology ()
-  | path -> Mdr_topology.Parser.topology_of_file path
+  | path -> read_input_file Mdr_topology.Parser.topology_of_file path
 
 let serve_topo_arg =
   let doc = "Topology: cairn, net1, or a file path." in

@@ -56,30 +56,18 @@ type state = {
   parent : int array;
   n : int;
   root : int;
-  mutable version : int;
   mutable has_zero : bool;
 }
 
 type outcome = Repaired of int | Recomputed
 
+(* The tree of the empty table: only the root is reached. *)
 let create ~n ~root =
   if n <= 0 then invalid_arg "Incr_spf.create: n must be positive";
   if root < 0 || root >= n then invalid_arg "Incr_spf.create: root out of range";
-  {
-    dist = Array.make n infinity;
-    parent = Array.make n (-1);
-    n;
-    root;
-    version = -1;
-    has_zero = false;
-  }
-
-let create_into ~dist ~parent ~n ~root =
-  if n <= 0 then invalid_arg "Incr_spf.create_into: n must be positive";
-  if root < 0 || root >= n then invalid_arg "Incr_spf.create_into: root out of range";
-  if Array.length dist < n || Array.length parent < n then
-    invalid_arg "Incr_spf.create_into: buffers shorter than n";
-  { dist; parent; n; root; version = -1; has_zero = false }
+  let dist = Array.make n infinity in
+  dist.(root) <- 0.0;
+  { dist; parent = Array.make n (-1); n; root; has_zero = false }
 
 type ws = {
   dj : Dijkstra.workspace;
@@ -303,7 +291,6 @@ let full ws st table =
   Dijkstra.on_table_into ws.dj ~n:st.n ~root:st.root ~dist:st.dist ~parent:st.parent
     table;
   st.has_zero <- scan_zero (Topo_table.csr table ~n:st.n);
-  st.version <- Topo_table.version table;
   ws.stats.full_runs <- ws.stats.full_runs + 1
 
 exception Fallback
@@ -314,15 +301,7 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
     ~(changes : Topo_table.entry list) =
   let n = st.n and root = st.root in
   let dist = st.dist and parent = st.parent in
-  let table_version = Topo_table.version table in
-  if st.version < 0 then begin
-    full ws st table;
-    Recomputed
-  end
-  else if changes = [] then begin
-    st.version <- table_version;
-    Repaired 0
-  end
+  if changes = [] then Repaired 0
   else begin
     let introduces_zero =
       List.exists (fun (e : Topo_table.entry) -> Float.equal e.cost 0.0) changes
@@ -503,7 +482,6 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
           for k = 0 to ws.changed_len - 1 do
             f ws.changed.(k)
           done);
-        st.version <- table_version;
         ws.stats.repairs <- ws.stats.repairs + 1;
         ws.stats.repaired_nodes <- ws.stats.repaired_nodes + ws.changed_len;
         ws.changed_len

@@ -1,13 +1,15 @@
 (** Incremental shortest-path-tree maintenance (delta Dijkstra).
 
     A {!state} holds the distances and parents of one root's
-    shortest-path tree over a {!Topo_table.t}; {!update} repairs it in
-    place from a batch of edge changes, touching only the affected
-    region (Ramalingam–Reps style: orphan the subtrees whose support
-    broke, re-enter them from the intact boundary, seed decreases, and
-    run the standard heap discipline over the dirty frontier), falling
-    back to a full {!Dijkstra.on_table_into} when the dirty region is
-    too large or a tie-ambiguity guard fires.
+    shortest-path tree over a {!Topo_table.t}. It does not record which
+    table it describes: the caller keeps it in step by passing every
+    edit of the table to {!update}, or by calling {!full}. {!update}
+    repairs it in place from a batch of edge changes, touching only the
+    affected region (Ramalingam–Reps style: orphan the subtrees whose
+    support broke, re-enter them from the intact boundary, seed
+    decreases, and run the standard heap discipline over the dirty
+    frontier), falling back to a full {!Dijkstra.on_table_into} when
+    the dirty region is too large or a tie-ambiguity guard fires.
 
     {b Equivalence contract.} After [update], [state.dist] and
     [state.parent] are bit-identical to what a from-scratch
@@ -31,9 +33,6 @@ type state = {
   parent : int array;  (** length [n]; canonical predecessor, [-1] for root/unreachable *)
   n : int;
   root : int;
-  mutable version : int;
-      (** {!Topo_table.version} the tree was last synced to; [-1] before
-          the first run (the first {!update} then recomputes fully). *)
   mutable has_zero : bool;
       (** The last full run saw a zero-cost edge (or a change introduced
           one); forces full recomputation until a full run sees none. *)
@@ -44,7 +43,7 @@ type ws
     full runs. *)
 
 type stats = {
-  mutable full_runs : int;  (** full Dijkstra runs (first runs + fallbacks) *)
+  mutable full_runs : int;  (** full Dijkstra runs ({!full} calls + fallbacks) *)
   mutable repairs : int;  (** successful incremental repairs *)
   mutable fallbacks : int;  (** updates that gave up and recomputed *)
   mutable repaired_nodes : int;  (** total nodes reported changed by repairs *)
@@ -55,18 +54,15 @@ type outcome =
       (** Incremental repair succeeded; the payload is the number of
           nodes whose (dist, parent) actually changed. *)
   | Recomputed
-      (** A full run replaced the tree (first run, zero-cost guard,
+      (** A full run replaced the tree (zero-cost guard,
           dirty-region threshold, or ambiguity guard); the caller must
           treat every node as potentially changed. *)
 
 val create : n:int -> root:int -> state
-(** Fresh state with its own buffers, unsynced ([version = -1]). *)
-
-val create_into :
-  dist:float array -> parent:int array -> n:int -> root:int -> state
-(** Like {!create} but aliasing caller-owned buffers (length >= [n]),
-    so e.g. the router's main-table result arrays are maintained in
-    place with no copying. *)
+(** Fresh state with its own buffers: the tree of the empty table
+    (only [root] reached, at distance 0). Bring it to a non-empty table
+    with {!full}, or with {!update} passing every link of the table as
+    a change. *)
 
 val workspace : unit -> ws
 (** Empty workspace; grows to fit whatever [n] it is used with. *)
@@ -75,8 +71,7 @@ val stats : ws -> stats
 (** Live counters for this workspace (shared by all states it serves). *)
 
 val full : ws -> state -> Topo_table.t -> unit
-(** Unconditional full recompute; syncs [state.version] and rescans for
-    zero-cost edges. *)
+(** Unconditional full recompute; rescans for zero-cost edges. *)
 
 val update :
   ?max_dirty_frac:float ->
@@ -89,9 +84,11 @@ val update :
 (** Repair the tree to match [table]. [changes] must be exactly the
     edge changes (new costs; [infinity] = removed, the
     {!Topo_table.diff} convention) applied to the table since the state
-    was last synced — the caller tracks that via [state.version] against
-    {!Topo_table.version} and calls {!full} when continuity was lost.
-    Entries touching nodes outside [0, n) are ignored. [on_changed] is
+    last matched it — since {!create} (the empty table), the last
+    {!full} or the last [update]. Nothing checks this: a missed edit
+    leaves the tree silently wrong. The repair falls back to a full run
+    by itself when it must ([Recomputed]). Entries touching nodes
+    outside [0, n) are ignored. [on_changed] is
     invoked once per actually-changed node, in ascending id order,
     after the repair completes (not called when the outcome is
     [Recomputed]). [max_dirty_frac] (default 0.25) bounds the orphaned

@@ -30,7 +30,7 @@ end)
 
 include H
 
-let create ?(mode = Router.Mpda) ?spf ?detection ?seed ?observer ~topo ~cost () =
+let create ?(mode = Router.Mpda) ?detection ?seed ?observer ~topo ~cost () =
   H.create
-    ~make_router:(fun ~id ~n -> Router.create ?spf ~mode ~id ~n ())
+    ~make_router:(fun ~id ~n -> Router.create ~mode ~id ~n ())
     ?detection ?seed ?observer ~topo ~cost ()

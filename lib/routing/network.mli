@@ -18,7 +18,6 @@ type t
 
 val create :
   ?mode:Router.mode ->
-  ?spf:Router.spf ->
   ?detection:Harness.detection ->
   ?seed:int ->
   ?observer:(t -> unit) ->
@@ -28,11 +27,9 @@ val create :
   t
 (** Builds the routers and schedules both directions of every link to
     come up at time 0 (with initial costs from [cost]). [mode] defaults
-    to [Mpda], [spf] to {!Router.Incremental} (pass [Full] to force
-    from-scratch SPF — the equivalence oracle), [detection] to
-    [Harness.Oracle] (see {!Harness.Make.create} for the hello
-    alternative and [seed]). [observer] runs after every router event —
-    keep it cheap. *)
+    to [Mpda], [detection] to [Harness.Oracle] (see
+    {!Harness.Make.create} for the hello alternative and [seed]).
+    [observer] runs after every router event — keep it cheap. *)
 
 val engine : t -> Mdr_eventsim.Engine.t
 val topology : t -> Mdr_topology.Graph.t

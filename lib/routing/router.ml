@@ -1,7 +1,6 @@
 module Sorted_tbl = Mdr_util.Sorted_tbl
 
 type mode = Pda | Mpda
-type spf = Full | Incremental
 
 type msg = {
   entries : Topo_table.entry list;
@@ -14,10 +13,9 @@ type output = { dst : int; msg : msg }
 
 type t = {
   mode : mode;
-  spf : spf;
   id : int;
   n : int;
-  mutable main : Topo_table.t;
+  main : Topo_table.t;
   nbrs : (int, Nbr_forest.t) Hashtbl.t;
       (* T_k^i per neighbor k, kept after k goes down (then empty); its
          [dist] is D_jk, from k to each dst *)
@@ -25,18 +23,14 @@ type t = {
   iws : Incr_spf.ws;  (* per-router main-table SPF scratch; never shared *)
   parent_buf : int array;  (* main-table SPF parents, maintained in place *)
   prev_parent : int array;  (* parents before the last repair, for tree deltas *)
-  mutable merged : Topo_table.t;
-      (* the MTU's merged topology (steps 2-5), kept across events so a
-         small LSU only rewrites the rows whose preferred source moved *)
-  mutable merged_valid : bool;
-      (* false when continuity was lost (link events, resets, fallback
-         recomputes) — the next MTU rebuilds [merged] from scratch *)
+  merged : Topo_table.t;
+      (* the MTU's merged topology (steps 2-5), kept across events so an
+         event only rewrites the rows whose preferred source moved *)
   dirty : (int, unit) Hashtbl.t;
-      (* destinations whose merged row must be re-derived at the next
-         MTU: nodes whose D_k changed plus heads of LSU entries;
-         accumulates across LSUs while an MPDA ACTIVE phase defers the
-         table update *)
-  main_spf : Incr_spf.state;  (* aliases [dist] and [parent_buf] *)
+      (* rows of [merged] that may differ from their derivation and are
+         re-derived at the next MTU; every other row is current.
+         Accumulates while an MPDA ACTIVE phase defers the table update *)
+  main_spf : Incr_spf.state;  (* owns [dist] and [parent_buf] *)
   adjacent : (int, float) Hashtbl.t;  (* l_k; absent = down *)
   dist : float array;  (* D_j; updated in place *)
   first_hop : int array;  (* preferred neighbor toward each dst; -1 *)
@@ -61,28 +55,24 @@ type t = {
   mutable events : int;
 }
 
-let create ?(spf = Incremental) ~mode ~id ~n () =
+let create ~mode ~id ~n () =
   if id < 0 || id >= n then invalid_arg "Router.create: id out of range";
-  let dist = Array.make n infinity in
-  dist.(id) <- 0.0;
-  let parent_buf = Array.make n (-1) in
+  let main_spf = Incr_spf.create ~n ~root:id in
   {
     mode;
-    spf;
     id;
     n;
     main = Topo_table.create ();
     nbrs = Hashtbl.create 8;
     fws = Nbr_forest.workspace ();
     iws = Incr_spf.workspace ();
-    parent_buf;
+    parent_buf = main_spf.parent;
     prev_parent = Array.make n (-1);
     merged = Topo_table.create ();
-    merged_valid = false;
     dirty = Hashtbl.create 16;
-    main_spf = Incr_spf.create_into ~dist ~parent:parent_buf ~n ~root:id;
+    main_spf;
     adjacent = Hashtbl.create 8;
-    dist;
+    dist = main_spf.dist;
     first_hop = Array.make n (-1);
     fd =
       (let d = Array.make n infinity in
@@ -102,7 +92,6 @@ let create ?(spf = Incremental) ~mode ~id ~n () =
 
 let id t = t.id
 let mode t = t.mode
-let spf_mode t = t.spf
 let is_passive t = not t.active
 let distance t ~dst = t.dist.(dst)
 let feasible_distance t ~dst = t.fd.(dst)
@@ -156,31 +145,38 @@ let nbr_forest t ~nbr =
     Hashtbl.replace t.nbrs nbr f;
     f
 
+let mark t j = Hashtbl.replace t.dirty j ()
+
 (* A data LSU updates only the subtrees it moved, marking the nodes
    whose D_k changed and the heads of the changed links (the merged
-   rows that may copy from this neighbor). A full-table LSU, and every
-   LSU in [Full] mode, recomputes the distances from scratch and drops
-   merged-topology continuity. *)
+   rows that may copy from this neighbor). A full-table LSU marks the
+   same for the whole table: the nodes whose D_k changed and the heads
+   of the old and new links. *)
 let apply_lsu t ~from_ ~reset entries =
   let f = nbr_forest t ~nbr:from_ in
+  let mark_heads = List.iter (fun (e : Topo_table.entry) -> mark t e.head) in
   try
     if reset then begin
+      let old_dist = Array.copy (Nbr_forest.dist f) and old_links = Nbr_forest.entries f in
       Nbr_forest.load t.fws f entries;
-      t.merged_valid <- false
+      let dist = Nbr_forest.dist f in
+      Array.iteri (fun j d -> if not (Float.equal d dist.(j)) then mark t j) old_dist;
+      mark_heads old_links;
+      mark_heads (Nbr_forest.entries f)
     end
-    else begin
-      let mark j = Hashtbl.replace t.dirty j () in
-      let changes = Nbr_forest.apply ~on_changed:mark t.fws f entries in
-      List.iter (fun (c : Topo_table.entry) -> mark c.head) changes;
-      if t.spf = Full then begin
-        Nbr_forest.recompute t.fws f;
-        t.merged_valid <- false
-      end
-    end
+    else mark_heads (Nbr_forest.apply ~on_changed:(mark t) t.fws f entries)
   with Invalid_argument m ->
     invalid_arg (Printf.sprintf "Router %d: LSU from neighbor %d: %s" t.id from_ m)
 
-(* --- MTU: rebuild or repair the main table -------------------------- *)
+(* A change of l_k, or k's table going with its link, moves D_jk + l_k
+   for every node j that k reaches: those rows may change source, and
+   this router's own row lists the adjacency. Called before the change
+   takes effect. *)
+let mark_reach t ~nbr =
+  Array.iteri (fun j d -> if Float.is_finite d then mark t j) (Nbr_forest.dist (nbr_forest t ~nbr));
+  mark t t.id
+
+(* --- MTU: repair the main table -------------------------------------- *)
 
 (* First hops for all destinations in one memoized pass over the parent
    forest (the old per-destination walk was quadratic on path-shaped
@@ -222,29 +218,6 @@ let preferred_for sources j =
       | _ -> if Float.is_finite d then Some (f, d) else best)
     None sources
 
-(* Steps 2-5 from scratch: the fallback (and Full-mode) path. *)
-let rebuild_merged t =
-  let merged = Topo_table.create () in
-  let nbrs = up_neighbors t in
-  let sources = sources t nbrs in
-  (* Only a node of some neighbor's table (or a neighbor itself) has a
-     finite neighbor distance, so scanning every id skips nothing. *)
-  for j = 0 to t.n - 1 do
-    if j <> t.id then
-      match preferred_for sources j with
-      | None -> ()
-      | Some (f, _) ->
-        List.iter
-          (fun (tail, cost) -> Topo_table.set merged ~head:j ~tail ~cost)
-          (Nbr_forest.children f j)
-  done;
-  (* Step 5: adjacent links override anything neighbors said about
-     links headed at this router. *)
-  List.iter
-    (fun k -> Topo_table.set merged ~head:t.id ~tail:k ~cost:(link_cost t ~nbr:k))
-    nbrs;
-  t.merged <- merged
-
 let entry_compare (a : Topo_table.entry) (b : Topo_table.entry) =
   match Int.compare a.head b.head with
   | 0 -> Int.compare a.tail b.tail
@@ -253,143 +226,96 @@ let entry_compare (a : Topo_table.entry) (b : Topo_table.entry) =
 let same_row a b =
   List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && Float.equal c1 c2) a b
 
-(* Re-derive the merged rows of the dirty destinations in place,
-   returning the net merged changes sorted by (head, tail) — the input
-   the incremental SPF repair requires. *)
+(* Edits of [table] that record each actual change, as an LSU entry,
+   in [acc]. *)
+let set_logged acc table ~head ~tail ~cost =
+  match Topo_table.cost table ~head ~tail with
+  | Some old when Float.equal old cost -> ()
+  | Some _ | None ->
+    Topo_table.set table ~head ~tail ~cost;
+    acc := { Topo_table.head; tail; cost } :: !acc
+
+let remove_logged acc table ~head ~tail =
+  if Topo_table.cost table ~head ~tail <> None then begin
+    Topo_table.remove table ~head ~tail;
+    acc := { Topo_table.head; tail; cost = infinity } :: !acc
+  end
+
+(* Steps 2-5 for one row of the merged topology: this router's own row
+   is its adjacency (step 5); any other row is the out-links of [j] in
+   the preferred neighbor's table. *)
+let derive_row t ~nbrs ~sources j =
+  if j = t.id then List.map (fun k -> (k, link_cost t ~nbr:k)) nbrs
+  else
+    match preferred_for sources j with
+    | None -> []
+    | Some (f, _) -> Nbr_forest.children f j
+
+(* Re-derive the dirty rows in place and return the net merged changes
+   sorted by (head, tail), the input the SPF repair requires. *)
 let repair_merged t =
   let nbrs = up_neighbors t in
   let sources = sources t nbrs in
   let acc = ref [] in
-  let set_merged ~head ~tail ~cost =
-    match Topo_table.cost t.merged ~head ~tail with
-    | Some old when Float.equal old cost -> ()
-    | Some _ | None ->
-      Topo_table.set t.merged ~head ~tail ~cost;
-      acc := { Topo_table.head; tail; cost } :: !acc
-  in
-  let remove_merged ~head ~tail =
-    if Topo_table.cost t.merged ~head ~tail <> None then begin
-      Topo_table.remove t.merged ~head ~tail;
-      acc := { Topo_table.head; tail; cost = infinity } :: !acc
-    end
-  in
   let dirty = int_keys t.dirty in
   Hashtbl.reset t.dirty;
   List.iter
     (fun j ->
-      if j <> t.id then begin
-        let old_row = Topo_table.out_links t.merged ~head:j in
-        match preferred_for sources j with
-        | None -> List.iter (fun (tail, _) -> remove_merged ~head:j ~tail) old_row
-        | Some (f, _) ->
-          let new_row = Nbr_forest.children f j in
-          if not (same_row old_row new_row) then begin
-            List.iter
-              (fun (tail, _) ->
-                if not (List.mem_assoc tail new_row) then remove_merged ~head:j ~tail)
-              old_row;
-            List.iter (fun (tail, cost) -> set_merged ~head:j ~tail ~cost) new_row
-          end
+      let old_row = Topo_table.out_links t.merged ~head:j in
+      let new_row = derive_row t ~nbrs ~sources j in
+      if not (same_row old_row new_row) then begin
+        List.iter
+          (fun (tail, _) ->
+            if not (List.mem_assoc tail new_row) then remove_logged acc t.merged ~head:j ~tail)
+          old_row;
+        List.iter (fun (tail, cost) -> set_logged acc t.merged ~head:j ~tail ~cost) new_row
       end)
     dirty;
-  (* Keep the adjacency-owned row in sync (step 5); on the pure data
-     path this is all no-ops. *)
-  List.iter
-    (fun (tail, _) ->
-      if not (Hashtbl.mem t.adjacent tail) then remove_merged ~head:t.id ~tail)
-    (Topo_table.out_links t.merged ~head:t.id);
-  List.iter (fun k -> set_merged ~head:t.id ~tail:k ~cost:(link_cost t ~nbr:k)) nbrs;
   List.sort entry_compare !acc
 
-(* Full tree cut (step 6) from the current dist/parent arrays: rebuild
-   t.main as the shortest-path tree and diff against the old one. *)
-let cut_tree_full t =
-  let res = { Dijkstra.dist = t.dist; parent = t.parent_buf } in
-  let tree =
-    Dijkstra.tree_of_result ~n:t.n ~root:t.id res ~cost:(fun ~head ~tail ->
-        match Topo_table.cost t.merged ~head ~tail with
-        | Some c -> c
-        | None -> assert false)
-  in
-  let changes = Topo_table.diff ~old_table:t.main ~new_table:tree in
-  t.main <- tree;
-  changes
-
+(* Steps 2-6: repair the merged rows, then the shortest-path tree over
+   them, then the tree table and first hops over the nodes whose
+   (distance, parent) moved — all [n] when the SPF fell back to a full
+   run. The net tree-table changes are the outgoing LSU. *)
 let mtu t =
-  let changes =
-    if t.spf = Incremental && t.merged_valid then begin
-      let merged_changes = repair_merged t in
-      if merged_changes = [] then begin
-        (* Nothing moved in the merged topology: tree, distances and
-           first hops are already current. *)
-        t.main_spf.Incr_spf.version <- Topo_table.version t.merged;
-        []
-      end
-      else begin
-        Array.blit t.parent_buf 0 t.prev_parent 0 t.n;
-        let changed = ref [] in
-        match
-          Incr_spf.update t.iws t.main_spf t.merged ~changes:merged_changes
-            ~on_changed:(fun v -> changed := v :: !changed)
-        with
-        | Incr_spf.Recomputed ->
-          let changes = cut_tree_full t in
-          refresh_first_hops t;
-          changes
-        | Incr_spf.Repaired _ ->
-          (* Maintain the tree table: per changed node, move its tree
-             edge; per merged cost change, refresh the edge cost if it
-             is (still) a tree edge. Captured net mutations double as
-             the outgoing LSU. *)
-          let acc = ref [] in
-          let set_main ~head ~tail ~cost =
-            match Topo_table.cost t.main ~head ~tail with
-            | Some old when Float.equal old cost -> ()
-            | Some _ | None ->
-              Topo_table.set t.main ~head ~tail ~cost;
-              acc := { Topo_table.head; tail; cost } :: !acc
-          in
-          let remove_main ~head ~tail =
-            if Topo_table.cost t.main ~head ~tail <> None then begin
-              Topo_table.remove t.main ~head ~tail;
-              acc := { Topo_table.head; tail; cost = infinity } :: !acc
-            end
-          in
-          List.iter
-            (fun v ->
-              let po = t.prev_parent.(v) and pn = t.parent_buf.(v) in
-              if po >= 0 && po <> pn then remove_main ~head:po ~tail:v;
-              if v <> t.id && pn >= 0 && Float.is_finite t.dist.(v) then begin
-                match Topo_table.cost t.merged ~head:pn ~tail:v with
-                | Some c -> set_main ~head:pn ~tail:v ~cost:c
-                | None -> assert false
-              end)
-            (List.rev !changed);
-          List.iter
-            (fun (e : Topo_table.entry) ->
-              if
-                Float.is_finite e.cost
-                && e.tail <> t.id
-                && t.parent_buf.(e.tail) = e.head
-                && Float.is_finite t.dist.(e.tail)
-              then set_main ~head:e.head ~tail:e.tail ~cost:e.cost)
-            merged_changes;
-          refresh_first_hops t;
-          List.sort entry_compare !acc
-      end
-    end
-    else begin
-      Hashtbl.reset t.dirty;
-      rebuild_merged t;
-      Incr_spf.full t.iws t.main_spf t.merged;
-      t.merged_valid <- t.spf = Incremental;
-      let changes = cut_tree_full t in
-      refresh_first_hops t;
-      changes
-    end
-  in
-  t.dist.(t.id) <- 0.0;
-  changes
+  let merged_changes = repair_merged t in
+  if merged_changes = [] then []
+  else begin
+    Array.blit t.parent_buf 0 t.prev_parent 0 t.n;
+    let changed = ref [] in
+    let moved =
+      match
+        Incr_spf.update t.iws t.main_spf t.merged ~changes:merged_changes
+          ~on_changed:(fun v -> changed := v :: !changed)
+      with
+      | Incr_spf.Recomputed -> List.init t.n Fun.id
+      | Incr_spf.Repaired _ -> List.rev !changed
+    in
+    (* Per moved node, move its tree edge; per merged cost change,
+       refresh the edge cost if it is (still) a tree edge. *)
+    let acc = ref [] in
+    List.iter
+      (fun v ->
+        let po = t.prev_parent.(v) and pn = t.parent_buf.(v) in
+        if po >= 0 && po <> pn then remove_logged acc t.main ~head:po ~tail:v;
+        if v <> t.id && pn >= 0 && Float.is_finite t.dist.(v) then begin
+          match Topo_table.cost t.merged ~head:pn ~tail:v with
+          | Some c -> set_logged acc t.main ~head:pn ~tail:v ~cost:c
+          | None -> assert false
+        end)
+      moved;
+    List.iter
+      (fun (e : Topo_table.entry) ->
+        if
+          Float.is_finite e.cost
+          && e.tail <> t.id
+          && t.parent_buf.(e.tail) = e.head
+          && Float.is_finite t.dist.(e.tail)
+        then set_logged acc t.main ~head:e.head ~tail:e.tail ~cost:e.cost)
+      merged_changes;
+    refresh_first_hops t;
+    List.sort entry_compare !acc
+  end
 
 (* --- Output composition --------------------------------------------- *)
 
@@ -493,16 +419,15 @@ let process t ~ack_to ~ack_received =
 let handle_link_up t ~nbr ~cost =
   if not (Float.is_finite cost) || cost < 0.0 then
     invalid_arg "Router.handle_link_up: bad cost";
+  mark_reach t ~nbr;
   Hashtbl.replace t.adjacent nbr cost;
-  t.merged_valid <- false;
-  ignore (nbr_forest t ~nbr);
   if not (List.mem nbr t.needs_full) then t.needs_full <- nbr :: t.needs_full;
   process t ~ack_to:None ~ack_received:None
 
 let handle_link_down ?(unconfirmed = false) t ~nbr =
   if Hashtbl.mem t.adjacent nbr then begin
+    mark_reach t ~nbr;
     Hashtbl.remove t.adjacent nbr;
-    t.merged_valid <- false;
     (* A bilateral (oracle-announced) failure means the peer forgot us
        in the same instant; an inferred one means the peer may still
        hold — and route on — its old view of us, so it keeps a claim on
@@ -551,10 +476,8 @@ let confirm_link_down t ~nbr =
 let handle_link_cost t ~nbr ~cost =
   if not (Hashtbl.mem t.adjacent nbr) then []
   else begin
+    mark_reach t ~nbr;
     Hashtbl.replace t.adjacent nbr cost;
-    (* l_k shifts the preferred distance of *every* destination via k,
-       so the dirty-row bookkeeping cannot bound what moved. *)
-    t.merged_valid <- false;
     process t ~ack_to:None ~ack_received:None
   end
 
@@ -567,6 +490,63 @@ let handle_msg t ~from_ msg =
     process t ~ack_to ~ack_received
   end
 
+(* --- Self-check against a from-scratch rebuild ----------------------- *)
+
+let check t =
+  let bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let found = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !found = None then found := Some m) fmt in
+  (* Neighbor distances: every forest against one walk down from its
+     root, on a copy. *)
+  let fws = Nbr_forest.workspace () in
+  Sorted_tbl.iter
+    (fun k f ->
+      let g = Nbr_forest.copy f in
+      Nbr_forest.recompute fws g;
+      Array.iteri
+        (fun j d ->
+          if not (bits d (Nbr_forest.dist g).(j)) then
+            fail "D_%d via neighbor %d: %h, recomputed %h" j k d (Nbr_forest.dist g).(j))
+        (Nbr_forest.dist f))
+    t.nbrs;
+  (* Merged topology: every row not awaiting the next MTU equals its
+     derivation from the forests and the adjacency. *)
+  let nbrs = up_neighbors t in
+  let sources = sources t nbrs in
+  let row_bits = List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && bits c1 c2) in
+  for j = 0 to t.n - 1 do
+    if
+      (not (Hashtbl.mem t.dirty j))
+      && not (row_bits (Topo_table.out_links t.merged ~head:j) (derive_row t ~nbrs ~sources j))
+    then fail "merged row %d differs from its derivation" j
+  done;
+  (* Distances, parents, tree table and first hops against a full
+     Dijkstra over the stored merged table, read through a fresh table
+     so the stored one's view cache is left alone. *)
+  let merged = Topo_table.create () in
+  List.iter (Topo_table.apply_entry merged) (Topo_table.entries t.merged);
+  let res = Dijkstra.on_table ~n:t.n ~root:t.id merged in
+  for j = 0 to t.n - 1 do
+    if not (bits t.dist.(j) res.dist.(j)) then
+      fail "D_%d: %h, Dijkstra %h" j t.dist.(j) res.dist.(j);
+    if t.parent_buf.(j) <> res.parent.(j) then
+      fail "parent of %d: %d, Dijkstra %d" j t.parent_buf.(j) res.parent.(j)
+  done;
+  let tree =
+    Dijkstra.tree_of_result ~n:t.n ~root:t.id res ~cost:(fun ~head ~tail ->
+        Option.get (Topo_table.cost merged ~head ~tail))
+  in
+  if not (Topo_table.equal t.main tree) then fail "main table is not the shortest-path tree";
+  let rec first_hop v = if res.parent.(v) = t.id then v else first_hop res.parent.(v) in
+  for j = 0 to t.n - 1 do
+    let expect = if j = t.id || not (Float.is_finite res.dist.(j)) then -1 else first_hop j in
+    if t.first_hop.(j) <> expect then
+      fail "first hop to %d: %d, expected %d" j t.first_hop.(j) expect
+  done;
+  match !found with
+  | None -> Ok ()
+  | Some m -> Error (Printf.sprintf "Router %d: %s" t.id m)
+
 (* --- Deep copy and canonical state (for the model checker) ----------- *)
 
 let copy t =
@@ -576,26 +556,22 @@ let copy t =
     Sorted_tbl.iter (fun k v -> Hashtbl.replace fresh k (copy_v v)) src;
     fresh
   in
-  let dist = Array.copy t.dist in
-  let parent_buf = Array.copy t.parent_buf in
-  let main_spf = Incr_spf.create_into ~dist ~parent:parent_buf ~n:t.n ~root:t.id in
+  let main_spf =
+    { t.main_spf with dist = Array.copy t.dist; parent = Array.copy t.parent_buf }
+  in
   {
     t with
     main = Topo_table.copy t.main;
     nbrs = copy_tbl Nbr_forest.copy t.nbrs;
     fws = Nbr_forest.workspace ();
     iws = Incr_spf.workspace ();
-    parent_buf;
+    parent_buf = main_spf.parent;
     prev_parent = Array.copy t.prev_parent;
-    (* The copy drops merged-topology continuity rather than deep-copy
-       it: its first MTU rebuilds from scratch, which the equivalence
-       contract guarantees is behaviorally identical. *)
-    merged = Topo_table.create ();
-    merged_valid = false;
-    dirty = Hashtbl.create 16;
+    merged = Topo_table.copy t.merged;
+    dirty = copy_tbl Fun.id t.dirty;
     main_spf;
     adjacent = copy_tbl Fun.id t.adjacent;
-    dist;
+    dist = main_spf.dist;
     first_hop = Array.copy t.first_hop;
     fd = Array.copy t.fd;
     succ = Array.copy t.succ;

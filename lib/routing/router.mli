@@ -16,29 +16,25 @@
     its successor graphs may loop *transiently* — the test-suite
     demonstrates exactly this difference.
 
+    A neighbor table is the tree the neighbor reported, kept as an
+    in-forest ({!Nbr_forest}): its distances are path sums, so no
+    shortest-path run is made for it. An LSU updates the distances
+    below the links it moved. An LSU that would give a node two
+    parents, or a link into the neighbor itself, raises
+    [Invalid_argument] naming this router, the neighbor and the node.
+
+    The main-table update (MTU, steps 2-6) is incremental: each event
+    marks the rows of the merged topology that may move, the MTU
+    re-derives only those, {!Incr_spf} repairs the shortest-path tree
+    over the changed links, and the tree table and first hops are
+    updated over the nodes that moved. {!check} compares all of it
+    against a from-scratch rebuild.
+
     The machine is pure with respect to I/O: every handler returns the
     messages to transmit, and the embedding (control-plane harness or
     packet simulator) delivers them with whatever latency it models. *)
 
 type mode = Pda | Mpda
-
-type spf = Full | Incremental
-(** SPF engine selection for the main table: [Full] recomputes the
-    merged topology and its shortest-path tree from scratch at each
-    event (the pre-incremental behaviour, kept as the equivalence
-    oracle); [Incremental] (the default) repairs the merged rows and the
-    tree in place with {!Incr_spf}, falling back to full recomputation
-    whenever continuity is lost. The two modes are behaviorally
-    identical — equal {!fingerprint}s on every event sequence —
-    differing only in cost.
-
-    A neighbor table is the tree the neighbor reported, kept as an
-    in-forest ({!Nbr_forest}): its distances are path sums, so no
-    shortest-path run is made for it in either mode. An LSU updates
-    the distances below the links it moved; in [Full] mode they are
-    then recomputed from scratch as well. An LSU that would give a node
-    two parents, or a link into the neighbor itself, raises
-    [Invalid_argument] naming this router, the neighbor and the node. *)
 
 type msg = {
   entries : Topo_table.entry list;  (** topology changes; empty for a pure ACK *)
@@ -51,14 +47,13 @@ type output = { dst : int; msg : msg }
 
 type t
 
-val create : ?spf:spf -> mode:mode -> id:int -> n:int -> unit -> t
+val create : mode:mode -> id:int -> n:int -> unit -> t
 (** [n] is the number of node ids in play (ids are dense). The router
     starts with every adjacent link down; bring links up with
-    {!handle_link_up}. [spf] defaults to [Incremental]. *)
+    {!handle_link_up}. *)
 
 val id : t -> int
 val mode : t -> mode
-val spf_mode : t -> spf
 
 val handle_link_up : t -> nbr:int -> cost:float -> output list
 (** An adjacent link to [nbr] came up with the given cost. Sends the
@@ -89,9 +84,9 @@ val handle_link_cost : t -> nbr:int -> cost:float -> output list
 val handle_msg : t -> from_:int -> msg -> output list
 (** Process one received LSU. Messages from neighbors whose link is
     locally down are dropped. Raises [Invalid_argument] when the LSU
-    would leave the neighbor's table other than an in-forest (see
-    {!spf}) or names a node outside [0, n); the router is then
-    unchanged. *)
+    would leave the neighbor's table other than an in-forest (see the
+    module description) or names a node outside [0, n); the router is
+    then unchanged. *)
 
 val is_passive : t -> bool
 
@@ -128,9 +123,19 @@ val stats_active_phases : t -> int
 
 val spf_stats : t -> Incr_spf.stats
 (** Live counters of the router's main-table SPF engine: full runs vs
-    incremental repairs vs fallbacks, and total repaired nodes. In
-    [Full] mode only [full_runs] moves. Neighbor tables run no SPF and
-    are not counted. *)
+    incremental repairs vs fallbacks, and total repaired nodes.
+    Neighbor tables run no SPF and are not counted. *)
+
+val check : t -> (unit, string) result
+(** Compare the router's incremental state bit for bit against a
+    from-scratch rebuild: each neighbor table's distances against a
+    recompute; every merged-topology row not awaiting the next MTU
+    against its derivation from the neighbor tables and the adjacency;
+    distances and parents against a full Dijkstra over the stored
+    merged topology; the main table against that shortest-path tree;
+    and the first hops. [Error] names the router and the first
+    mismatch. Costs about one from-scratch rebuild; meant for tests and
+    model checking, after any event. Leaves the router unchanged. *)
 
 val copy : t -> t
 (** Deep copy: the clone shares no mutable state with the original.

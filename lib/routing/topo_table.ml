@@ -25,7 +25,6 @@ type view_cache = {
 type t = {
   links : (int * int, float) Hashtbl.t;
   adjacency : (int, (int, float) Hashtbl.t) Hashtbl.t;
-  mutable version : int;
   mutable csr_cache : view_cache option;
   mutable csr_in_cache : view_cache option;  (* transpose view *)
 }
@@ -34,30 +33,20 @@ let create () =
   {
     links = Hashtbl.create 32;
     adjacency = Hashtbl.create 16;
-    version = 0;
     csr_cache = None;
     csr_in_cache = None;
   }
 
-(* Every *actual* mutation bumps [version]; no-op writes (same cost,
-   absent removal, empty clear) leave it alone so readers keying off
-   the version — the merged-table SPF state in Router — stay valid
-   as long as the contents truly haven't moved. *)
-let touch t = t.version <- t.version + 1
-
-(* The copy keeps the original's version counter (same contents, same
-   version: readers' seen-versions stay valid across copies) and shares
-   its cached views — view arrays are only ever written by an in-place
-   cost patch, which clones an unowned cost column first, and the edit
-   logs are immutable, so sharing is safe and the copy's first
-   shortest-path run skips the rebuild. *)
+(* The copy shares the original's cached views — view arrays are only
+   ever written by an in-place cost patch, which clones an unowned cost
+   column first, and the edit logs are immutable, so sharing is safe
+   and the copy's first shortest-path run skips the rebuild. *)
 let copy t =
   let fresh = create () in
   Sorted_tbl.iter (fun k v -> Hashtbl.replace fresh.links k v) t.links;
   Sorted_tbl.iter
     (fun h out -> Hashtbl.replace fresh.adjacency h (Hashtbl.copy out))
     t.adjacency;
-  fresh.version <- t.version;
   let share = Option.map (fun c -> { c with owned = false }) in
   t.csr_cache <- share t.csr_cache;
   t.csr_in_cache <- share t.csr_in_cache;
@@ -70,8 +59,7 @@ let clear t =
     Hashtbl.reset t.links;
     Hashtbl.reset t.adjacency;
     t.csr_cache <- None;
-    t.csr_in_cache <- None;
-    touch t
+    t.csr_in_cache <- None
   end
 
 (* In-place CSR patch for a pure cost change: the edge set is
@@ -139,7 +127,6 @@ let set t ~head ~tail ~cost =
         out
     in
     Hashtbl.replace out tail cost;
-    touch t;
     log_edits t ~head ~tail ~cost ~structural:(Option.is_none found)
 
 let remove t ~head ~tail =
@@ -150,7 +137,6 @@ let remove t ~head ~tail =
     | Some out ->
       Hashtbl.remove out tail;
       if Hashtbl.length out = 0 then Hashtbl.remove t.adjacency head);
-    touch t;
     log_edits t ~head ~tail ~cost:infinity ~structural:true
   end
 
@@ -185,8 +171,6 @@ let nodes t =
   Sorted_tbl.keys seen
 
 let size t = Hashtbl.length t.links
-
-let version t = t.version
 
 (* (key, other) order, and only the newest edit of each edge: [log] is
    newest first and the sort is stable, so each run starts with it. *)

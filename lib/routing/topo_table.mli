@@ -39,13 +39,6 @@ val nodes : t -> int list
 
 val size : t -> int
 
-val version : t -> int
-(** Monotonic change counter, bumped only by mutations that actually
-    alter the table (a [set] to the current cost, a [remove] of an
-    absent link, or a [clear] of an empty table leave it unchanged).
-    Readers cache derived state — the router's main shortest-path tree
-    over its merged topology — keyed on it. *)
-
 type csr = {
   row : int array;  (** length n+1; edges of head [h] occupy [row.(h) .. row.(h+1)-1] *)
   dst : int array;

@@ -1,5 +1,5 @@
 let magic = "MDRS"
-let version = 3
+let version = 4
 
 let write_all fd s =
   let len = String.length s in

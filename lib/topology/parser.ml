@@ -15,10 +15,16 @@ let tokens_of_line raw =
 let numbered_lines text =
   String.split_on_char '\n' text |> List.mapi (fun i l -> (i + 1, l))
 
-let parse_float ~line what s =
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> fail line (Printf.sprintf "invalid %s %S" what s)
+(* A number converted to its unit by [scale] must stay finite:
+   [float_of_string] also takes "nan" and "inf", and a huge capacity
+   overflows once scaled. *)
+let parse_float ~line what s ~scale =
+  match Option.map scale (float_of_string_opt s) with
+  | Some v when Float.is_finite v -> v
+  | Some _ | None -> fail line (Printf.sprintf "invalid %s %S" what s)
+
+let mbps v = v *. 1.0e6
+let ms v = v /. 1000.0
 
 let topology_of_string text =
   let lines = numbered_lines text in
@@ -44,16 +50,16 @@ let topology_of_string text =
       match tokens_of_line raw with
       | [] | [ "node"; _ ] -> ()
       | [ "link"; a; b; cap; delay ] ->
-        let capacity = parse_float ~line "capacity" cap *. 1.0e6 in
-        let prop_delay = parse_float ~line "delay" delay /. 1000.0 in
+        let capacity = parse_float ~line "capacity" cap ~scale:mbps in
+        let prop_delay = parse_float ~line "delay" delay ~scale:ms in
         let va = resolve line a and vb = resolve line b in
         (try
            Graph.add_link g ~src:va ~dst:vb ~capacity ~prop_delay;
            Graph.add_link g ~src:vb ~dst:va ~capacity ~prop_delay
          with Invalid_argument msg -> fail line msg)
       | [ "oneway"; a; b; cap; delay ] ->
-        let capacity = parse_float ~line "capacity" cap *. 1.0e6 in
-        let prop_delay = parse_float ~line "delay" delay /. 1000.0 in
+        let capacity = parse_float ~line "capacity" cap ~scale:mbps in
+        let prop_delay = parse_float ~line "delay" delay ~scale:ms in
         (try
            Graph.add_link g ~src:(resolve line a) ~dst:(resolve line b) ~capacity
              ~prop_delay
@@ -80,7 +86,7 @@ let flows_of_string g text =
       match tokens_of_line raw with
       | [] -> None
       | [ "flow"; src; dst; rate ] ->
-        let rate_bits = parse_float ~line "rate" rate *. 1.0e6 in
+        let rate_bits = parse_float ~line "rate" rate ~scale:mbps in
         if rate_bits <= 0.0 then fail line "flow rate must be positive";
         let s = resolve line src and d = resolve line dst in
         if s = d then fail line "flow source equals destination";

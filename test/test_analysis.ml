@@ -106,6 +106,37 @@ let test_interleave_corpus () =
   let total = List.fold_left (fun acc st -> acc + st.Interleave.states) 0 stats in
   check "corpus explores >= 10k states" true (total >= 10_000)
 
+let test_interleave_router_check () =
+  (* Every explored state of the bundled corpus, every router: the
+     incremental tables match their from-scratch rebuild
+     (Router.check). The check is per router, so it runs once per
+     state, at destination 0. *)
+  let router_check =
+    {
+      Interleave.inv_name = "router-check";
+      holds =
+        (fun routers ~dst ->
+          dst > 0
+          || Array.for_all
+               (fun r ->
+                 match Mdr_routing.Router.check r with
+                 | Ok () -> true
+                 | Error m ->
+                   prerr_endline m;
+                   false)
+               routers);
+    }
+  in
+  List.iter
+    (fun sc ->
+      let st = Interleave.explore ~invariants:[ router_check ] sc in
+      check
+        (Printf.sprintf "%s: Router.check in all %d states" st.Interleave.scenario_name
+           st.Interleave.states)
+        true
+        (st.Interleave.violation = None))
+    (Interleave.bundled ~max_states:2_000 ())
+
 let test_interleave_negative () =
   (* The checker must actually find violations when they exist: the
      deliberately too-strong feasibility condition fails on the plain
@@ -606,6 +637,8 @@ let suite =
       test_interleave_triangle_exhaustive;
     Alcotest.test_case "interleave: bundled corpus >= 10k states, loop-free" `Slow
       test_interleave_corpus;
+    Alcotest.test_case "interleave: Router.check in every explored state" `Slow
+      test_interleave_router_check;
     Alcotest.test_case "interleave: broken invariant yields minimal trace" `Quick
       test_interleave_negative;
     Alcotest.test_case "interleave: exploration is deterministic" `Slow

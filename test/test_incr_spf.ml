@@ -172,6 +172,15 @@ let test_kill_at_every_delta () =
         let ws = Incr_spf.workspace () in
         let ws_full = Dijkstra.workspace () in
         let sd = Array.make n infinity and sp = Array.make n (-1) in
+        if start = 0 then begin
+          (* start=0: the fresh state is the empty table's tree, so its
+             first update takes every link of the table as a change. *)
+          let all = Topo_table.diff ~old_table:(Topo_table.create ()) ~new_table:table in
+          ignore (Incr_spf.update ws st table ~changes:all);
+          match mismatch ws_full sd sp st table with
+          | Some m -> Alcotest.failf "seed %d bootstrap: %s" seed m
+          | None -> ()
+        end;
         for step = 1 to deltas do
           let changes = random_delta rng table ~n in
           if step = start then Incr_spf.full ws st table
@@ -182,14 +191,7 @@ let test_kill_at_every_delta () =
               Alcotest.failf "seed %d start %d step %d: %s" seed start step m
             | None -> ()
           end
-        done;
-        if start = 0 then begin
-          (* start=0 means the state bootstraps itself via the first
-             update (version = -1 path). *)
-          match mismatch ws_full sd sp st table with
-          | Some m -> Alcotest.failf "seed %d bootstrap: %s" seed m
-          | None -> ()
-        end
+        done
       done)
     [ 11; 42; 97 ]
 
@@ -297,26 +299,24 @@ let test_tree_of_result_agrees () =
   let t_full = Dijkstra.tree_of_result ~n ~root:3 full ~cost in
   check "trees equal" true (Topo_table.equal t_incr t_full)
 
-(* --- Router-level equivalence: Full vs Incremental SPF --------------- *)
+(* --- Router-level oracle: Router.check after every event ------------ *)
 
 module Network = Mdr_routing.Network
 module Router = Mdr_routing.Router
 module Graph = Mdr_topology.Graph
 module Generators = Mdr_topology.Generators
 
-(* Run the same deterministic event storm twice — once with from-scratch
-   SPF, once with incremental repair — and demand bit-identical protocol
-   state on every router. The fingerprint covers tables, distances, FD,
-   successors, first hops, pending ACKs and sequence counters, so any
-   divergence anywhere in the event history surfaces here. *)
-let storm_fingerprints ~mode ~spf ~seed =
+(* A deterministic event storm on a random connected graph — 30 cost
+   changes and two fail/restore pairs, overlapping in time — run to
+   quiescence. [observer] runs after every router event. *)
+let storm ?observer ~mode ~seed () =
   let rng = Rng.create ~seed in
   let n = 6 + Rng.int rng ~bound:8 in
   let topo =
     Generators.random_connected ~rng ~n ~extra_links:(3 + Rng.int rng ~bound:6) ()
   in
   let cost (l : Graph.link) = 1.0 +. (l.prop_delay *. 1000.0) in
-  let net = Network.create ~mode ~spf ~seed ~topo ~cost () in
+  let net = Network.create ~mode ~seed ?observer ~topo ~cost () in
   let links = Array.of_list (Graph.links topo) in
   for _ = 1 to 30 do
     let l = links.(Rng.int rng ~bound:(Array.length links)) in
@@ -334,39 +334,37 @@ let storm_fingerprints ~mode ~spf ~seed =
       ~cost:(float_of_int (1 + Rng.int rng ~bound:40) *. 0.5)
   done;
   Network.run net;
-  let repairs = ref 0 in
-  let fps =
-    List.init n (fun i ->
-        let r = Network.router net i in
-        repairs := !repairs + (Router.spf_stats r).Incr_spf.repairs;
-        Router.fingerprint r)
-  in
-  (fps, !repairs)
+  net
 
-let prop_router_full_incremental_equal =
-  QCheck.Test.make
-    ~name:"router: Full and Incremental SPF are fingerprint-identical" ~count:30
+(* Every router, after every event of the storm — link up, down and
+   cost changes, full-table and data LSUs, ACKs, deferred MTUs — must
+   match its from-scratch rebuild. *)
+let prop_router_check_every_event =
+  QCheck.Test.make ~name:"router: Router.check holds after every storm event" ~count:30
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let mode = if seed mod 3 = 0 then Router.Pda else Router.Mpda in
-      let full_fps, full_repairs = storm_fingerprints ~mode ~spf:Router.Full ~seed in
-      let incr_fps, _ = storm_fingerprints ~mode ~spf:Router.Incremental ~seed in
-      if full_repairs <> 0 then
-        QCheck.Test.fail_reportf "Full mode took the repair path";
-      List.iteri
-        (fun i (f, g) ->
-          if not (String.equal f g) then
-            QCheck.Test.fail_reportf "router %d diverged (seed %d)" i seed)
-        (List.combine full_fps incr_fps);
+      let events = ref 0 in
+      let observer net =
+        incr events;
+        for i = 0 to Graph.node_count (Network.topology net) - 1 do
+          match Router.check (Network.router net i) with
+          | Ok () -> ()
+          | Error m -> QCheck.Test.fail_reportf "seed %d, event %d: %s" seed !events m
+        done
+      in
+      ignore (storm ~observer ~mode ~seed ());
       true)
 
 let test_router_incremental_repairs_happen () =
-  (* The equivalence property is vacuous if the incremental path never
-     engages; check that storms actually exercise it. *)
-  let _, repairs =
-    storm_fingerprints ~mode:Router.Mpda ~spf:Router.Incremental ~seed:7
-  in
-  check "storms exercise the repair path" true (repairs > 0)
+  (* The oracle is vacuous if the incremental path never engages;
+     check that storms actually exercise it. *)
+  let net = storm ~mode:Router.Mpda ~seed:7 () in
+  let repairs = ref 0 in
+  for i = 0 to Graph.node_count (Network.topology net) - 1 do
+    repairs := !repairs + (Router.spf_stats (Network.router net i)).Incr_spf.repairs
+  done;
+  check "storms exercise the repair path" true (!repairs > 0)
 
 (* --- Syncnet: the large-n convergence pump --------------------------- *)
 
@@ -692,6 +690,125 @@ let test_router_two_parent_lsu_raises () =
     (Invalid_argument "Router 0: LSU from neighbor 1: Nbr_forest: node 2 would have two parents")
     (fun () -> ignore (Router.handle_msg r ~from_:1 (lsu [ e 3 2 ])))
 
+module Lfi = Mdr_routing.Lfi
+
+(* A FIFO pump like Syncnet's, kept here so it can watch every event:
+   MPDA on a BA-200 graph converges from cold, takes 20 link-cost
+   changes and one duplex failure and repair. Every LSU other than a
+   full table must equal the diff of its sender's main table since the
+   sender last announced it; every [k] deliveries, every router must
+   pass Router.check and every destination the LFI conditions. *)
+let test_fifo_pump_oracles () =
+  let rng = Rng.create ~seed:29 in
+  let topo = Generators.barabasi_albert ~rng ~n:200 ~m:2 () in
+  let n = Graph.node_count topo in
+  let routers = Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ()) in
+  let q = Queue.create () in
+  let delivered = ref 0 and checks = ref 0 in
+  (* [tables.(i)]: router i's main table as of the last event after
+     which it sent changes or a full table. A change it failed to send
+     shows up in its next diff, or at the next check. *)
+  let tables = Array.init n (fun _ -> Topo_table.create ()) in
+  let unsent_changes () =
+    Array.iteri
+      (fun i r ->
+        if not (Topo_table.equal tables.(i) (Router.main_table r)) then
+          Alcotest.failf "after %d messages: router %d changed its table unannounced"
+            !delivered i)
+      routers
+  in
+  let check_all () =
+    incr checks;
+    unsent_changes ();
+    Array.iter
+      (fun r ->
+        match Router.check r with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "after %d messages: %s" !delivered m)
+      routers;
+    for dst = 0 to n - 1 do
+      if
+        not
+          (Lfi.lfi_conditions_hold ~n
+             ~neighbors:(fun i -> Router.up_neighbors routers.(i))
+             ~feasible:(fun ~node ~dst -> Router.feasible_distance routers.(node) ~dst)
+             ~reported:(fun ~holder ~about ~dst ->
+               Router.neighbor_distance routers.(holder) ~nbr:about ~dst)
+             ~dst)
+      then Alcotest.failf "after %d messages: LFI broken for destination %d" !delivered dst
+    done
+  in
+  (* Run one event on router [i] and queue what it sends. *)
+  let event i f =
+    let outputs = f routers.(i) in
+    let announces (o : Router.output) = o.msg.reset || o.msg.entries <> [] in
+    if List.exists announces outputs then begin
+      let after = Router.main_table routers.(i) in
+      let diff = Topo_table.diff ~old_table:tables.(i) ~new_table:after in
+      tables.(i) <- after;
+      List.iter
+        (fun (o : Router.output) ->
+          let expected = if o.msg.reset then Topo_table.entries after else diff in
+          if not (entries_bits_equal o.msg.entries expected) then
+            Alcotest.failf "after %d messages: router %d sent %s" !delivered i
+              (if o.msg.reset then "a full table that is not its table"
+               else "an LSU that is not its table diff"))
+        outputs
+    end;
+    List.iter (fun (o : Router.output) -> Queue.add (i, o.dst, o.msg) q) outputs
+  in
+  let k = 1000 in
+  let drain () =
+    while not (Queue.is_empty q) do
+      let from_, dst, msg = Queue.pop q in
+      incr delivered;
+      event dst (fun r -> Router.handle_msg r ~from_ msg);
+      if !delivered mod k = 0 then check_all ()
+    done;
+    check_all ()
+  in
+  let costs = Hashtbl.create 1024 in
+  List.iter
+    (fun (l : Graph.link) ->
+      let c = dyadic rng in
+      Hashtbl.replace costs (l.src, l.dst) c;
+      event l.src (fun r -> Router.handle_link_up r ~nbr:l.dst ~cost:c))
+    (Graph.links topo);
+  drain ();
+  let links = Array.of_list (Graph.links topo) in
+  for _ = 1 to 20 do
+    let l = links.(Rng.int rng ~bound:(Array.length links)) in
+    let c = dyadic rng in
+    Hashtbl.replace costs (l.src, l.dst) c;
+    event l.src (fun r -> Router.handle_link_cost r ~nbr:l.dst ~cost:c)
+  done;
+  drain ();
+  (* A duplex failure loses what is in flight on the link. *)
+  let l = links.(Rng.int rng ~bound:(Array.length links)) in
+  let on_link (a, b, _) = (a = l.src && b = l.dst) || (a = l.dst && b = l.src) in
+  let kept = Queue.create () in
+  Queue.iter (fun m -> if not (on_link m) then Queue.add m kept) q;
+  Queue.clear q;
+  Queue.transfer kept q;
+  event l.src (fun r -> Router.handle_link_down r ~nbr:l.dst);
+  event l.dst (fun r -> Router.handle_link_down r ~nbr:l.src);
+  drain ();
+  event l.src (fun r -> Router.handle_link_up r ~nbr:l.dst ~cost:(Hashtbl.find costs (l.src, l.dst)));
+  event l.dst (fun r -> Router.handle_link_up r ~nbr:l.src ~cost:(Hashtbl.find costs (l.dst, l.src)));
+  drain ();
+  check "converged" true (Array.for_all Router.is_passive routers);
+  check "checked at many points" true (!checks > 20);
+  (* Converged distances are exact. *)
+  let reference = Topo_table.create () in
+  Hashtbl.iter (fun (head, tail) cost -> Topo_table.set reference ~head ~tail ~cost) costs;
+  for root = 0 to n - 1 do
+    let res = Dijkstra.on_table ~n ~root reference in
+    for j = 0 to n - 1 do
+      if not (float_bits_equal (Router.distance routers.(root) ~dst:j) res.dist.(j)) then
+        Alcotest.failf "router %d: distance to %d not exact" root j
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "incr_spf: empty changes noop" `Quick test_empty_changes_noop;
@@ -710,11 +827,13 @@ let suite =
     Alcotest.test_case "syncnet: converges to exact shortest paths" `Quick
       test_syncnet_converges_to_shortest_paths;
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
-    QCheck_alcotest.to_alcotest prop_router_full_incremental_equal;
+    QCheck_alcotest.to_alcotest prop_router_check_every_event;
     QCheck_alcotest.to_alcotest prop_csr_views_match_rebuild;
     Alcotest.test_case "nbr_forest: non-forest LSUs rejected, table kept" `Quick
       test_nbr_forest_rejects_non_forest;
     Alcotest.test_case "router: two-parent LSU raises a named error" `Quick
       test_router_two_parent_lsu_raises;
+    Alcotest.test_case "router: FIFO pump, Router.check and LFI every 1000 messages" `Slow
+      test_fifo_pump_oracles;
     QCheck_alcotest.to_alcotest prop_nbr_forest_matches_dijkstra;
   ]

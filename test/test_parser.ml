@@ -129,6 +129,82 @@ let test_files_roundtrip () =
   Sys.remove path;
   check_int "links" (Graph.link_count g) (Graph.link_count g2)
 
+(* --- Fuzz: mutated files fail only with Parse_error ------------------ *)
+
+module Rng = Mdr_util.Rng
+
+let sample_flows = "flow a c 2.5\nflow c a 1.0 # return\n# comment\nflow b a 0.5\n"
+
+(* Replacement tokens aimed at every branch: directives, known and
+   unknown names, numbers of every shape (non-finite, negative, zero,
+   overflowing once scaled), comments and stray bytes. *)
+let fuzz_tokens =
+  [| "node"; "link"; "oneway"; "flow"; "a"; "b"; "c"; "z"; "#"; "0"; "-1"; "-0";
+     "1e303"; "1e309"; "nan"; "inf"; "-inf"; "0x1p3"; "1_0"; "."; "1e"; "\t"; "\r";
+     "\000"; "\255" |]
+
+(* One to five edits of random lines: replace, insert or delete a token,
+   overwrite the line with another, or set one byte to any value. *)
+let mutate rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let pick a = a.(Rng.int rng ~bound:(Array.length a)) in
+  for _ = 0 to Rng.int rng ~bound:5 do
+    let i = Rng.int rng ~bound:(Array.length lines) in
+    let toks = Array.of_list (String.split_on_char ' ' lines.(i)) in
+    let k = Rng.int rng ~bound:(Array.length toks) in
+    let splice before after =
+      String.concat " "
+        (Array.to_list (Array.sub toks 0 k) @ before
+        @ after (Array.to_list (Array.sub toks (k + 1) (Array.length toks - k - 1))))
+    in
+    lines.(i) <-
+      (match Rng.int rng ~bound:5 with
+      | 0 -> splice [ pick fuzz_tokens ] Fun.id
+      | 1 -> splice [ pick fuzz_tokens; toks.(k) ] Fun.id
+      | 2 -> splice [] Fun.id
+      | 3 -> pick lines
+      | _ ->
+        let b = Bytes.of_string lines.(i) in
+        if Bytes.length b > 0 then
+          Bytes.set b (Rng.int rng ~bound:(Bytes.length b)) (Char.chr (Rng.int rng ~bound:256));
+        Bytes.to_string b)
+  done;
+  String.concat "\n" (Array.to_list lines)
+
+let prop_fuzz_typed_errors =
+  QCheck.Test.make ~name:"parse: mutated files give a value or Parse_error" ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      (match Parser.topology_of_string (mutate rng sample) with
+      | g ->
+        List.iter
+          (fun (l : Graph.link) ->
+            if not (Float.is_finite l.capacity && Float.is_finite l.prop_delay) then
+              QCheck.Test.fail_reportf "seed %d: non-finite link attributes" seed)
+          (Graph.links g)
+      | exception Parser.Parse_error _ -> ());
+      (match Parser.flows_of_string (Parser.topology_of_string sample) (mutate rng sample_flows) with
+      | flows ->
+        List.iter
+          (fun (_, _, rate) ->
+            if not (Float.is_finite rate && rate > 0.0) then
+              QCheck.Test.fail_reportf "seed %d: bad flow rate %h" seed rate)
+          flows
+      | exception Parser.Parse_error _ -> ());
+      true)
+
+let test_non_finite_rejected () =
+  let rejects what text =
+    check what true
+      (match Parser.topology_of_string text with
+      | _ -> false
+      | exception Parser.Parse_error { line = 3; _ } -> true)
+  in
+  rejects "nan capacity" "node a\nnode b\nlink a b nan 1\n";
+  rejects "inf delay" "node a\nnode b\noneway a b 10 inf\n";
+  rejects "capacity overflowing once scaled" "node a\nnode b\nlink a b 1e303 1\n"
+
 let suite =
   [
     Alcotest.test_case "parse: basic topology" `Quick test_parse_basic;
@@ -141,4 +217,6 @@ let suite =
     Alcotest.test_case "flows: validation" `Quick test_flows_validation;
     Alcotest.test_case "dot export" `Quick test_dot_output;
     Alcotest.test_case "file roundtrip" `Quick test_files_roundtrip;
+    Alcotest.test_case "parse: non-finite numbers rejected" `Quick test_non_finite_rejected;
+    QCheck_alcotest.to_alcotest prop_fuzz_typed_errors;
   ]
