@@ -63,9 +63,8 @@ let bench_packet_sim =
   Test.make ~name:"netsim: 2 simulated seconds of NET1"
     (Staged.stage (fun () -> ignore (Mdr_netsim.Sim.run ~config:cfg topo flows)))
 
-(* A warm 1000-node BA table, its shortest-path state from root 0 and
-   both CSR views built — the per-LSU hot path `mdrsim scale` sweeps at
-   larger n. *)
+(* A warm 1000-node BA table and its shortest-path state from root 0 —
+   the per-LSU hot path `mdrsim scale` sweeps at larger n. *)
 let ba1000 () =
   let module T = Mdr_routing.Topo_table in
   let module I = Mdr_routing.Incr_spf in
@@ -80,8 +79,6 @@ let ba1000 () =
   let iws = I.workspace () in
   let st = I.create ~n:1000 ~root:0 in
   I.full iws st table;
-  ignore (T.csr table ~n:1000);
-  ignore (T.csr_in table ~n:1000);
   (topo, table, iws, st)
 
 let bench_incr_spf =
@@ -100,8 +97,9 @@ let bench_incr_spf =
               ~changes:[ { T.head = l.src; tail = l.dst; cost } ])))
 
 (* A structural change: the link into the last-added node (a BA leaf)
-   on its shortest path goes away and comes back, so the CSR views take
-   an edge removal and an insertion rather than a cost patch. *)
+   on its shortest path goes away and comes back, so the repair orphans
+   the leaf and re-enters it along its in-row, and the table's out- and
+   in-rows lose and regain a link rather than change a cost. *)
 let bench_incr_spf_tree_edge =
   let module T = Mdr_routing.Topo_table in
   let module I = Mdr_routing.Incr_spf in

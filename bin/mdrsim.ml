@@ -22,6 +22,21 @@ let write_report path text =
 
 let exit_of_ok ok = if ok then 0 else 1
 
+(* The exit statuses every command's help lists: the contract at the
+   end of this file, where cmdliner's parse errors are mapped to 2. *)
+let cmd_info =
+  Cmd.info
+    ~exits:
+      [
+        Cmd.Exit.info 0 ~doc:"on success.";
+        Cmd.Exit.info 1
+          ~doc:"on a finding: a failed check, a lint violation or an SLO breach.";
+        Cmd.Exit.info 2 ~doc:"on usage errors, command line parsing errors included.";
+        Cmd.Exit.info Cmd.Exit.some_error
+          ~doc:"on indiscriminate errors reported on standard error.";
+        Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on unexpected internal errors (bugs).";
+      ]
+
 (* The closing [NAME: PASS (...)] / [NAME: FAIL (...)] line of an audit
    command, after a blank line; returns the exit code. *)
 let verdict name ok ~pass ~fail =
@@ -82,12 +97,12 @@ let csv_arg =
 
 let simple_cmd name ~doc f =
   let run csv = exit_of_ok (print_outcome ?csv (f ())) in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ csv_arg)
+  Cmd.v (cmd_info name ~doc) Term.(const run $ csv_arg)
 
 let loaded_cmd name ~doc ~default
     (f : ?load:float -> ?seeds:int list -> unit -> Experiments.outcome) =
   let run load seeds csv = exit_of_ok (print_outcome ?csv (f ~load ~seeds ())) in
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v (cmd_info name ~doc)
     Term.(const run $ load_arg ~default $ seeds_arg $ csv_arg)
 
 let fig9_cmd =
@@ -95,7 +110,7 @@ let fig9_cmd =
     exit_of_ok (print_outcome ?csv (Experiments.fig9_cairn_opt_vs_mp ~load ()))
   in
   Cmd.v
-    (Cmd.info "fig9" ~doc:"OPT vs MP per-flow delays on CAIRN (fluid + packet).")
+    (cmd_info "fig9" ~doc:"OPT vs MP per-flow delays on CAIRN (fluid + packet).")
     Term.(const run $ load_arg ~default:1.0 $ csv_arg)
 
 let fig10_cmd =
@@ -103,7 +118,7 @@ let fig10_cmd =
     exit_of_ok (print_outcome ?csv (Experiments.fig10_net1_opt_vs_mp ~load ()))
   in
   Cmd.v
-    (Cmd.info "fig10" ~doc:"OPT vs MP per-flow delays on NET1.")
+    (cmd_info "fig10" ~doc:"OPT vs MP per-flow delays on NET1.")
     Term.(const run $ load_arg ~default:1.0 $ csv_arg)
 
 let topology_cmd =
@@ -129,7 +144,7 @@ let all_cmd =
     exit_of_ok ok
   in
   Cmd.v
-    (Cmd.info "all" ~doc:"Run every experiment (the full evaluation; minutes).")
+    (cmd_info "all" ~doc:"Run every experiment (the full evaluation; minutes).")
     Term.(const run $ csv_dir_arg)
 
 let compare_cmd =
@@ -159,7 +174,7 @@ let compare_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "compare" ~doc:"Compare OPT/MP/SP average delays on one topology.")
+    (cmd_info "compare" ~doc:"Compare OPT/MP/SP average delays on one topology.")
     Term.(const run $ topo_arg $ load_arg ~default:1.0 $ seeds_arg)
 
 let routes_cmd =
@@ -207,7 +222,7 @@ let routes_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "routes" ~doc:"Print the converged MP multipath routing table.")
+    (cmd_info "routes" ~doc:"Print the converged MP multipath routing table.")
     Term.(const run $ topo_arg $ load_arg ~default:1.0 $ node_arg)
 
 let custom_cmd =
@@ -273,7 +288,7 @@ let custom_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "custom"
+    (cmd_info "custom"
        ~doc:"Compare OPT/MP/SP on a user-supplied topology and flow set.")
     Term.(const run $ topo_file $ flow_file $ seeds_arg $ damping_arg)
 
@@ -428,7 +443,7 @@ let chaos_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (cmd_info "chaos"
        ~doc:"Randomized fault-injection audit of MPDA and DV (loop-freedom + LFI).")
     Term.(const run $ seed_arg $ scenarios_arg $ duration_arg $ detection_arg)
 
@@ -520,7 +535,7 @@ let overload_cmd =
       exit_of_ok (List.for_all Fun.id checks)
   in
   Cmd.v
-    (Cmd.info "overload"
+    (cmd_info "overload"
        ~doc:
          "Overload-SLO audit: shedding, cost finiteness and control-plane \
           stability past the feasible envelope.")
@@ -564,7 +579,7 @@ let analysis_cmd ~name ~doc ~make_report =
         Printf.eprintf "%s: cannot parse %s: %s\n" name file message;
         2)
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ json_arg $ sarif_arg $ root_arg)
+  Cmd.v (cmd_info name ~doc) Term.(const run $ json_arg $ sarif_arg $ root_arg)
 
 let lint_cmd =
   (* Per-file static analysis over the repo's own sources: float
@@ -635,7 +650,7 @@ let verify_cmd =
     verdict "verify" (interleave_ok && det_ok) ~pass:"PASS" ~fail:"FAIL"
   in
   Cmd.v
-    (Cmd.info "verify"
+    (cmd_info "verify"
        ~doc:
          "Model-check MPDA message interleavings and sanitize experiment determinism.")
     Term.(const run $ max_states_arg $ seed_arg $ skip_det_arg)
@@ -734,7 +749,7 @@ let perfbench_cmd =
       ~fail:"FAIL (parallel trace diverged from sequential)"
   in
   Cmd.v
-    (Cmd.info "perfbench"
+    (cmd_info "perfbench"
        ~doc:
          "Time sequential vs multi-domain execution and assert bit-identical \
           traces.")
@@ -828,13 +843,6 @@ let scale_cmd =
     let iws = Incr_spf.workspace () in
     let st = Incr_spf.create ~n ~root:0 in
     Incr_spf.full iws st table;
-    (* Warm both CSR views before timing: this bench changes costs
-       only, which patch a view in place, so view construction is
-       charged to neither engine. In a router it is not setup cost: an
-       LSU that adds or removes a link makes the next read merge that
-       edit into each view. *)
-    ignore (Topo_table.csr table ~n);
-    ignore (Topo_table.csr_in table ~n);
     let dws = Dijkstra.workspace () in
     let sdist = Array.make n infinity and sparent = Array.make n (-1) in
     let incr_s = ref 0.0 and full_s = ref 0.0 in
@@ -1070,7 +1078,7 @@ let scale_cmd =
       ~fail:"FAIL"
   in
   Cmd.v
-    (Cmd.info "scale"
+    (cmd_info "scale"
        ~doc:
          "Benchmark incremental vs full SPF and MPDA convergence on \
           internet-like topologies up to 10k nodes.")
@@ -1467,7 +1475,7 @@ let serve_cmd =
           exit_of_ok ok)
   in
   Cmd.v
-    (Cmd.info "serve"
+    (cmd_info "serve"
        ~doc:
          "Run the crash-safe route-server over a seeded update stream \
           (journal + snapshots under --dir), then shut down cleanly; \
@@ -1625,7 +1633,7 @@ let serve_audit_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "serve-audit"
+    (cmd_info "serve-audit"
        ~doc:
          "Crash-recovery chaos audit: kill the route-server at seeded points \
           (including mid-journal and mid-snapshot), restore, and assert \
@@ -1753,7 +1761,7 @@ let wire_client_cmd =
           exit_of_ok ok
   in
   Cmd.v
-    (Cmd.info "wire-client"
+    (cmd_info "wire-client"
        ~doc:
          "Stream seeded updates into a running $(b,mdrsim serve --listen) \
           daemon over the resumable wire protocol: timeouts, retries, \
@@ -1853,7 +1861,7 @@ let serve_wire_audit_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "serve-wire-audit"
+    (cmd_info "serve-wire-audit"
        ~doc:
          "Wire-chaos audit: stream seeded updates through the framed \
           protocol over fault-injected transports (flips, truncation, \
@@ -1984,7 +1992,7 @@ let serve_multi_audit_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "serve-multi-audit"
+    (cmd_info "serve-multi-audit"
        ~doc:
          "Concurrent-chaos audit of the multi-writer server: N seeded \
           clients claim disjoint link shares and push interleaved \
@@ -2008,7 +2016,7 @@ let dot_cmd =
     0
   in
   Cmd.v
-    (Cmd.info "dot" ~doc:"Emit a Graphviz rendering of a topology.")
+    (cmd_info "dot" ~doc:"Emit a Graphviz rendering of a topology.")
     Term.(const run $ topo_arg)
 
 let cmds =
@@ -2061,14 +2069,15 @@ let cmds =
 
 let () =
   let info =
-    Cmd.info "mdrsim" ~version:"1.0.0"
+    cmd_info "mdrsim" ~version:"1.0.0"
       ~doc:
         "Reproduction of 'A Simple Approximation to Minimum-Delay Routing' (SIGCOMM 1999)."
   in
   (* Exit-code contract: 0 = clean, 1 = a finding (failed check, lint
      violation, SLO breach), 2 = usage error — both cmdliner parse
-     errors (via [~term_err]) and each subcommand's own argument
-     validation. A broken MDR_JOBS is a usage error too; check it
+     errors (a term error via [~term_err]; a missing or malformed
+     argument comes back as [Cmd.Exit.cli_error] and is mapped here)
+     and each subcommand's own argument validation. A broken MDR_JOBS is a usage error too; check it
      eagerly here rather than letting [Pool.default_jobs] raise deep
      inside whichever subcommand first fans out. *)
   (match Sys.getenv_opt "MDR_JOBS" with
@@ -2079,4 +2088,5 @@ let () =
       | Error reason ->
           Printf.eprintf "mdrsim: MDR_JOBS: %s\n" reason;
           exit 2));
-  exit (Cmd.eval' ~term_err:2 (Cmd.group info cmds))
+  let code = Cmd.eval' ~term_err:2 (Cmd.group info cmds) in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

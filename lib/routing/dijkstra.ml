@@ -132,17 +132,20 @@ let fresh_run ws ~n ~root ~edges =
   run_into ws ~n ~root ~dist ~parent ~edges;
   { dist; parent }
 
-let table_edges table ~n =
-  let view = Topo_table.csr table ~n in
-  fun u visit ->
-    for e = view.Topo_table.row.(u) to view.Topo_table.row.(u + 1) - 1 do
-      visit view.Topo_table.dst.(e) view.Topo_table.cost.(e)
-    done
+(* [u]'s out-row, ascending by tail; [run_into] skips tails >= n. *)
+let table_edges table u visit =
+  let rec walk = function
+    | [] -> ()
+    | (v, w) :: rest ->
+      visit v w;
+      walk rest
+  in
+  walk (Topo_table.out_links table ~head:u)
 
-let on_table ?ws ~n ~root table = fresh_run ws ~n ~root ~edges:(table_edges table ~n)
+let on_table ?ws ~n ~root table = fresh_run ws ~n ~root ~edges:(table_edges table)
 
 let on_table_into ws ~n ~root ~dist ~parent table =
-  run_into ws ~n ~root ~dist ~parent ~edges:(table_edges table ~n)
+  run_into ws ~n ~root ~dist ~parent ~edges:(table_edges table)
 
 let graph_edges view ~cost ~forward =
   fun u visit ->

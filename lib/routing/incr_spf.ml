@@ -1,5 +1,5 @@
 (* Incremental single-source shortest-path-tree maintenance over the
-   CSR topology views, in the Ramalingam–Reps style: given the edge
+   rows of a topology table, in the Ramalingam–Reps style: given the edge
    changes since the last run, repair only the affected region.
 
    The repair has five phases:
@@ -9,12 +9,12 @@
       orphans [tail]; a change that offers a significantly shorter path
       seeds a decrease.
    2. Orphan collection: the tree subtree under every orphan seed loses
-      its distance (walk tree children via the forward CSR). If the
+      its distance (walk tree children along the out-rows). If the
       orphaned region exceeds [max_dirty_frac] of the graph, repairing
       costs as much as recomputing — fall back to a full run.
    3. Boundary re-initialization: each orphan's best re-entry from the
-      intact region (minimum over in-edges from non-orphans, via the
-      transpose CSR) primes the heap; decrease seeds join it.
+      intact region (minimum over in-edges from non-orphans, along the
+      in-rows) primes the heap; decrease seeds join it.
    4. Heap repair: the same (distance, id)-ordered flat heap discipline
       as the full run — pop, settle, relax out-edges accepting only
       significant improvements. Distances propagate as the same
@@ -31,8 +31,8 @@
    Two situations break the canonical-parent characterization and force
    a full-run fallback: a zero-cost edge anywhere in the table (settle
    order inside an equal-distance plateau then depends on plateau
-   structure the local rule cannot see), detected by scanning the cost
-   column at every full run and every change batch; and an achiever
+   structure the local rule cannot see), detected by scanning the rows
+   at every full run and every change batch; and an achiever
    whose own distance is within tolerance of its target's (a
    sub-tolerance edge), detected during canonicalization. Inputs whose
    distinct path costs collide within the 1e-12 relative tolerance
@@ -40,9 +40,13 @@
    there even two full runs relaxing in different orders disagree in
    the last bits. Exact ties (bit-identical sums) are fully handled.
 
-   Steady-state repairs allocate nothing: marks are stamp arrays (no
-   clearing), worklists are growable int/float vectors reused across
-   calls, and the undo log doubles as the changed-node report. *)
+   Rows are visited in the order the table keeps them (out-rows by
+   ascending tail, in-rows by ascending head; ids >= n skipped), the
+   order every full run relaxes in. Steady-state repairs allocate
+   nothing per edge: rows are walked in place by top-level loops (no
+   closures), marks are stamp arrays (no clearing), worklists are
+   growable int/float vectors reused across calls, and the undo log
+   doubles as the changed-node report. *)
 
 type stats = {
   mutable full_runs : int;
@@ -279,21 +283,82 @@ let sort_vec a len =
     gap := g / 3
   done
 
-let scan_zero (view : Topo_table.csr) =
-  let zero = ref false in
-  let cost = view.Topo_table.cost in
-  for i = 0 to Array.length cost - 1 do
-    if Float.equal cost.(i) 0.0 then zero := true
-  done;
-  !zero
-
 let full ws st table =
   Dijkstra.on_table_into ws.dj ~n:st.n ~root:st.root ~dist:st.dist ~parent:st.parent
     table;
-  st.has_zero <- scan_zero (Topo_table.csr table ~n:st.n);
+  let zero = ref false in
+  for h = 0 to st.n - 1 do
+    if List.exists (fun (_, c) -> Float.equal c 0.0) (Topo_table.out_links table ~head:h)
+    then zero := true
+  done;
+  st.has_zero <- !zero;
   ws.stats.full_runs <- ws.stats.full_runs + 1
 
 exception Fallback
+
+(* The row walks of the repair phases. Rows hold no negative ids; ids
+   >= n lie outside the tree and are skipped. *)
+
+(* Phase 2: the tree children of [v] join the orphans. *)
+let rec orphan_children ws parent n v = function
+  | [] -> ()
+  | (c, _) :: rest ->
+    if c < n && parent.(c) = v then push_orphan ws c;
+    orphan_children ws parent n v rest
+
+(* Phase 3b: the best re-entry of orphan [v] from the intact region. *)
+let rec reenter ws dist parent n v = function
+  | [] -> ()
+  | (u, c) :: rest ->
+    if u < n && ws.orphan_at.(u) <> ws.stamp && Float.is_finite dist.(u) then begin
+      let nd = dist.(u) +. c in
+      if nd < dist.(v) && not (Dijkstra.close nd dist.(v)) then begin
+        dist.(v) <- nd;
+        parent.(v) <- u
+      end
+    end;
+    reenter ws dist parent n v rest
+
+(* Phase 4: relax the out-links of [u], settled at distance [d]. *)
+let rec relax ws st n u d = function
+  | [] -> ()
+  | (v, c) :: rest ->
+    if v < n && ws.settled_at.(v) <> ws.stamp then begin
+      let nd = d +. c in
+      if nd < st.dist.(v) && not (Dijkstra.close nd st.dist.(v)) then begin
+        ensure_logged ws st v;
+        st.dist.(v) <- nd;
+        st.parent.(v) <- u;
+        heap_push ws nd v
+      end
+    end;
+    relax ws st n u d rest
+
+(* Phase 5: the out-neighbors of a distance-changed node. *)
+let rec recheck_row ws n = function
+  | [] -> ()
+  | (t, _) :: rest ->
+    if t < n then push_recheck ws t;
+    recheck_row ws n rest
+
+(* Phase 5: the smallest-id in-neighbor of [v] achieving [dist.(v)]
+   ([best] if none is found). *)
+let rec achiever dist n v best = function
+  | [] -> best
+  | (u, c) :: rest ->
+    let du = if u < n then dist.(u) else infinity in
+    let best =
+      if Float.is_finite du && Dijkstra.close (du +. c) dist.(v) then begin
+        if Dijkstra.close du dist.(v) then
+          (* Sub-tolerance in-edge: the achiever is not strictly below
+             its target, so settle order — not this local rule —
+             decides the full run's parent. *)
+          raise Fallback;
+        if best < 0 then u else best
+      end
+      else best
+    in
+    achiever dist n v best rest
 
 let default_max_dirty_frac = 0.25
 
@@ -315,11 +380,6 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
     else begin
       prepare ws n;
       match
-        let view = Topo_table.csr table ~n in
-        let inview = Topo_table.csr_in table ~n in
-        let row = view.Topo_table.row
-        and dst = view.Topo_table.dst
-        and cost = view.Topo_table.cost in
         (* Phase 1: classify changes. *)
         List.iter
           (fun { Topo_table.head = u; tail = v; cost = c } ->
@@ -341,16 +401,13 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
                 push_orphan ws v
             end)
           changes;
-        (* Phase 2: collect orphaned subtrees (tree children via the
-           forward view; the orphan vector doubles as the BFS queue). *)
+        (* Phase 2: collect orphaned subtrees (tree children along the
+           out-rows; the orphan vector doubles as the BFS queue). *)
         let i = ref 0 in
         while !i < ws.orphans_len do
           let v = ws.orphans.(!i) in
           incr i;
-          for e = row.(v) to row.(v + 1) - 1 do
-            let c = dst.(e) in
-            if c >= 0 && c < n && parent.(c) = v then push_orphan ws c
-          done
+          orphan_children ws parent n v (Topo_table.out_links table ~head:v)
         done;
         if float_of_int ws.orphans_len > max_dirty_frac *. float_of_int n then
           raise Fallback;
@@ -362,21 +419,9 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
           parent.(v) <- -1
         done;
         (* Phase 3b: re-enter each orphan from the intact region. *)
-        let irow = inview.Topo_table.row
-        and isrc = inview.Topo_table.dst
-        and icost = inview.Topo_table.cost in
         for k = 0 to ws.orphans_len - 1 do
           let v = ws.orphans.(k) in
-          for e = irow.(v) to irow.(v + 1) - 1 do
-            let u = isrc.(e) in
-            if ws.orphan_at.(u) <> ws.stamp && Float.is_finite dist.(u) then begin
-              let nd = dist.(u) +. icost.(e) in
-              if nd < dist.(v) && not (Dijkstra.close nd dist.(v)) then begin
-                dist.(v) <- nd;
-                parent.(v) <- u
-              end
-            end
-          done;
+          reenter ws dist parent n v (Topo_table.in_links table ~tail:v);
           if Float.is_finite dist.(v) then heap_push ws dist.(v) v
         done;
         (* Phase 3c: decrease seeds (skipping sources that were
@@ -402,18 +447,7 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
           heap_drop ws;
           if ws.settled_at.(u) <> ws.stamp && Dijkstra.close d dist.(u) then begin
             ws.settled_at.(u) <- ws.stamp;
-            for e = row.(u) to row.(u + 1) - 1 do
-              let v = dst.(e) in
-              if v >= 0 && v < n && ws.settled_at.(v) <> ws.stamp then begin
-                let nd = d +. cost.(e) in
-                if nd < dist.(v) && not (Dijkstra.close nd dist.(v)) then begin
-                  ensure_logged ws st v;
-                  dist.(v) <- nd;
-                  parent.(v) <- u;
-                  heap_push ws nd v
-                end
-              end
-            done
+            relax ws st n u d (Topo_table.out_links table ~head:u)
           end
         done;
         (* Phase 5: canonicalize parents wherever the achiever set may
@@ -423,10 +457,7 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
           let v = ws.log_node.(k) in
           push_recheck ws v;
           if not (Float.equal ws.log_dist.(k) dist.(v)) then
-            for e = row.(v) to row.(v + 1) - 1 do
-              let t = dst.(e) in
-              if t >= 0 && t < n then push_recheck ws t
-            done
+            recheck_row ws n (Topo_table.out_links table ~head:v)
         done;
         sort_vec ws.recheck ws.recheck_len;
         for k = 0 to ws.recheck_len - 1 do
@@ -438,27 +469,12 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
             end
           end
           else begin
-            let best = ref (-1) in
-            for e = irow.(v) to irow.(v + 1) - 1 do
-              let u = isrc.(e) in
-              let du = dist.(u) in
-              if Float.is_finite du then begin
-                let nd = du +. icost.(e) in
-                if Dijkstra.close nd dist.(v) then begin
-                  if Dijkstra.close du dist.(v) then
-                    (* Sub-tolerance in-edge: the achiever is not
-                       strictly below its target, so settle order — not
-                       this local rule — decides the full run's parent. *)
-                    raise Fallback;
-                  if !best < 0 then best := u
-                end
-              end
-            done;
+            let best = achiever dist n v (-1) (Topo_table.in_links table ~tail:v) in
             (* A finite distance must have a supporting in-edge. *)
-            if !best < 0 then raise Fallback;
-            if parent.(v) <> !best then begin
+            if best < 0 then raise Fallback;
+            if parent.(v) <> best then begin
               ensure_logged ws st v;
-              parent.(v) <- !best
+              parent.(v) <- best
             end
           end
         done;

@@ -1,7 +1,7 @@
 (** Incremental shortest-path-tree maintenance (delta Dijkstra).
 
     A {!state} holds the distances and parents of one root's
-    shortest-path tree over a {!Topo_table.t}. It does not record which
+    shortest-path tree over the rows of a {!Topo_table.t}. It does not record which
     table it describes: the caller keeps it in step by passing every
     edit of the table to {!update}, or by calling {!full}. {!update}
     repairs it in place from a batch of edge changes, touching only the
@@ -23,8 +23,10 @@
     full run (equal-distance plateaus make the local parent rule
     unsound), so results stay exact there too.
 
-    Steady-state repairs are allocation-free: all scratch lives in the
-    reusable {!ws} (stamp-marked arrays, growable vectors). A workspace
+    The repair walks the table's rows in place ({!Topo_table.out_links},
+    {!Topo_table.in_links}) and allocates nothing per edge: all scratch
+    lives in the reusable {!ws} (stamp-marked arrays, growable
+    vectors). A workspace
     serves one domain at a time — parallel tasks own their own, as with
     {!Dijkstra.workspace}. *)
 

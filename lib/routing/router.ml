@@ -26,12 +26,14 @@ type t = {
   merged : Topo_table.t;
       (* the MTU's merged topology (steps 2-5), kept across events so an
          event only rewrites the rows whose preferred source moved *)
-  dirty : (int, unit) Hashtbl.t;
+  dirty : bool array;
       (* rows of [merged] that may differ from their derivation and are
          re-derived at the next MTU; every other row is current.
          Accumulates while an MPDA ACTIVE phase defers the table update *)
+  mutable marked : int list;  (* the rows set in [dirty], unordered *)
   main_spf : Incr_spf.state;  (* owns [dist] and [parent_buf] *)
   adjacent : (int, float) Hashtbl.t;  (* l_k; absent = down *)
+  mutable up : int list;  (* the keys of [adjacent], ascending *)
   dist : float array;  (* D_j; updated in place *)
   first_hop : int array;  (* preferred neighbor toward each dst; -1 *)
   fd : float array;  (* FD_j *)
@@ -69,9 +71,11 @@ let create ~mode ~id ~n () =
     parent_buf = main_spf.parent;
     prev_parent = Array.make n (-1);
     merged = Topo_table.create ();
-    dirty = Hashtbl.create 16;
+    dirty = Array.make n false;
+    marked = [];
     main_spf;
     adjacent = Hashtbl.create 8;
+    up = [];
     dist = main_spf.dist;
     first_hop = Array.make n (-1);
     fd =
@@ -106,10 +110,16 @@ let neighbor_distance t ~nbr ~dst =
 let link_cost t ~nbr =
   match Hashtbl.find_opt t.adjacent nbr with Some c -> c | None -> infinity
 
-(* Monomorphic key sort: this runs several times per event. *)
-let int_keys tbl = List.map fst (Sorted_tbl.bindings_by Int.compare tbl)
+let up_neighbors t = t.up
 
-let up_neighbors t = int_keys t.adjacent
+(* Link up/down: the only edits of [adjacent]'s key set. *)
+let set_adjacent t nbr cost =
+  if not (Hashtbl.mem t.adjacent nbr) then t.up <- List.merge Int.compare [ nbr ] t.up;
+  Hashtbl.replace t.adjacent nbr cost
+
+let remove_adjacent t nbr =
+  Hashtbl.remove t.adjacent nbr;
+  t.up <- List.filter (fun k -> k <> nbr) t.up
 
 let force_successors t =
   if t.succ_dirty then begin
@@ -145,7 +155,11 @@ let nbr_forest t ~nbr =
     Hashtbl.replace t.nbrs nbr f;
     f
 
-let mark t j = Hashtbl.replace t.dirty j ()
+let mark t j =
+  if not t.dirty.(j) then begin
+    t.dirty.(j) <- true;
+    t.marked <- j :: t.marked
+  end
 
 (* A data LSU updates only the subtrees it moved, marking the nodes
    whose D_k changed and the heads of the changed links (the merged
@@ -223,9 +237,6 @@ let entry_compare (a : Topo_table.entry) (b : Topo_table.entry) =
   | 0 -> Int.compare a.tail b.tail
   | c -> c
 
-let same_row a b =
-  List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && Float.equal c1 c2) a b
-
 (* Edits of [table] that record each actual change, as an LSU entry,
    in [acc]. *)
 let set_logged acc table ~head ~tail ~cost =
@@ -252,26 +263,17 @@ let derive_row t ~nbrs ~sources j =
     | Some (f, _) -> Nbr_forest.children f j
 
 (* Re-derive the dirty rows in place and return the net merged changes
-   sorted by (head, tail), the input the SPF repair requires. *)
+   sorted by (head, tail), the input the SPF repair requires: rows in
+   ascending order, each row's changes ascending by tail. *)
 let repair_merged t =
   let nbrs = up_neighbors t in
   let sources = sources t nbrs in
-  let acc = ref [] in
-  let dirty = int_keys t.dirty in
-  Hashtbl.reset t.dirty;
-  List.iter
-    (fun j ->
-      let old_row = Topo_table.out_links t.merged ~head:j in
-      let new_row = derive_row t ~nbrs ~sources j in
-      if not (same_row old_row new_row) then begin
-        List.iter
-          (fun (tail, _) ->
-            if not (List.mem_assoc tail new_row) then remove_logged acc t.merged ~head:j ~tail)
-          old_row;
-        List.iter (fun (tail, cost) -> set_logged acc t.merged ~head:j ~tail ~cost) new_row
-      end)
-    dirty;
-  List.sort entry_compare !acc
+  let dirty = List.sort Int.compare t.marked in
+  List.iter (fun j -> t.dirty.(j) <- false) dirty;
+  t.marked <- [];
+  List.concat_map
+    (fun j -> Topo_table.set_row t.merged ~head:j (derive_row t ~nbrs ~sources j))
+    dirty
 
 (* Steps 2-6: repair the merged rows, then the shortest-path tree over
    them, then the tree table and first hops over the nodes whose
@@ -420,14 +422,14 @@ let handle_link_up t ~nbr ~cost =
   if not (Float.is_finite cost) || cost < 0.0 then
     invalid_arg "Router.handle_link_up: bad cost";
   mark_reach t ~nbr;
-  Hashtbl.replace t.adjacent nbr cost;
+  set_adjacent t nbr cost;
   if not (List.mem nbr t.needs_full) then t.needs_full <- nbr :: t.needs_full;
   process t ~ack_to:None ~ack_received:None
 
 let handle_link_down ?(unconfirmed = false) t ~nbr =
   if Hashtbl.mem t.adjacent nbr then begin
     mark_reach t ~nbr;
-    Hashtbl.remove t.adjacent nbr;
+    remove_adjacent t nbr;
     (* A bilateral (oracle-announced) failure means the peer forgot us
        in the same instant; an inferred one means the peer may still
        hold — and route on — its old view of us, so it keeps a claim on
@@ -516,16 +518,13 @@ let check t =
   let row_bits = List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && bits c1 c2) in
   for j = 0 to t.n - 1 do
     if
-      (not (Hashtbl.mem t.dirty j))
+      (not t.dirty.(j))
       && not (row_bits (Topo_table.out_links t.merged ~head:j) (derive_row t ~nbrs ~sources j))
     then fail "merged row %d differs from its derivation" j
   done;
   (* Distances, parents, tree table and first hops against a full
-     Dijkstra over the stored merged table, read through a fresh table
-     so the stored one's view cache is left alone. *)
-  let merged = Topo_table.create () in
-  List.iter (Topo_table.apply_entry merged) (Topo_table.entries t.merged);
-  let res = Dijkstra.on_table ~n:t.n ~root:t.id merged in
+     Dijkstra over the stored merged table (reads never change it). *)
+  let res = Dijkstra.on_table ~n:t.n ~root:t.id t.merged in
   for j = 0 to t.n - 1 do
     if not (bits t.dist.(j) res.dist.(j)) then
       fail "D_%d: %h, Dijkstra %h" j t.dist.(j) res.dist.(j);
@@ -534,7 +533,7 @@ let check t =
   done;
   let tree =
     Dijkstra.tree_of_result ~n:t.n ~root:t.id res ~cost:(fun ~head ~tail ->
-        Option.get (Topo_table.cost merged ~head ~tail))
+        Option.get (Topo_table.cost t.merged ~head ~tail))
   in
   if not (Topo_table.equal t.main tree) then fail "main table is not the shortest-path tree";
   let rec first_hop v = if res.parent.(v) = t.id then v else first_hop res.parent.(v) in
@@ -568,7 +567,7 @@ let copy t =
     parent_buf = main_spf.parent;
     prev_parent = Array.copy t.prev_parent;
     merged = Topo_table.copy t.merged;
-    dirty = copy_tbl Fun.id t.dirty;
+    dirty = Array.copy t.dirty;
     main_spf;
     adjacent = copy_tbl Fun.id t.adjacent;
     dist = main_spf.dist;
@@ -579,7 +578,7 @@ let copy t =
     ghosts = copy_tbl Fun.id t.ghosts;
   }
 
-(* Marshal is safe here: [t] is hashtables, arrays and scalars — no
+(* Marshal is safe here: [t] is hashtables, arrays, lists and scalars — no
    closures, no custom blocks. Canonical behaviour after a round-trip
    does not depend on hashtable layout anyway: every protocol-visible
    iteration goes through Sorted_tbl. Sharing is preserved, so the

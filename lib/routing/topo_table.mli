@@ -4,7 +4,14 @@
     triplets [h; t; d] of the paper. The router's main table T_i and
     its merged topology are values of this type; the per-neighbor
     tables T_k^i are in-forests ({!Nbr_forest}) that speak the same
-    {!entry} type. *)
+    {!entry} type.
+
+    Links are kept as rows indexed by node id, with no hashing: each
+    head's out-row ascending by tail, and each tail's in-row (the
+    transpose) ascending by head. Rows are immutable lists, so reading
+    one allocates nothing and {!copy} costs two array copies. Node ids
+    must be non-negative; every function taking one raises
+    [Invalid_argument] on a negative id. *)
 
 type t
 
@@ -13,6 +20,8 @@ type entry = { head : int; tail : int; cost : float }
 
 val create : unit -> t
 val copy : t -> t
+(** An independent table: later edits of either leave the other alone. *)
+
 val clear : t -> unit
 
 val set : t -> head:int -> tail:int -> cost:float -> unit
@@ -31,46 +40,26 @@ val apply_entry : t -> entry -> unit
 val entries : t -> entry list
 (** All links, sorted by (head, tail) for deterministic output. *)
 
+val set_row : t -> head:int -> (int * float) list -> entry list
+(** [set_row t ~head row] makes [row], (tail, cost) ascending by tail,
+    the out-row of [head] and returns the net changes, ascending by
+    tail, as {!diff} would give them. A row that is not strictly
+    ascending, holds a negative tail or [head] itself, or a cost
+    {!set} would refuse raises [Invalid_argument] and leaves the table
+    unchanged. *)
+
 val out_links : t -> head:int -> (int * float) list
-(** (tail, cost) of links headed at [head], ascending by tail. *)
+(** (tail, cost) of links headed at [head], ascending by tail. The
+    table's own row: no allocation. *)
+
+val in_links : t -> tail:int -> (int * float) list
+(** (head, cost) of links into [tail], ascending by head: the transpose
+    row, as cheap as {!out_links}. *)
 
 val nodes : t -> int list
 (** Every node appearing as a head or tail, sorted. *)
 
 val size : t -> int
-
-type csr = {
-  row : int array;  (** length n+1; edges of head [h] occupy [row.(h) .. row.(h+1)-1] *)
-  dst : int array;
-  cost : float array;
-}
-(** Flat adjacency view for hot loops: per-head edges sorted by tail,
-    the same order {!out_links} produces, without per-visit list
-    allocation or hashing. *)
-
-val csr : t -> n:int -> csr
-(** The CSR view restricted to heads in [0, n)]. The returned arrays
-    must not be mutated by callers and are valid snapshots only until
-    the next mutation of this table; a mutation of a {!copy} never
-    touches them.
-
-    The view is cached per table and kept across mutations, so the
-    per-LSU shortest-path repair pays neither a rebuild nor a sort:
-    - a cost change ({!set} on an existing link) to a view with no
-      pending edits patches its cost cell in place;
-    - any other change (a new link, {!remove}, or a cost change behind
-      pending edits) is logged, and the next read merges the log into
-      fresh arrays in one pass over the view.
-    A view is rebuilt from {!entries} on the first read, on a read with
-    another [n], after {!clear}, and once its log holds as many edits
-    as it has edges. Every read equals, element for element, the view
-    rebuilt from scratch. *)
-
-val csr_in : t -> n:int -> csr
-(** The transpose of {!csr}: [row] is indexed by tail and each row
-    lists the in-edges' heads (ascending) with their costs. Only edges
-    with both endpoints in [0, n)] appear. Cached, patched and merged
-    exactly like the forward view. *)
 
 val diff : old_table:t -> new_table:t -> entry list
 (** LSU entries that transform [old_table] into [new_table]:

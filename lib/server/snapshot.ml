@@ -1,5 +1,5 @@
 let magic = "MDRS"
-let version = 4
+let version = 5
 
 let write_all fd s =
   let len = String.length s in

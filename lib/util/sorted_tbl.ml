@@ -13,26 +13,23 @@
 let keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort_uniq compare
 
-(* One snapshot fold + one sort; the old sort-keys-then-find-each shape
-   cost an extra hash lookup per binding, which dominated the CSR
-   builders on 10k-node tables. Duplicate keys (Hashtbl.add shadowing)
-   are rare enough that the authoritative [Hashtbl.find] only runs when
-   the dedup pass actually meets one. *)
-let bindings_by cmp t =
+(* One snapshot fold + one sort, with no hash lookup per binding.
+   Duplicate keys (Hashtbl.add shadowing) are rare enough that the
+   authoritative [Hashtbl.find] only runs when the dedup pass actually
+   meets one. *)
+let bindings t =
   let all = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [] in
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> cmp a b) all in
+  let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) all in
   let rec dedup acc = function
     | [] -> List.rev acc
     | (k, _v) :: rest -> (
       match acc with
-      | (pk, _) :: acc_tl when cmp pk k = 0 ->
+      | (pk, _) :: acc_tl when compare pk k = 0 ->
         (* Shadowed key: defer to the table for the most recent value. *)
         dedup ((pk, Hashtbl.find t pk) :: acc_tl) rest
       | _ -> dedup ((k, _v) :: acc) rest)
   in
   dedup [] sorted
-
-let bindings t = bindings_by compare t
 
 let iter f t = List.iter (fun (k, v) -> f k v) (bindings t)
 

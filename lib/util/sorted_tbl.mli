@@ -16,13 +16,6 @@ val keys : ('a, 'b) Hashtbl.t -> 'a list
 val bindings : ('a, 'b) Hashtbl.t -> ('a * 'b) list
 (** All (key, most-recent-value) pairs, ascending by key. *)
 
-val bindings_by : ('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> ('a * 'b) list
-(** [bindings] under a caller-supplied total order on keys — a
-    monomorphic comparator dodges polymorphic-[compare] cost on hot
-    paths (the CSR builders sort 2|E| pairs per rebuild). The order
-    must be total and agree with structural equality, or determinism
-    is lost. *)
-
 val iter : ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
 (** [iter f t] calls [f k v] in ascending key order. *)
 

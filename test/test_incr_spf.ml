@@ -409,91 +409,197 @@ let test_syncnet_converges_to_shortest_paths () =
   let _, repairs, _ = Syncnet.spf_totals net in
   check "repairs engaged" true (repairs > 0)
 
-(* Topo_table's cached CSR views under random mutation: every read of
-   either view, at either of two widths, must equal bit for bit the
-   view of a fresh table built from [entries], and a view handed out
-   must not move until its own table is mutated — in particular not
-   when a copy sharing it is. *)
-let bits_equal (a : Topo_table.csr) (b : Topo_table.csr) =
-  a.row = b.row && a.dst = b.dst
-  && Array.length a.cost = Array.length b.cost
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a.cost b.cost
+let float_bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
-let copy_view (v : Topo_table.csr) =
-  { Topo_table.row = Array.copy v.row; dst = Array.copy v.dst; cost = Array.copy v.cost }
-
-let prop_csr_views_match_rebuild =
-  QCheck.Test.make ~name:"Topo_table CSR views == rebuild (random edit streams)"
+(* Topo_table's row store under random edit streams ([set], [remove],
+   [apply_entry], [set_row], [clear], [copy]), against a [Hashtbl]
+   mirror of each table: out-rows and in-rows (exactly the
+   transpose), [entries], [size], [cost], [nodes], [diff] and [equal]
+   agree with the mirror after every step, for every table in the pool
+   — so an edit of one table never shows in a copy of it. *)
+let prop_rows_match_mirror =
+  QCheck.Test.make ~name:"Topo_table rows == Hashtbl mirror (random edit streams)"
     ~count:150
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create ~seed in
       let n = 4 + Rng.int rng ~bound:20 in
-      let widths = [| n; 1 + (n / 2) |] in
-      (* Ids reach past [n] so both views must drop out-of-range edges. *)
-      let node () = Rng.int rng ~bound:(n + 3) in
-      let pool = ref [| random_table rng ~n |] in
-      (* (table index, view, snapshot of it) for views not yet invalidated *)
-      let handed = ref [] in
-      let pick () = Rng.int rng ~bound:(Array.length !pool) in
-      let mutated i = handed := List.filter (fun (j, _, _) -> j <> i) !handed in
-      for step = 1 to 300 do
-        let i = pick () in
-        let t = !pool.(i) in
-        let entries = Array.of_list (Topo_table.entries t) in
+      (* Ids reach past the nominal [n]; now and then far past it. *)
+      let node () =
+        if Rng.int rng ~bound:25 = 0 then n + Rng.int rng ~bound:(4 * n)
+        else Rng.int rng ~bound:(n + 3)
+      in
+      let mirror_of t =
+        let m = Hashtbl.create 64 in
+        List.iter (fun (e : Topo_table.entry) -> Hashtbl.replace m (e.head, e.tail) e.cost)
+          (Topo_table.entries t);
+        m
+      in
+      let first = random_table rng ~n in
+      let pool = ref [| (first, mirror_of first) |] in
+      let sorted_bindings m =
+        List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) m [])
+      in
+      let bits l1 l2 =
+        List.equal (fun (a, x) (b, y) -> a = b && float_bits_equal x y) l1 l2
+      in
+      let check_against step i =
+        let t, m = !pool.(i) in
+        let fail fmt = QCheck.Test.fail_reportf ("step %d, table %d: " ^^ fmt) step i in
+        let links = sorted_bindings m in
+        let top = List.fold_left (fun acc ((h, tl), _) -> max acc (max h tl)) n links in
+        for v = 0 to top + 1 do
+          let out =
+            List.filter_map (fun ((h, tl), c) -> if h = v then Some (tl, c) else None) links
+          in
+          let inn =
+            List.sort compare
+              (List.filter_map (fun ((h, tl), c) -> if tl = v then Some (h, c) else None) links)
+          in
+          if not (bits (Topo_table.out_links t ~head:v) out) then fail "out-row %d" v;
+          if not (bits (Topo_table.in_links t ~tail:v) inn) then fail "in-row %d" v
+        done;
+        let entries =
+          List.map (fun (e : Topo_table.entry) -> ((e.head, e.tail), e.cost)) (Topo_table.entries t)
+        in
+        if not (bits entries links) then fail "entries not the sorted links";
+        if Topo_table.size t <> Hashtbl.length m then fail "size";
+        List.iter
+          (fun ((head, tail), c) ->
+            match Topo_table.cost t ~head ~tail with
+            | Some c' when float_bits_equal c c' -> ()
+            | Some _ | None -> fail "cost of %d->%d" head tail)
+          links;
+        let h = node () and tl = node () in
+        if Topo_table.cost t ~head:h ~tail:tl <> Hashtbl.find_opt m (h, tl) then
+          fail "cost of %d->%d" h tl;
+        let ends = List.concat_map (fun ((h, tl), _) -> [ h; tl ]) links in
+        if Topo_table.nodes t <> List.sort_uniq Int.compare ends then fail "nodes"
+      in
+      for step = 1 to 200 do
+        let i = Rng.int rng ~bound:(Array.length !pool) in
+        let t, m = !pool.(i) in
+        let links = Array.of_list (sorted_bindings m) in
+        let existing () = fst links.(Rng.int rng ~bound:(Array.length links)) in
         (match Rng.int rng ~bound:20 with
         | 0 ->
           Topo_table.clear t;
-          mutated i
-        | 1 when Array.length !pool < 4 ->
-          pool := Array.append !pool [| Topo_table.copy t |]
-        | 2 | 3 | 4 | 5 when Array.length entries > 0 ->
-          let e = entries.(Rng.int rng ~bound:(Array.length entries)) in
-          Topo_table.remove t ~head:e.Topo_table.head ~tail:e.Topo_table.tail;
-          mutated i
-        | 6 | 7 | 8 when Array.length entries > 0 ->
-          let e = entries.(Rng.int rng ~bound:(Array.length entries)) in
-          Topo_table.set t ~head:e.Topo_table.head ~tail:e.Topo_table.tail
-            ~cost:(dyadic rng);
-          mutated i
-        | 9 | 10 | 11 | 12 | 13 ->
-          let h = node () and tl = node () in
-          if h <> tl then begin
-            Topo_table.set t ~head:h ~tail:tl ~cost:(dyadic rng);
-            mutated i
+          Hashtbl.reset m
+        | 1 | 2 when Array.length !pool < 4 ->
+          pool := Array.append !pool [| (Topo_table.copy t, Hashtbl.copy m) |]
+        | 3 | 4 | 5 when Array.length links > 0 ->
+          let head, tail = existing () in
+          Topo_table.remove t ~head ~tail;
+          Hashtbl.remove m (head, tail)
+        | 6 | 7 | 8 when Array.length links > 0 ->
+          let head, tail = existing () in
+          let cost = dyadic rng in
+          Topo_table.set t ~head ~tail ~cost;
+          Hashtbl.replace m (head, tail) cost
+        | 9 | 10 ->
+          (* A removal of a link that may not exist. *)
+          let head = node () and tail = node () in
+          Topo_table.remove t ~head ~tail;
+          Hashtbl.remove m (head, tail)
+        | 11 | 12 | 13 ->
+          let head = node () and tail = node () in
+          if head <> tail then begin
+            let cost = if Rng.int rng ~bound:3 = 0 then infinity else dyadic rng in
+            Topo_table.apply_entry t { Topo_table.head; tail; cost };
+            if Float.is_finite cost then Hashtbl.replace m (head, tail) cost
+            else Hashtbl.remove m (head, tail)
           end
-        | _ ->
-          let width = widths.(Rng.int rng ~bound:2) in
-          let fresh = Topo_table.create () in
-          Array.iter (Topo_table.apply_entry fresh) entries;
-          let forward = Rng.int rng ~bound:2 = 0 in
-          let read tab =
-            if forward then Topo_table.csr tab ~n:width
-            else Topo_table.csr_in tab ~n:width
+        | 14 | 15 ->
+          (* A whole new out-row; its changes are the row's diff. *)
+          let head = node () in
+          let fresh =
+            List.sort_uniq compare
+              (List.init (Rng.int rng ~bound:5) (fun _ -> node ()))
+            |> List.filter (fun tail -> tail <> head)
+            |> List.map (fun tail -> (tail, dyadic rng))
           in
-          let got = read t in
-          if not (bits_equal got (read fresh)) then
-            QCheck.Test.fail_reportf "step %d: %s view of width %d differs from rebuild"
-              step
-              (if forward then "forward" else "transpose")
-              width;
-          handed := (i, got, copy_view got) :: !handed);
-        List.iter
-          (fun (j, v, snap) ->
-            if not (bits_equal v snap) then
-              QCheck.Test.fail_reportf
-                "step %d: a view of table %d moved without its own mutation" step j)
-          !handed
+          let old = List.filter (fun ((h, _), _) -> h = head) (sorted_bindings m) in
+          let expected =
+            List.filter_map
+              (fun ((_, tail), _) ->
+                if List.mem_assoc tail fresh then None else Some ((head, tail), infinity))
+              old
+            @ List.filter_map
+                (fun (tail, c) ->
+                  match Hashtbl.find_opt m (head, tail) with
+                  | Some c' when Float.equal c c' -> None
+                  | Some _ | None -> Some ((head, tail), c))
+                fresh
+          in
+          let got =
+            List.map (fun (e : Topo_table.entry) -> ((e.head, e.tail), e.cost))
+              (Topo_table.set_row t ~head fresh)
+          in
+          if not (bits got (List.sort compare expected)) then
+            QCheck.Test.fail_reportf "step %d: set_row %d changes" step head;
+          List.iter (fun ((h, tl), _) -> Hashtbl.remove m (h, tl)) old;
+          List.iter (fun (tail, c) -> Hashtbl.replace m (head, tail) c) fresh
+        | _ ->
+          let head = node () and tail = node () in
+          if head <> tail then begin
+            let cost = dyadic rng in
+            Topo_table.set t ~head ~tail ~cost;
+            Hashtbl.replace m (head, tail) cost
+          end);
+        Array.iteri (fun j _ -> check_against step j) !pool;
+        (* [diff] and [equal] between two tables of the pool. *)
+        let j = Rng.int rng ~bound:(Array.length !pool) in
+        let a, ma = !pool.(i) and b, mb = !pool.(j) in
+        let expected =
+          List.sort compare
+            (Hashtbl.fold
+               (fun k c acc ->
+                 match Hashtbl.find_opt ma k with
+                 | Some c' when Float.equal c c' -> acc
+                 | Some _ | None -> (k, c) :: acc)
+               mb
+               (Hashtbl.fold (fun k _ acc -> if Hashtbl.mem mb k then acc else (k, infinity) :: acc) ma []))
+        in
+        let got =
+          List.map (fun (e : Topo_table.entry) -> ((e.head, e.tail), e.cost))
+            (Topo_table.diff ~old_table:a ~new_table:b)
+        in
+        if not (bits got expected) then
+          QCheck.Test.fail_reportf "step %d: diff of tables %d -> %d" step i j;
+        if Topo_table.equal a b <> (expected = []) then
+          QCheck.Test.fail_reportf "step %d: equal of tables %d and %d" step i j
       done;
       true)
+
+let test_table_negative_id () =
+  let t = Topo_table.create () in
+  Topo_table.set t ~head:0 ~tail:1 ~cost:1.0;
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check "set head" true (raises (fun () -> Topo_table.set t ~head:(-1) ~tail:1 ~cost:1.0));
+  check "set tail" true (raises (fun () -> Topo_table.set t ~head:0 ~tail:(-2) ~cost:1.0));
+  check "remove" true (raises (fun () -> Topo_table.remove t ~head:(-1) ~tail:0));
+  check "apply_entry" true
+    (raises (fun () -> Topo_table.apply_entry t { Topo_table.head = 0; tail = -1; cost = 2.0 }));
+  check "cost" true (raises (fun () -> Topo_table.cost t ~head:0 ~tail:(-1)));
+  check "out_links" true (raises (fun () -> Topo_table.out_links t ~head:(-1)));
+  check "in_links" true (raises (fun () -> Topo_table.in_links t ~tail:(-1)));
+  check "set_row head" true (raises (fun () -> Topo_table.set_row t ~head:(-1) []));
+  check "set_row tail" true (raises (fun () -> Topo_table.set_row t ~head:0 [ (-1, 1.0) ]));
+  (* A row that is not strictly ascending, or holds a self-loop or a
+     bad cost, is refused too. *)
+  check "set_row order" true
+    (raises (fun () -> Topo_table.set_row t ~head:0 [ (2, 1.0); (1, 1.0) ]));
+  check "set_row duplicate" true
+    (raises (fun () -> Topo_table.set_row t ~head:0 [ (1, 1.0); (1, 2.0) ]));
+  check "set_row self-loop" true (raises (fun () -> Topo_table.set_row t ~head:0 [ (0, 1.0) ]));
+  check "set_row cost" true
+    (raises (fun () -> Topo_table.set_row t ~head:0 [ (1, Float.nan) ]));
+  check_int "table kept" 1 (Topo_table.size t);
+  check "row kept" true (Topo_table.out_links t ~head:0 = [ (1, 1.0) ])
 
 (* --- Nbr_forest: neighbor tables as in-forests ------------------------ *)
 
 module Nbr_forest = Mdr_routing.Nbr_forest
-
-let float_bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let row_bits_equal a b =
   List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && float_bits_equal c1 c2) a b
@@ -828,7 +934,9 @@ let suite =
       test_syncnet_converges_to_shortest_paths;
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
     QCheck_alcotest.to_alcotest prop_router_check_every_event;
-    QCheck_alcotest.to_alcotest prop_csr_views_match_rebuild;
+    QCheck_alcotest.to_alcotest prop_rows_match_mirror;
+    Alcotest.test_case "topo_table: negative ids and bad rows raise" `Quick
+      test_table_negative_id;
     Alcotest.test_case "nbr_forest: non-forest LSUs rejected, table kept" `Quick
       test_nbr_forest_rejects_non_forest;
     Alcotest.test_case "router: two-parent LSU raises a named error" `Quick

@@ -563,11 +563,11 @@ let test_old_snapshot_version_falls_back () =
       in
       let header v = Codec.header ~magic:"MDRS" ~version:v in
       let bytes = read_file snapshot in
-      check_str "written as v4" (header 4) (String.sub bytes 0 Codec.header_len);
-      let fp4, from4, c4 = restored ~now:20.0 in
-      check_str "v4 restores the writer's state" fp fp4;
-      check "v4 read from the snapshot" true from4;
-      check_int "v4 no fallback" 0 c4.Server.snapshot_fallbacks;
+      check_str "written as v5" (header 5) (String.sub bytes 0 Codec.header_len);
+      let fp5, from5, c5 = restored ~now:20.0 in
+      check_str "v5 restores the writer's state" fp fp5;
+      check "v5 read from the snapshot" true from5;
+      check_int "v5 no fallback" 0 c5.Server.snapshot_fallbacks;
       (* Older layouts are refused by their header and rebuilt from
          genesis + journal; each restore counts one fallback. *)
       List.iteri
@@ -580,7 +580,7 @@ let test_old_snapshot_version_falls_back () =
           check_str (what ^ " rebuilt to the writer's state") fp fp';
           check (what ^ " not read") false from';
           check_int (what ^ " fallback counted") 1 c'.Server.snapshot_fallbacks)
-        [ 3; 2 ])
+        [ 4; 3; 2 ])
 
 (* ---- audit ----------------------------------------------------------- *)
 
