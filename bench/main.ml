@@ -63,6 +63,35 @@ let bench_packet_sim =
   Test.make ~name:"netsim: 2 simulated seconds of NET1"
     (Staged.stage (fun () -> ignore (Mdr_netsim.Sim.run ~config:cfg topo flows)))
 
+(* The event engine at the queue depth a CAIRN packet run keeps (the
+   heap holds about 170 events there): each run fires the earliest
+   event, which schedules its successor at a delay taken from a fixed
+   cycle, so the queue stays 170 deep with many distinct times. *)
+let bench_engine =
+  let module E = Mdr_eventsim.Engine in
+  let e = E.create () in
+  let rng = Mdr_util.Rng.create ~seed:1 in
+  let delays = Array.init 1024 (fun _ -> Mdr_util.Rng.float rng) in
+  let next = ref 0 in
+  let rec act () =
+    next := (!next + 1) land 1023;
+    ignore (E.schedule e ~delay:delays.(!next) act)
+  in
+  for i = 0 to 169 do
+    ignore (E.schedule e ~delay:delays.(i) act)
+  done;
+  Test.make ~name:"engine: schedule+fire, 170 pending"
+    (Staged.stage (fun () -> ignore (E.step e)))
+
+(* Figure 11's packet workload: CAIRN at load 1.05. *)
+let cairn = Workload.cairn ~load:1.05
+
+let bench_cairn_sim =
+  let flows = Workload.sim_flows cairn in
+  let cfg = { Mdr_netsim.Sim.default_config with sim_time = 5.0; warmup = 1.0 } in
+  Test.make ~name:"netsim: 5 simulated seconds of CAIRN"
+    (Staged.stage (fun () -> ignore (Mdr_netsim.Sim.run ~config:cfg cairn.Workload.topo flows)))
+
 (* A warm 1000-node BA table and its shortest-path state from root 0 —
    the per-LSU hot path `mdrsim scale` sweeps at larger n. *)
 let ba1000 () =
@@ -194,6 +223,8 @@ let micro_benchmarks () =
       bench_opt_iteration;
       bench_ah_step;
       bench_packet_sim;
+      bench_engine;
+      bench_cairn_sim;
       bench_incr_spf;
       bench_incr_spf_tree_edge;
       bench_router_subtree_move;
@@ -234,4 +265,18 @@ let micro_benchmarks () =
             [ name; cell ])
           rows))
 
-let () = micro_benchmarks ()
+(* Minor-heap words allocated per delivered packet by the Figure 11
+   MP run on CAIRN (the default config: seed 1, 60 simulated seconds). *)
+let packet_allocation () =
+  let flows = Workload.sim_flows cairn in
+  let before = Gc.minor_words () in
+  let r = Mdr_netsim.Sim.run cairn.Workload.topo flows in
+  let words = Gc.minor_words () -. before in
+  Printf.printf
+    "netsim: CAIRN MP seed 1, 60 s: %d packets delivered, %.0f minor words per packet\n"
+    r.Mdr_netsim.Sim.total_delivered
+    (words /. float_of_int r.Mdr_netsim.Sim.total_delivered)
+
+let () =
+  micro_benchmarks ();
+  packet_allocation ()

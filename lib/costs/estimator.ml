@@ -12,29 +12,33 @@ type kind =
   | Busy_period
   | Measured_sojourn
 
-type t = {
-  kind : kind;
-  prop_delay : float;
+(* The floats live in an all-float record, which is stored flat, so
+   updating them per packet does not allocate. *)
+type sums = {
   mutable window_start : float;
-  mutable arrivals : int;
-  mutable departures : int;
-  mutable busy_periods : int;
   mutable sojourn_sum : float;
   mutable service_sum : float;
   mutable last_marginal : float;
+}
+
+type t = {
+  kind : kind;
+  prop_delay : float;
+  mutable arrivals : int;
+  mutable departures : int;
+  mutable busy_periods : int;
+  sums : sums;
 }
 
 let make kind ~prop_delay ~initial =
   {
     kind;
     prop_delay;
-    window_start = 0.0;
     arrivals = 0;
     departures = 0;
     busy_periods = 0;
-    sojourn_sum = 0.0;
-    service_sum = 0.0;
-    last_marginal = initial;
+    sums =
+      { window_start = 0.0; sojourn_sum = 0.0; service_sum = 0.0; last_marginal = initial };
   }
 
 let mm1 ~capacity ~prop_delay =
@@ -49,29 +53,29 @@ let on_arrival t ~now:_ = t.arrivals <- t.arrivals + 1
 
 let on_departure t ~now:_ ~sojourn ~service ~busy =
   t.departures <- t.departures + 1;
-  t.sojourn_sum <- t.sojourn_sum +. sojourn;
-  t.service_sum <- t.service_sum +. service;
+  t.sums.sojourn_sum <- t.sums.sojourn_sum +. sojourn;
+  t.sums.service_sum <- t.sums.service_sum +. service;
   if not busy then t.busy_periods <- t.busy_periods + 1
 
 let reset_window t ~now =
-  t.window_start <- now;
+  t.sums.window_start <- now;
   t.arrivals <- 0;
   t.departures <- 0;
   t.busy_periods <- 0;
-  t.sojourn_sum <- 0.0;
-  t.service_sum <- 0.0
+  t.sums.sojourn_sum <- 0.0;
+  t.sums.service_sum <- 0.0
 
 let sample t ~now =
-  let span = now -. t.window_start in
+  let span = now -. t.sums.window_start in
   let arrival_rate = if span > 0.0 then float_of_int t.arrivals /. span else 0.0 in
   let mean_sojourn =
-    if t.departures > 0 then t.sojourn_sum /. float_of_int t.departures else 0.0
+    if t.departures > 0 then t.sums.sojourn_sum /. float_of_int t.departures else 0.0
   in
   let marginal =
     match t.kind with
     | Mm1 model -> Delay.marginal model arrival_rate
     | Busy_period ->
-      if t.departures = 0 then t.last_marginal
+      if t.departures = 0 then t.sums.last_marginal
       else
         (* D'(f) = mean sojourn x mean customers served per busy
            period (exact for M/M/1; see interface). A window ending
@@ -80,12 +84,12 @@ let sample t ~now =
         let customers_per_period = float_of_int t.departures /. float_of_int periods in
         (mean_sojourn *. customers_per_period) +. t.prop_delay
     | Measured_sojourn ->
-      if t.departures = 0 then t.last_marginal else mean_sojourn +. t.prop_delay
+      if t.departures = 0 then t.sums.last_marginal else mean_sojourn +. t.prop_delay
   in
   (* An estimate is a link cost: downstream routing sums and compares
      these, so a pathological window must never leak NaN or infinity
      into the pipeline — fall back to the previous finite estimate. *)
-  let marginal = if Float.is_finite marginal then marginal else t.last_marginal in
+  let marginal = if Float.is_finite marginal then marginal else t.sums.last_marginal in
   let saturated =
     match t.kind with
     | Mm1 model -> Delay.saturated model arrival_rate
@@ -94,6 +98,6 @@ let sample t ~now =
          (strictly more arrivals than departures over the window). *)
       t.arrivals > t.departures && t.arrivals > 0
   in
-  t.last_marginal <- marginal;
+  t.sums.last_marginal <- marginal;
   reset_window t ~now;
   { arrival_rate; mean_sojourn; marginal; saturated }

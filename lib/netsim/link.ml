@@ -51,13 +51,15 @@ let create ?buffer_packets ~engine ~link ~estimator ~deliver ~drop () =
 let src t = t.src
 let dst t = t.dst
 let capacity t = t.capacity
+let prop_delay t = t.prop_delay
 
 let rec start_transmission t =
-  match Queue.take_opt t.queue with
-  | None ->
+  if Queue.is_empty t.queue then begin
     t.busy <- false;
     Stats.Timed.update t.busy_time ~now:(Engine.now t.engine) ~value:0.0
-  | Some { packet; arrived } ->
+  end
+  else begin
+    let { packet; arrived } = Queue.take t.queue in
     t.busy <- true;
     Stats.Timed.update t.busy_time ~now:(Engine.now t.engine) ~value:1.0;
     let service = packet.Packet.size /. t.capacity in
@@ -79,6 +81,7 @@ let rec start_transmission t =
                     t.deliver packet));
              start_transmission t
            end))
+  end
 
 let send t packet =
   let full =

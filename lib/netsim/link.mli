@@ -26,6 +26,7 @@ val create :
 val src : t -> int
 val dst : t -> int
 val capacity : t -> float
+val prop_delay : t -> float
 
 val send : t -> Packet.t -> unit
 (** Enqueue a packet for transmission. Packets sent on a failed link

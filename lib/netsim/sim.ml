@@ -2,7 +2,6 @@ module Graph = Mdr_topology.Graph
 module Engine = Mdr_eventsim.Engine
 module Rng = Mdr_util.Rng
 module Stats = Mdr_util.Stats
-module Sorted_tbl = Mdr_util.Sorted_tbl
 module Router = Mdr_routing.Router
 module Lfi = Mdr_routing.Lfi
 module Estimator = Mdr_costs.Estimator
@@ -108,15 +107,42 @@ type link_state = {
   mutable samples : int;
 }
 
+(* Per-node tables are arrays indexed by node id; walking [adj] or
+   [0 .. n-1] visits neighbors and destinations in ascending order. *)
 type node_state = {
   id : int;
   mutable router : Router.t;  (* replaced wholesale on a crash *)
   mutable alive : bool;
-  out : (int, link_state) Hashtbl.t;  (* neighbor -> adjacent link *)
-  forwarding : (int, (int * float) list) Hashtbl.t;  (* dst -> distribution *)
-  succ_used : (int, int list) Hashtbl.t;  (* dst -> sorted successor set in use *)
+  out : link_state option array;  (* neighbor -> adjacent link *)
+  mutable adj : (int * link_state) list;  (* [out]'s links, ascending by neighbor *)
+  forwarding : (int * float) list array;  (* dst -> distribution; [] = none *)
+  succ_used : int list array;  (* dst -> ascending successor set in use *)
   rng : Rng.t;
 }
+
+(* A flow's delays in arrival order, in a growable float buffer. *)
+type delays = { mutable buf : float array; mutable len : int }
+
+let add_delay d x =
+  if d.len = Array.length d.buf then begin
+    let bigger = Array.make (max 64 (2 * d.len)) 0.0 in
+    Array.blit d.buf 0 bigger 0 d.len;
+    d.buf <- bigger
+  end;
+  d.buf.(d.len) <- x;
+  d.len <- d.len + 1
+
+(* Summed newest first: float addition is not associative, and the
+   committed figures were computed in this order. *)
+let mean_delay d =
+  if d.len = 0 then 0.0
+  else begin
+    let sum = ref 0.0 in
+    for i = d.len - 1 downto 0 do
+      sum := !sum +. d.buf.(i)
+    done;
+    !sum /. float_of_int d.len
+  end
 
 type sim = {
   topo : Graph.t;
@@ -124,7 +150,7 @@ type sim = {
   engine : Engine.t;
   nodes : node_state array;
   mutable loop_free_violations : int;
-  flow_delays : float list ref array;
+  flow_delays : delays array;
   delivered : int array;
   dropped : int array;
   hops_sum : int array;
@@ -169,13 +195,13 @@ let through ns ~dst ~cost_of k =
 let refresh_forwarding sim ns =
   let n = Graph.node_count sim.topo in
   let long_cost k =
-    match Hashtbl.find_opt ns.out k with
+    match ns.out.(k) with
     | Some ls -> ls.long_cost
     | None -> infinity
   in
   for dst = 0 to n - 1 do
     if dst <> ns.id then begin
-      let s = List.sort Int.compare (Router.successors ns.router ~dst) in
+      let s = Router.successors ns.router ~dst in
       let best_of candidates =
         List.fold_left
           (fun best k ->
@@ -202,107 +228,90 @@ let refresh_forwarding sim ns =
                 through ns ~dst ~cost_of:long_cost k <= bd *. (1.0 +. 1e-9))
               s)
       in
-      let previous =
-        match Hashtbl.find_opt ns.succ_used dst with Some l -> l | None -> []
-      in
-      if chosen <> previous then begin
-        Hashtbl.replace ns.succ_used dst chosen;
-        match chosen with
-        | [] -> Hashtbl.remove ns.forwarding dst
-        | [ k ] -> Hashtbl.replace ns.forwarding dst [ (k, 1.0) ]
-        | _ when sim.cfg.scheme = Ecmp ->
-          let even = 1.0 /. float_of_int (List.length chosen) in
-          Hashtbl.replace ns.forwarding dst (List.map (fun k -> (k, even)) chosen)
-        | _ ->
-          let entries =
-            List.filter_map
-              (fun k ->
-                let a = through ns ~dst ~cost_of:long_cost k in
-                if Float.is_finite a && a > 0.0 then Some (k, a) else None)
-              chosen
-          in
-          (match entries with
-          | [] -> Hashtbl.remove ns.forwarding dst
-          | [ (k, _) ] -> Hashtbl.replace ns.forwarding dst [ (k, 1.0) ]
-          | _ -> Hashtbl.replace ns.forwarding dst (Heuristics.initial entries))
+      if not (List.equal Int.equal chosen ns.succ_used.(dst)) then begin
+        ns.succ_used.(dst) <- chosen;
+        ns.forwarding.(dst) <-
+          match chosen with
+          | [] -> []
+          | [ k ] -> [ (k, 1.0) ]
+          | _ when sim.cfg.scheme = Ecmp ->
+            let even = 1.0 /. float_of_int (List.length chosen) in
+            List.map (fun k -> (k, even)) chosen
+          | _ ->
+            let entries =
+              List.filter_map
+                (fun k ->
+                  let a = through ns ~dst ~cost_of:long_cost k in
+                  if Float.is_finite a && a > 0.0 then Some (k, a) else None)
+                chosen
+            in
+            (match entries with
+            | [] -> []
+            | [ (k, _) ] -> [ (k, 1.0) ]
+            | _ -> Heuristics.initial entries)
       end
     end
   done
 
 let adjust_forwarding sim ns =
   let short_cost k =
-    match Hashtbl.find_opt ns.out k with
+    match ns.out.(k) with
     | Some ls -> ls.short_cost
     | None -> infinity
   in
-  Sorted_tbl.iter
+  Array.iteri
     (fun dst current ->
       match current with
       | [] | [ _ ] -> ()
       | _ ->
-        let adjusted =
+        ns.forwarding.(dst) <-
           Heuristics.adjust ~damping:sim.cfg.damping ~current
             ~through:(through ns ~dst ~cost_of:short_cost)
-            ()
-        in
-        Hashtbl.replace ns.forwarding dst adjusted)
+            ())
     ns.forwarding
 
 (* --- Control plane ---------------------------------------------------- *)
 
-let link_up sim ~src ~dst =
-  match Hashtbl.find_opt sim.nodes.(src).out dst with
-  | None -> false
-  | Some ls -> Link.is_up ls.link
-
 let rec dispatch sim ~from_ outputs =
   List.iter
     (fun { Router.dst; msg } ->
-      if link_up sim ~src:from_ ~dst then begin
-        let link = Graph.link_exn sim.topo ~src:from_ ~dst in
+      match sim.nodes.(from_).out.(dst) with
+      | Some { link; _ } when Link.is_up link ->
         ignore
-          (Engine.schedule sim.engine ~delay:link.prop_delay (fun () ->
-               if link_up sim ~src:from_ ~dst && sim.nodes.(dst).alive then begin
+          (Engine.schedule sim.engine ~delay:(Link.prop_delay link) (fun () ->
+               if Link.is_up link && sim.nodes.(dst).alive then begin
                  let ns = sim.nodes.(dst) in
                  let replies = Router.handle_msg ns.router ~from_ msg in
                  refresh_forwarding sim ns;
                  dispatch sim ~from_:dst replies
                end))
-      end)
+      | Some _ | None -> ())
     outputs
 
 let long_term_tick sim ns =
   (* Fold the T_s samples of the closing interval into long-term costs
      and flood them through MPDA. *)
-  let updates = ref [] in
-  Sorted_tbl.iter
-    (fun k ls ->
-      let cost =
-        if ls.samples > 0 then ls.accum /. float_of_int ls.samples
-        else ls.long_cost
-      in
-      ls.long_cost <- cost;
-      ls.accum <- 0.0;
-      ls.samples <- 0;
-      updates := (k, cost) :: !updates)
-    ns.out;
   List.iter
-    (fun (k, cost) ->
-      let outputs = Router.handle_link_cost ns.router ~nbr:k ~cost in
+    (fun (_, ls) ->
+      if ls.samples > 0 then ls.long_cost <- ls.accum /. float_of_int ls.samples;
+      ls.accum <- 0.0;
+      ls.samples <- 0)
+    ns.adj;
+  List.iter
+    (fun (k, ls) ->
+      let outputs = Router.handle_link_cost ns.router ~nbr:k ~cost:ls.long_cost in
       refresh_forwarding sim ns;
       dispatch sim ~from_:ns.id outputs)
-    (* One update per neighbor, so keys are distinct: compare them
-       alone, typed. *)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !updates)
+    ns.adj
 
 let short_term_tick sim ns =
-  Sorted_tbl.iter
-    (fun _k ls ->
+  List.iter
+    (fun (_, ls) ->
       let sample = Link.sample_cost ls.link in
       ls.short_cost <- sample.Estimator.marginal;
       ls.accum <- ls.accum +. sample.Estimator.marginal;
       ls.samples <- ls.samples + 1)
-    ns.out;
+    ns.adj;
   (* ECMP has no short-term balancing; SP entries are singletons so AH
      is a no-op there anyway. *)
   if sim.cfg.scheme <> Ecmp then adjust_forwarding sim ns
@@ -313,10 +322,7 @@ let check_loop_freedom sim =
     List.for_all
       (fun dst ->
         Lfi.successor_graph_acyclic ~n
-          ~successors:(fun ~node ->
-            match Hashtbl.find_opt sim.nodes.(node).succ_used dst with
-            | Some s -> s
-            | None -> [])
+          ~successors:(fun ~node -> sim.nodes.(node).succ_used.(dst))
           ~dst)
       (Graph.nodes sim.topo)
   in
@@ -340,8 +346,7 @@ let record_delivery sim (p : Packet.t) =
   if p.created >= sim.cfg.warmup && p.flow_id >= 0 then begin
     sim.delivered.(p.flow_id) <- sim.delivered.(p.flow_id) + 1;
     sim.hops_sum.(p.flow_id) <- sim.hops_sum.(p.flow_id) + p.hops;
-    let delays = sim.flow_delays.(p.flow_id) in
-    delays := (now -. p.created) :: !delays
+    add_delay sim.flow_delays.(p.flow_id) (now -. p.created)
   end
 
 let record_drop sim (p : Packet.t) =
@@ -359,10 +364,10 @@ let rec forward sim node (p : Packet.t) =
   else if p.hops >= Packet.hop_limit then record_drop sim p
   else begin
     let ns = sim.nodes.(node) in
-    match Hashtbl.find_opt ns.forwarding p.dst with
-    | None | Some [] -> record_drop sim p
-    | Some [ (k, _) ] -> transmit sim ns k p
-    | Some entries ->
+    match ns.forwarding.(p.dst) with
+    | [] -> record_drop sim p
+    | [ (k, _) ] -> transmit sim ns k p
+    | entries ->
       (* Weighted choice per the routing parameters. *)
       let u = Rng.float ns.rng in
       let rec pick acc = function
@@ -374,7 +379,7 @@ let rec forward sim node (p : Packet.t) =
   end
 
 and transmit sim ns k p =
-  match Hashtbl.find_opt ns.out k with
+  match ns.out.(k) with
   | None -> record_drop sim p
   | Some ls ->
     if Link.is_up ls.link then begin
@@ -400,9 +405,10 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
           id;
           router = Router.create ~mode:Router.Mpda ~id ~n ();
           alive = true;
-          out = Hashtbl.create 4;
-          forwarding = Hashtbl.create 16;
-          succ_used = Hashtbl.create 16;
+          out = Array.make n None;
+          adj = [];
+          forwarding = Array.make n [];
+          succ_used = Array.make n [];
           rng = Rng.split master_rng;
         })
   in
@@ -431,7 +437,7 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
       engine;
       nodes;
       loop_free_violations = 0;
-      flow_delays = Array.init nflows (fun _ -> ref []);
+      flow_delays = Array.init nflows (fun _ -> { buf = [||]; len = 0 });
       delivered = Array.make nflows 0;
       dropped = Array.make nflows 0;
       hops_sum = Array.make nflows 0;
@@ -459,8 +465,15 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
           samples = 0;
         }
       in
-      Hashtbl.replace nodes.(l.src).out l.dst ls)
+      nodes.(l.src).out.(l.dst) <- Some ls)
     (Graph.links topo);
+  Array.iter
+    (fun ns ->
+      ns.adj <-
+        List.filter_map
+          (fun k -> Option.map (fun ls -> (k, ls)) ns.out.(k))
+          (List.init n Fun.id))
+    nodes;
   (* Bring the control plane up at t = 0 with zero-flow costs. *)
   List.iter
     (fun (l : Graph.link) ->
@@ -505,7 +518,7 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
      the control plane notified at the endpoints. *)
   let admin_down = Hashtbl.create 4 in
   let fail_direction ~src ~dst =
-    match Hashtbl.find_opt nodes.(src).out dst with
+    match nodes.(src).out.(dst) with
     | None -> ()
     | Some ls ->
       Link.fail ls.link;
@@ -516,7 +529,7 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
       end
   in
   let restore_direction ~src ~dst =
-    match Hashtbl.find_opt nodes.(src).out dst with
+    match nodes.(src).out.(dst) with
     | None -> ()
     | Some ls ->
       if nodes.(src).alive && nodes.(dst).alive then begin
@@ -535,12 +548,12 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
       ns.alive <- false;
       (* Every adjacent link goes down; queued and in-service packets
          are lost. Live neighbors detect the loss and reconverge. *)
-      Sorted_tbl.iter (fun _ ls -> Link.fail ls.link) ns.out;
+      List.iter (fun (_, ls) -> Link.fail ls.link) ns.adj;
       List.iter (fun k -> fail_direction ~src:k ~dst:node) (Graph.neighbors topo node);
       (* The node loses all routing state. *)
       ns.router <- Router.create ~mode:Router.Mpda ~id:node ~n ();
-      Hashtbl.reset ns.forwarding;
-      Hashtbl.reset ns.succ_used
+      Array.fill ns.forwarding 0 n [];
+      Array.fill ns.succ_used 0 n []
     end
   in
   let restart_node node =
@@ -598,13 +611,15 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
   let flows =
     List.mapi
       (fun flow_id spec ->
-        let delays = !(sim.flow_delays.(flow_id)) in
+        let delays = sim.flow_delays.(flow_id) in
         {
           spec;
           delivered = sim.delivered.(flow_id);
           dropped = sim.dropped.(flow_id);
-          mean_delay = Stats.mean_of_list delays;
-          p95_delay = (match delays with [] -> 0.0 | _ -> Stats.percentile delays ~p:95.0);
+          mean_delay = mean_delay delays;
+          p95_delay =
+            (if delays.len = 0 then 0.0
+             else Stats.percentile_array (Array.sub delays.buf 0 delays.len) ~p:95.0);
           mean_hops =
             (if sim.delivered.(flow_id) = 0 then 0.0
              else
@@ -623,33 +638,24 @@ let run ?(config = default_config) ?(events = []) topo flow_specs =
   let max_mean_queue =
     Array.fold_left
       (fun acc ns ->
-        Sorted_tbl.fold (fun _ ls acc -> Float.max acc (Link.mean_queue ls.link)) ns.out acc)
+        List.fold_left
+          (fun acc (_, ls) -> Float.max acc (Link.mean_queue ls.link))
+          acc ns.adj)
       0.0 nodes
   in
   let links =
-    let rows =
-      Array.to_list nodes
-      |> List.concat_map (fun ns ->
-             Sorted_tbl.fold
-               (fun dst ls acc ->
-                 {
-                   src = ns.id;
-                   dst;
-                   utilization = Link.utilization ls.link;
-                   mean_queue = Link.mean_queue ls.link;
-                   packets = Link.packets_sent ls.link;
-                 }
-                 :: acc)
-               ns.out [])
-      |> Array.of_list
-    in
-    Array.sort
-      (fun a b ->
-        match Int.compare a.src b.src with
-        | 0 -> Int.compare a.dst b.dst
-        | c -> c)
-      rows;
-    Array.to_list rows
+    Array.to_list nodes
+    |> List.concat_map (fun ns ->
+           List.map
+             (fun (dst, { link; _ }) ->
+               {
+                 src = ns.id;
+                 dst;
+                 utilization = Link.utilization link;
+                 mean_queue = Link.mean_queue link;
+                 packets = Link.packets_sent link;
+               })
+             ns.adj)
   in
   let delay_timeline =
     List.filter_map

@@ -96,8 +96,8 @@ val distance : t -> dst:int -> float
 val feasible_distance : t -> dst:int -> float
 
 val successors : t -> dst:int -> int list
-(** S_j^i. In [Pda] mode, every neighbor strictly closer per the
-    current distances. *)
+(** S_j^i, ascending. In [Pda] mode, every neighbor strictly closer
+    per the current distances. *)
 
 val best_successor : t -> dst:int -> int option
 (** First hop of the shortest path (the preferred neighbor). *)

@@ -1,20 +1,29 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer: reading and writing it
+   there keeps the int64 unboxed, so a draw allocates nothing beyond its
+   result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create ~seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
+
+let split t = of_state (bits64 t)
 
 let substream ~seed ~index =
   if index < 0 then invalid_arg "Rng.substream: index < 0";
@@ -23,9 +32,9 @@ let substream ~seed ~index =
      mapping depends only on the (seed, index) pair — never on how many
      draws any other stream has made. *)
   let base = mix (Int64.of_int seed) in
-  { state = mix (Int64.add base (Int64.mul (Int64.of_int (index + 1)) golden_gamma)) }
+  of_state (mix (Int64.add base (Int64.mul (Int64.of_int (index + 1)) golden_gamma)))
 
-let float t =
+let[@inline] float t =
   (* Use the top 53 bits for a uniform double in [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53

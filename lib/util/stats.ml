@@ -72,14 +72,13 @@ let mean_of_list xs =
   | [] -> 0.0
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let percentile xs ~p =
-  match xs with
-  | [] -> invalid_arg "Stats.percentile: empty list"
-  | _ ->
-    if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-    let arr = Array.of_list xs in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    let idx = Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)) in
-    arr.(idx)
+let percentile_array arr ~p =
+  if Array.length arr = 0 then invalid_arg "Stats.percentile: empty list";
+  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+  Array.sort Float.compare arr;
+  let n = Array.length arr in
+  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+  let idx = Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)) in
+  arr.(idx)
+
+let percentile xs ~p = percentile_array (Array.of_list xs) ~p

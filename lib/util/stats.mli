@@ -44,3 +44,6 @@ end
 val mean_of_list : float list -> float
 val percentile : float list -> p:float -> float
 (** Nearest-rank percentile; [p] in [0,100]. Raises on empty input. *)
+
+val percentile_array : float array -> p:float -> float
+(** [percentile] of the array's elements; sorts the array in place. *)

@@ -1,5 +1,6 @@
 (* Tests for the discrete-event engine: ordering, cancellation, clock
-   semantics and run-until behaviour. *)
+   semantics and run-until behaviour, and a model-based property that
+   checks the engine against a sorted reference list. *)
 
 module Engine = Mdr_eventsim.Engine
 
@@ -92,6 +93,8 @@ let test_schedule_past_raises () =
   Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time in the past")
     (fun () -> ignore (Engine.schedule_at e ~time:0.5 ignore));
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: NaN time")
+    (fun () -> ignore (Engine.schedule_at e ~time:Float.nan ignore));
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Engine.schedule: negative delay") (fun () ->
       ignore (Engine.schedule e ~delay:(-1.0) ignore))
@@ -116,6 +119,20 @@ let test_pending_counts () =
   Engine.run e;
   check_int "none" 0 (Engine.pending e)
 
+let test_cancel_fired_is_noop () =
+  (* Cancelling an event that already fired must not touch the count
+     or any later event. *)
+  let e = Engine.create () in
+  let a = Engine.schedule e ~delay:1.0 ignore in
+  Engine.run e;
+  let fired = ref false in
+  ignore (Engine.schedule e ~delay:1.0 (fun () -> fired := true));
+  Engine.cancel e a;
+  check_int "one pending" 1 (Engine.pending e);
+  Engine.run e;
+  check "b fires" true !fired;
+  check_int "none" 0 (Engine.pending e)
+
 let test_many_events_stress () =
   let e = Engine.create () in
   let rng = Mdr_util.Rng.create ~seed:17 in
@@ -132,6 +149,103 @@ let test_many_events_stress () =
   Engine.run e;
   check_int "all fired" 20_000 !count
 
+(* Model-based check: a stream of operations runs on the engine and on
+   a reference list of pending (time, scheduling order) events; after
+   every operation both must agree on what has fired, in what order, on
+   the clock and on the pending count. Delays and times come from a
+   half-second grid so many events share a time. *)
+type op =
+  | Schedule of int  (* delay, half-seconds *)
+  | Schedule_at of int  (* half-seconds past the current whole second *)
+  | Cancel of int  (* index into every id issued so far *)
+  | Step
+  | Run_until of int  (* limit, half-seconds from now *)
+
+let show_op = function
+  | Schedule d -> Printf.sprintf "schedule %d" d
+  | Schedule_at k -> Printf.sprintf "schedule_at %d" k
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run_until %d" d
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Schedule d) (0 -- 4));
+        (2, map (fun k -> Schedule_at k) (0 -- 6));
+        (2, map (fun i -> Cancel i) (0 -- 1000));
+        (3, return Step);
+        (1, map (fun d -> Run_until d) (0 -- 4));
+      ])
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (0 -- 300) gen_op)
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine == sorted reference list (random op streams)" ~count:300
+    arb_ops (fun ops ->
+      let e = Engine.create () in
+      let fired = ref [] in
+      let issued = ref [||] in
+      (* Model: pending events as (time, seq), the fire log, the clock. *)
+      let model = ref [] and model_fired = ref [] and model_now = ref 0.0 in
+      let next_seq = ref 0 in
+      let add time id =
+        let seq = !next_seq in
+        incr next_seq;
+        issued := Array.append !issued [| (id, seq) |];
+        model := List.merge compare !model [ (time, seq) ]
+      in
+      let schedule_at time =
+        let seq = !next_seq in
+        add time (Engine.schedule_at e ~time (fun () -> fired := seq :: !fired))
+      in
+      let model_fire () =
+        match !model with
+        | [] -> false
+        | (time, seq) :: rest ->
+          model := rest;
+          model_now := time;
+          model_fired := seq :: !model_fired;
+          true
+      in
+      let apply = function
+        | Schedule d ->
+          let seq = !next_seq in
+          let delay = 0.5 *. float_of_int d in
+          let id = Engine.schedule e ~delay (fun () -> fired := seq :: !fired) in
+          add (!model_now +. delay) id
+        | Schedule_at k ->
+          let second = Float.of_int (truncate !model_now) in
+          schedule_at (Float.max !model_now (second +. (0.5 *. float_of_int k)))
+        | Cancel i ->
+          let n = Array.length !issued in
+          if n > 0 then begin
+            let id, seq = !issued.(i mod n) in
+            Engine.cancel e id;
+            model := List.filter (fun (_, s) -> s <> seq) !model
+          end
+        | Step -> if Engine.step e <> model_fire () then failwith "step result differs"
+        | Run_until d ->
+          let limit = !model_now +. (0.5 *. float_of_int d) in
+          Engine.run ~until:limit e;
+          while (match !model with (time, _) :: _ -> time <= limit | [] -> false) do
+            ignore (model_fire () : bool)
+          done;
+          model_now := Float.max !model_now limit
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          !fired = !model_fired
+          && Float.equal (Engine.now e) !model_now
+          && Engine.pending e = List.length !model)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "runs in time order" `Quick test_runs_in_time_order;
@@ -145,5 +259,7 @@ let suite =
     Alcotest.test_case "scheduling in the past raises" `Quick test_schedule_past_raises;
     Alcotest.test_case "single stepping" `Quick test_step;
     Alcotest.test_case "pending counts" `Quick test_pending_counts;
+    Alcotest.test_case "cancelling a fired event is a no-op" `Quick test_cancel_fired_is_noop;
     Alcotest.test_case "20k random events stay ordered" `Quick test_many_events_stress;
+    QCheck_alcotest.to_alcotest prop_engine_matches_model;
   ]

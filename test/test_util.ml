@@ -1,7 +1,6 @@
-(* Tests for Mdr_util: heap ordering, RNG determinism and statistics,
+(* Tests for Mdr_util: RNG determinism and statistics,
    online statistics, table rendering. *)
 
-module Heap = Mdr_util.Heap
 module Rng = Mdr_util.Rng
 module Stats = Mdr_util.Stats
 module Tab = Mdr_util.Tab
@@ -9,54 +8,6 @@ module Tab = Mdr_util.Tab
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  check "empty" true (Heap.is_empty h);
-  check_int "len" 0 (Heap.length h);
-  check "peek" true (Heap.peek h = None);
-  check "pop" true (Heap.pop h = None)
-
-let test_heap_orders () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.add h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  check_int "len" 7 (Heap.length h);
-  check "sorted" true (Heap.to_sorted_list h = [ 1; 2; 3; 5; 7; 8; 9 ]);
-  check_int "pop min" 1 (Heap.pop_exn h);
-  check_int "pop next" 2 (Heap.pop_exn h);
-  Heap.add h 0;
-  check_int "new min" 0 (Heap.pop_exn h)
-
-let test_heap_fifo_ties () =
-  (* Equal keys dequeue in insertion order. *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  List.iter (Heap.add h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  check "z first" true (Heap.pop h = Some (0, "z"));
-  check "a" true (Heap.pop h = Some (1, "a"));
-  check "b" true (Heap.pop h = Some (1, "b"));
-  check "c" true (Heap.pop h = Some (1, "c"))
-
-let test_heap_pop_exn_raises () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "empty pop_exn"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h : int))
-
-let test_heap_large () =
-  let h = Heap.create ~cmp:compare in
-  let rng = Rng.create ~seed:7 in
-  for _ = 1 to 10_000 do
-    Heap.add h (Rng.int rng ~bound:1_000_000)
-  done;
-  let sorted = Heap.to_sorted_list h in
-  check "sorted large" true (List.sort compare sorted = sorted);
-  check_int "length preserved" 10_000 (List.length sorted)
-
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.add h) [ 3; 1; 2 ];
-  Heap.clear h;
-  check "cleared" true (Heap.is_empty h)
 
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
@@ -206,14 +157,6 @@ let test_tab_series () =
   check "title present" true (String.length s > 10)
 
 (* Property tests. *)
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap returns sorted output" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.add h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
-
 let prop_percentile_member =
   QCheck.Test.make ~name:"percentile returns a member" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.0)) (float_bound_inclusive 100.0))
@@ -221,12 +164,6 @@ let prop_percentile_member =
 
 let suite =
   [
-    Alcotest.test_case "heap: empty" `Quick test_heap_empty;
-    Alcotest.test_case "heap: orders elements" `Quick test_heap_orders;
-    Alcotest.test_case "heap: FIFO on ties" `Quick test_heap_fifo_ties;
-    Alcotest.test_case "heap: pop_exn raises" `Quick test_heap_pop_exn_raises;
-    Alcotest.test_case "heap: 10k random elements" `Quick test_heap_large;
-    Alcotest.test_case "heap: clear" `Quick test_heap_clear;
     Alcotest.test_case "rng: deterministic per seed" `Quick test_rng_deterministic;
     Alcotest.test_case "rng: seeds differ" `Quick test_rng_seeds_differ;
     Alcotest.test_case "rng: float in [0,1)" `Quick test_rng_float_range;
@@ -247,6 +184,5 @@ let suite =
     Alcotest.test_case "tab: render aligns" `Quick test_tab_render;
     Alcotest.test_case "tab: float cells" `Quick test_tab_float_cell;
     Alcotest.test_case "tab: series" `Quick test_tab_series;
-    QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_percentile_member;
   ]
