@@ -263,7 +263,8 @@ let micro_benchmarks () =
               else Printf.sprintf "%.0f ns" ns
             in
             [ name; cell ])
-          rows))
+          rows));
+  rows
 
 (* Minor-heap words allocated per delivered packet by the Figure 11
    MP run on CAIRN (the default config: seed 1, 60 simulated seconds). *)
@@ -272,11 +273,34 @@ let packet_allocation () =
   let before = Gc.minor_words () in
   let r = Mdr_netsim.Sim.run cairn.Workload.topo flows in
   let words = Gc.minor_words () -. before in
+  let delivered = r.Mdr_netsim.Sim.total_delivered in
+  let per_packet = words /. float_of_int delivered in
   Printf.printf
     "netsim: CAIRN MP seed 1, 60 s: %d packets delivered, %.0f minor words per packet\n"
-    r.Mdr_netsim.Sim.total_delivered
-    (words /. float_of_int r.Mdr_netsim.Sim.total_delivered)
+    delivered per_packet;
+  (delivered, per_packet)
 
+(* Both results also go to BENCH_bechamel.json, in the report record
+   every mdrsim benchmark writes. *)
 let () =
-  micro_benchmarks ();
-  packet_allocation ()
+  let micro = micro_benchmarks () in
+  let delivered, words = packet_allocation () in
+  let out = "BENCH_bechamel.json" in
+  let report =
+    Mdr_util.Json.(
+      report ~benchmark:"bechamel"
+        ~params:[ ("limit", Int 500); ("quota_s", Float 1.0) ]
+        ~rows:
+          (List.map (fun (name, ns) -> Obj [ ("name", String name); ("ns_per_run", Float ns) ]) micro
+          @ [
+              Obj
+                [
+                  ("name", String "netsim: CAIRN MP seed 1, 60 s");
+                  ("delivered", Int delivered);
+                  ("minor_words_per_packet", Float words);
+                ];
+            ])
+        ~gates:[])
+  in
+  Out_channel.with_open_text out (fun oc -> output_string oc (Mdr_util.Json.to_string report));
+  Printf.printf "wrote %s\n" out

@@ -7,6 +7,7 @@
 
 module Experiments = Mdr_experiments.Experiments
 module Workload = Mdr_experiments.Workload
+module Json = Mdr_util.Json
 
 open Cmdliner
 
@@ -15,12 +16,40 @@ let write_file path text =
   output_string oc text;
   close_out oc
 
-(* The benchmark commands' report file, announced after a blank line. *)
-let write_report path text =
-  write_file path text;
-  Printf.printf "\nwrote %s\n" path
-
 let exit_of_ok ok = if ok then 0 else 1
+
+(* The benchmark commands' report: one Json.report record written to
+   [out] and announced after a blank line. A gate is (name, ok, extra
+   fields); returns whether every gate holds. *)
+let write_report ~out ~benchmark ~params ~rows gates =
+  let gate (name, ok, extra) = Json.(Obj (("name", String name) :: ("ok", Bool ok) :: extra)) in
+  let report = Json.report ~benchmark ~params ~rows ~gates:(List.map gate gates) in
+  write_file out (Json.to_string report);
+  Printf.printf "\nwrote %s\n" out;
+  List.for_all (fun (_, ok, _) -> ok) gates
+
+(* Checked converters: a value outside the range is a cmdliner parse
+   error, so it exits 2 before any work starts. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let pos_float =
+  checked Arg.float ~expected:"a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
+
+let nonneg_float =
+  checked Arg.float ~expected:"a finite number >= 0" (fun x -> Float.is_finite x && x >= 0.0)
+
+let unit_fraction = checked Arg.float ~expected:"a number in (0, 1]" (fun x -> x > 0.0 && x <= 1.0)
+let int_from lo = checked Arg.int ~expected:(Printf.sprintf "an integer >= %d" lo) (fun n -> n >= lo)
+let pos_int = int_from 1
+let nonneg_int = int_from 0
+let nonempty conv = checked (Arg.list conv) ~expected:"a non-empty list" (fun l -> l <> [])
 
 (* The exit statuses every command's help lists: the contract at the
    end of this file, where cmdliner's parse errors are mapped to 2. *)
@@ -73,15 +102,19 @@ let print_outcome ?csv (o : Experiments.outcome) =
   print_newline ();
   List.for_all snd o.checks
 
-let seeds_conv = Arg.(list int)
+(* The options several commands share, each with its own default and
+   doc. *)
+let seeds_opt default ~doc =
+  Arg.(value & opt (nonempty nonneg_int) default & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+
+let seed_opt default ~doc = Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
+let updates_opt c default ~doc = Arg.(value & opt c default & info [ "updates" ] ~docv:"N" ~doc)
 
 let load_arg ~default =
   let doc = "Load factor applied to every flow's 2-3 Mb/s nominal rate." in
-  Arg.(value & opt float default & info [ "load" ] ~docv:"FACTOR" ~doc)
+  Arg.(value & opt pos_float default & info [ "load" ] ~docv:"FACTOR" ~doc)
 
-let seeds_arg =
-  let doc = "Comma-separated simulation seeds; results are averaged." in
-  Arg.(value & opt seeds_conv [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+let seeds_arg = seeds_opt [ 1; 2; 3 ] ~doc:"Comma-separated simulation seeds; results are averaged."
 
 let topo_arg =
   let doc = "Topology: cairn or net1." in
@@ -105,21 +138,9 @@ let loaded_cmd name ~doc ~default
   Cmd.v (cmd_info name ~doc)
     Term.(const run $ load_arg ~default $ seeds_arg $ csv_arg)
 
-let fig9_cmd =
-  let run load csv =
-    exit_of_ok (print_outcome ?csv (Experiments.fig9_cairn_opt_vs_mp ~load ()))
-  in
-  Cmd.v
-    (cmd_info "fig9" ~doc:"OPT vs MP per-flow delays on CAIRN (fluid + packet).")
-    Term.(const run $ load_arg ~default:1.0 $ csv_arg)
-
-let fig10_cmd =
-  let run load csv =
-    exit_of_ok (print_outcome ?csv (Experiments.fig10_net1_opt_vs_mp ~load ()))
-  in
-  Cmd.v
-    (cmd_info "fig10" ~doc:"OPT vs MP per-flow delays on NET1.")
-    Term.(const run $ load_arg ~default:1.0 $ csv_arg)
+let fluid_cmd name ~doc (f : ?load:float -> unit -> Experiments.outcome) =
+  let run load csv = exit_of_ok (print_outcome ?csv (f ~load ())) in
+  Cmd.v (cmd_info name ~doc) Term.(const run $ load_arg ~default:1.0 $ csv_arg)
 
 let topology_cmd =
   simple_cmd "topology" ~doc:"Print both topologies and their metrics (Figure 8)."
@@ -147,31 +168,33 @@ let all_cmd =
     (cmd_info "all" ~doc:"Run every experiment (the full evaluation; minutes).")
     Term.(const run $ csv_dir_arg)
 
+(* OPT's fluid bound against the seed-averaged MP and SP packet delays,
+   each run with [config]'s scheme and seed replaced; prints the table
+   under [title] and exits 0. *)
+let three_way ~title ~(opt : Mdr_gallager.Gallager.result) ~config topo flows seeds =
+  let module Sim = Mdr_netsim.Sim in
+  let avg scheme =
+    Mdr_util.Stats.mean_of_list
+      (List.map
+         (fun seed -> (Sim.run ~config:{ config with Sim.scheme; seed } topo flows).Sim.avg_delay)
+         seeds)
+  in
+  let mp = avg Sim.Mp and sp = avg Sim.Sp in
+  Printf.printf
+    "%s (%d-seed means):\n  OPT (fluid bound) %8.3f ms\n  MP  (measured)    %8.3f ms\n  SP  (measured)    %8.3f ms   (x%.2f vs MP)\n"
+    title (List.length seeds) (1000.0 *. opt.avg_delay) (1000.0 *. mp) (1000.0 *. sp) (sp /. mp);
+  0
+
 let compare_cmd =
   (* Ad-hoc three-way comparison on a chosen topology and load. *)
   let run topo load seeds =
     let w = workload topo ~load in
-    let module Sim = Mdr_netsim.Sim in
-    let module Gallager = Mdr_gallager.Gallager in
-    let opt = Gallager.solve (Workload.model w) w.Workload.topo (Workload.traffic w) in
-    let avg scheme =
-      let flows = Workload.sim_flows w in
-      let runs =
-        List.map
-          (fun seed ->
-            Sim.run
-              ~config:{ Sim.default_config with scheme; sim_time = 80.0; warmup = 20.0; seed }
-              w.Workload.topo flows)
-          seeds
-      in
-      Mdr_util.Stats.mean_of_list (List.map (fun (r : Sim.result) -> r.avg_delay) runs)
-    in
-    let mp = avg Sim.Mp and sp = avg Sim.Sp in
-    Printf.printf
-      "%s at load %.2f (%d-seed means):\n  OPT (fluid bound) %8.3f ms\n  MP  (measured)    %8.3f ms\n  SP  (measured)    %8.3f ms   (x%.2f vs MP)\n"
-      w.Workload.name load (List.length seeds) (1000.0 *. opt.avg_delay)
-      (1000.0 *. mp) (1000.0 *. sp) (sp /. mp);
-    0
+    let opt = Mdr_gallager.Gallager.solve (Workload.model w) w.Workload.topo (Workload.traffic w) in
+    three_way
+      ~title:(Printf.sprintf "%s at load %.2f" w.Workload.name load)
+      ~opt
+      ~config:{ Mdr_netsim.Sim.default_config with sim_time = 80.0; warmup = 20.0 }
+      w.Workload.topo (Workload.sim_flows w) seeds
   in
   Cmd.v
     (cmd_info "compare" ~doc:"Compare OPT/MP/SP average delays on one topology.")
@@ -241,7 +264,7 @@ let custom_cmd =
       "AH damping in (0,1]. 1.0 is the paper's full step (which flip-flops on \
        perfectly symmetric two-path splits); 0.5 smooths such cases."
     in
-    Arg.(value & opt float 1.0 & info [ "damping" ] ~docv:"D" ~doc)
+    Arg.(value & opt unit_fraction 1.0 & info [ "damping" ] ~docv:"D" ~doc)
   in
   let run topo_path flow_path seeds damping =
     let module Graph = Mdr_topology.Graph in
@@ -250,8 +273,8 @@ let custom_cmd =
     let g = read_input_file Parser.topology_of_file topo_path in
     let flows = read_input_file (Parser.flows_of_file g) flow_path in
     if flows = [] then begin
-      Printf.eprintf "no flows in %s\n" flow_path;
-      1
+      Printf.eprintf "custom: no flows in %s\n" flow_path;
+      2
     end
     else begin
       let specs =
@@ -266,25 +289,13 @@ let custom_cmd =
              flows)
       in
       let model = Mdr_fluid.Evaluate.model g ~packet_size:pkt in
-      let opt = Mdr_gallager.Gallager.solve model g traffic in
-      let avg scheme =
-        Mdr_util.Stats.mean_of_list
-          (List.map
-             (fun seed ->
-               (Sim.run
-                  ~config:
-                    { Sim.default_config with scheme; sim_time = 60.0; warmup = 15.0; seed; damping }
-                  g specs)
-                 .Sim.avg_delay)
-             seeds)
-      in
-      let mp = avg Sim.Mp and sp = avg Sim.Sp in
-      Printf.printf
-        "%d routers, %d links, %d flows (%d-seed means):\n  OPT (fluid bound) %8.3f ms\n  MP  (measured)    %8.3f ms\n  SP  (measured)    %8.3f ms   (x%.2f vs MP)\n"
-        (Graph.node_count g) (Graph.link_count g) (List.length flows)
-        (List.length seeds) (1000.0 *. opt.avg_delay) (1000.0 *. mp)
-        (1000.0 *. sp) (sp /. mp);
-      0
+      three_way
+        ~title:
+          (Printf.sprintf "%d routers, %d links, %d flows" (Graph.node_count g)
+             (Graph.link_count g) (List.length flows))
+        ~opt:(Mdr_gallager.Gallager.solve model g traffic)
+        ~config:{ Sim.default_config with sim_time = 60.0; warmup = 15.0; damping }
+        g specs seeds
     end
   in
   Cmd.v
@@ -315,17 +326,14 @@ let chaos_cmd =
      loop-freedom and the LFI conditions after every processed event.
      The whole campaign is a deterministic function of --seed. *)
   let module Campaign = Mdr_faults.Campaign in
-  let seed_arg =
-    let doc = "Master seed; the campaign replays exactly from it." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
+  let seed_arg = seed_opt 1 ~doc:"Master seed; the campaign replays exactly from it." in
   let scenarios_arg =
     let doc = "Number of randomized fault scenarios (each runs MPDA and DV)." in
-    Arg.(value & opt int 200 & info [ "scenarios" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 200 & info [ "scenarios" ] ~docv:"N" ~doc)
   in
   let duration_arg =
     let doc = "Simulated seconds of churn per scenario." in
-    Arg.(value & opt float 30.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+    Arg.(value & opt pos_float 30.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
   in
   let detection_arg =
     let doc =
@@ -339,108 +347,96 @@ let chaos_cmd =
       & info [ "detection" ] ~docv:"MODE" ~doc)
   in
   let run seed scenarios duration detection_mode =
-    if scenarios <= 0 || duration <= 0.0 then begin
-      Printf.eprintf "chaos: need --scenarios > 0 and --duration > 0\n";
-      2
-    end
-    else begin
-      let hello = detection_mode = `Hello in
-      let detection =
-        match detection_mode with
-        | `Oracle -> Mdr_routing.Harness.Oracle
-        | `Hello -> Mdr_routing.Harness.Hello Mdr_routing.Hello.default_params
-      in
-      let profile = { Campaign.default_profile with duration } in
-      Printf.printf
-        "chaos: %d scenarios x {MPDA, DV}, %.0f s of churn each, seed %d, %s detection\n\n"
-        scenarios duration seed
-        (if hello then "hello" else "oracle");
-      (* Scenario fan-out: MDR_JOBS > 1 spreads the grid over domains;
-         results come back in scenario order either way. *)
-      let results =
-        Campaign.run_campaign ~detection ~profile ~topo_of:rotating_topo ~seed
-          ~scenarios ()
-      in
-      let mpda = List.map fst (Array.to_list results)
-      and dv = List.map snd (Array.to_list results) in
-      print_string (Campaign.summary_table [ ("MPDA", mpda); ("DV", dv) ]);
+    let hello = detection_mode = `Hello in
+    let detection =
+      match detection_mode with
+      | `Oracle -> Mdr_routing.Harness.Oracle
+      | `Hello -> Mdr_routing.Harness.Hello Mdr_routing.Hello.default_params
+    in
+    let profile = { Campaign.default_profile with duration } in
+    Printf.printf
+      "chaos: %d scenarios x {MPDA, DV}, %.0f s of churn each, seed %d, %s detection\n\n"
+      scenarios duration seed
+      (if hello then "hello" else "oracle");
+    (* Scenario fan-out: MDR_JOBS > 1 spreads the grid over domains;
+       results come back in scenario order either way. *)
+    let results =
+      Campaign.run_campaign ~detection ~profile ~topo_of:rotating_topo ~seed
+        ~scenarios ()
+    in
+    let mpda = List.map fst (Array.to_list results)
+    and dv = List.map snd (Array.to_list results) in
+    print_string (Campaign.summary_table [ ("MPDA", mpda); ("DV", dv) ]);
+    print_newline ();
+    if hello then begin
+      (* Recovery SLOs only exist when failures must be inferred:
+         under the oracle every detection latency is 0 by fiat. *)
+      Printf.printf "MPDA recovery SLOs (hello detection):\n";
+      print_string (Campaign.slo_table mpda);
       print_newline ();
-      if hello then begin
-        (* Recovery SLOs only exist when failures must be inferred:
-           under the oracle every detection latency is 0 by fiat. *)
-        Printf.printf "MPDA recovery SLOs (hello detection):\n";
-        print_string (Campaign.slo_table mpda);
-        print_newline ();
-        let absorbed =
-          List.fold_left (fun acc m -> acc + m.Campaign.detection_absorbed) 0 mpda
-        in
-        let false_pos =
-          List.fold_left
-            (fun acc m -> acc + m.Campaign.detection_false_positives)
-            0 mpda
-        in
-        let hellos = List.fold_left (fun acc m -> acc + m.Campaign.hellos) 0 mpda in
-        Printf.printf
-          "  %d hellos sent; %d failures absorbed before detection; %d false positives\n\n"
-          hellos absorbed false_pos;
-        let d = Campaign.damping_demo ~topo:(Mdr_topology.Cairn.topology ()) ~seed () in
-        Printf.printf
-          "flap damping (CAIRN, 6 flaps): ACTIVE phases %d undamped -> %d damped \
-           (x%.2f); detected flaps %d -> %d; suppression engaged: %b\n\n"
-          d.Campaign.active_phases_undamped d.Campaign.active_phases_damped
-          (float_of_int d.Campaign.active_phases_undamped
-          /. float_of_int (max 1 d.Campaign.active_phases_damped))
-          d.Campaign.detected_flaps_undamped d.Campaign.detected_flaps_damped
-          d.Campaign.suppressed_during_flaps
-      end;
-      (* Transport proof: at 20% drop the converged routes must equal
-         the lossless ones — loss costs retransmissions, not routes. *)
-      let agreement =
-        List.for_all
-          (fun (name, topo) ->
-            let same, retx = Campaign.successor_agreement ~topo ~seed () in
-            Printf.printf
-              "  [%s] %s: successor sets at 20%% drop %s lossless (retransmissions: %d)\n"
-              (if same then "PASS" else "FAIL")
-              name
-              (if same then "match" else "DIFFER from")
-              retx;
-            same)
-          [ ("CAIRN", Mdr_topology.Cairn.topology ()); ("NET1", Mdr_topology.Net1.topology ()) ]
-      in
-      let clean (m : Campaign.metrics) =
-        m.loop_violations = 0 && m.lfi_violations = 0 && m.converged
-        && not m.permanent_blackhole
-      in
-      (* DBF carries no loop-freedom invariant: when a failure is
-         inferred on one side only, the window before the peer's own
-         detector fires can transiently loop its successor graph —
-         the very window MPDA's feasible-distance pinning closes. So
-         under hello detection DV is held to convergence and
-         no-permanent-blackhole; MPDA is held to the full bar. *)
-      let clean_dv (m : Campaign.metrics) =
-        if hello then m.converged && not m.permanent_blackhole else clean m
-      in
-      if hello then begin
-        let dv_loops =
-          List.fold_left (fun acc m -> acc + m.Campaign.loop_violations) 0 dv
-        in
-        if dv_loops > 0 then
+      let sum f = List.fold_left (fun acc (m : Campaign.metrics) -> acc + f m) 0 mpda in
+      Printf.printf
+        "  %d hellos sent; %d failures absorbed before detection; %d false positives\n\n"
+        (sum (fun m -> m.hellos))
+        (sum (fun m -> m.detection_absorbed))
+        (sum (fun m -> m.detection_false_positives));
+      let d = Campaign.damping_demo ~topo:(Mdr_topology.Cairn.topology ()) ~seed () in
+      Printf.printf
+        "flap damping (CAIRN, 6 flaps): ACTIVE phases %d undamped -> %d damped \
+         (x%.2f); detected flaps %d -> %d; suppression engaged: %b\n\n"
+        d.Campaign.active_phases_undamped d.Campaign.active_phases_damped
+        (float_of_int d.Campaign.active_phases_undamped
+        /. float_of_int (max 1 d.Campaign.active_phases_damped))
+        d.Campaign.detected_flaps_undamped d.Campaign.detected_flaps_damped
+        d.Campaign.suppressed_during_flaps
+    end;
+    (* Transport proof: at 20% drop the converged routes must equal
+       the lossless ones — loss costs retransmissions, not routes. *)
+    let agreement =
+      List.for_all
+        (fun (name, topo) ->
+          let same, retx = Campaign.successor_agreement ~topo ~seed () in
           Printf.printf
-            "  note: DV showed %d transient loop(s) — DBF has no loop-freedom \
-             guarantee under inferred failures (MPDA is held to zero)\n"
-            dv_loops
-      end;
-      let ok = agreement && List.for_all clean mpda && List.for_all clean_dv dv in
-      Printf.printf "\n  [%s] %d scenarios: %s\n"
-        (if ok then "PASS" else "FAIL")
-        scenarios
-        (if ok then "zero violations, all runs reconverged, no permanent blackholes"
-         else
-           "violations, failed reconvergence or a permanent blackhole — see the \
-            table above");
-      exit_of_ok ok
-    end
+            "  [%s] %s: successor sets at 20%% drop %s lossless (retransmissions: %d)\n"
+            (if same then "PASS" else "FAIL")
+            name
+            (if same then "match" else "DIFFER from")
+            retx;
+          same)
+        [ ("CAIRN", Mdr_topology.Cairn.topology ()); ("NET1", Mdr_topology.Net1.topology ()) ]
+    in
+    let clean (m : Campaign.metrics) =
+      m.loop_violations = 0 && m.lfi_violations = 0 && m.converged
+      && not m.permanent_blackhole
+    in
+    (* DBF carries no loop-freedom invariant: when a failure is
+       inferred on one side only, the window before the peer's own
+       detector fires can transiently loop its successor graph —
+       the very window MPDA's feasible-distance pinning closes. So
+       under hello detection DV is held to convergence and
+       no-permanent-blackhole; MPDA is held to the full bar. *)
+    let clean_dv (m : Campaign.metrics) =
+      if hello then m.converged && not m.permanent_blackhole else clean m
+    in
+    if hello then begin
+      let dv_loops =
+        List.fold_left (fun acc m -> acc + m.Campaign.loop_violations) 0 dv
+      in
+      if dv_loops > 0 then
+        Printf.printf
+          "  note: DV showed %d transient loop(s) — DBF has no loop-freedom \
+           guarantee under inferred failures (MPDA is held to zero)\n"
+          dv_loops
+    end;
+    let ok = agreement && List.for_all clean mpda && List.for_all clean_dv dv in
+    Printf.printf "\n  [%s] %d scenarios: %s\n"
+      (if ok then "PASS" else "FAIL")
+      scenarios
+      (if ok then "zero violations, all runs reconverged, no permanent blackholes"
+       else
+         "violations, failed reconvergence or a permanent blackhole — see the \
+          table above");
+    exit_of_ok ok
   in
   Cmd.v
     (cmd_info "chaos"
@@ -463,76 +459,63 @@ let overload_cmd =
        feasible envelope (1.0 = the largest uniformly scaled load the \
        min-cut admits)."
     in
-    Arg.(value & opt (list float) [ 0.8; 1.0; 1.2; 1.5 ]
+    Arg.(value & opt (nonempty pos_float) [ 0.8; 1.0; 1.2; 1.5 ]
          & info [ "loads" ] ~docv:"MULTS" ~doc)
   in
-  let seed_arg =
-    let doc = "Seed for the control-plane runs." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
+  let seed_arg = seed_opt 1 ~doc:"Seed for the control-plane runs." in
   let run topo loads seed =
-    match loads with
-    | [] ->
-      prerr_endline "overload: need at least one load multiplier";
-      2
-    | loads when List.exists (fun m -> m <= 0.0) loads ->
-      prerr_endline "overload: load multipliers must be > 0";
-      2
-    | loads ->
-      let w = workload topo ~load:1.0 in
-      let base = Workload.traffic w in
-      let packet_size = Workload.packet_size in
-      (* Admissible fractions are capped at 1, so probe at a certainly
-         infeasible load and scale back to recover the envelope. *)
-      let probe = 32.0 in
-      let frac_probe =
-        (Feasibility.report w.Workload.topo ~packet_size
-           (Traffic.scale base probe))
-          .Feasibility.fraction
-      in
-      let envelope = probe *. frac_probe in
-      Printf.printf
-        "%s feasible envelope: %.2fx the base workload; auditing %s of it\n\n"
-        w.Workload.name envelope
-        (String.concat ", " (List.map (fun m -> Printf.sprintf "%.2fx" m) loads));
-      let config = { Overload.default_config with seed } in
-      let reports =
-        Overload.audit_batch ~config ~topo:w.Workload.topo ~packet_size ~base
-          (List.map (fun mult -> Traffic.scale base (mult *. envelope)) loads)
-      in
-      let rows =
-        List.map2 (fun mult r -> (Printf.sprintf "%.2fx" mult, r)) loads reports
-      in
-      print_string (Overload.table rows);
-      print_newline ();
-      print_string (Overload.slo_table rows);
-      print_newline ();
-      let clean (r : Overload.report) =
-        r.Overload.fluid.Overload.costs_finite
-        && r.Overload.undamped.Overload.loop_violations = 0
-        && r.Overload.damped.Overload.loop_violations = 0
-        && r.Overload.undamped.Overload.lfi_violations = 0
-        && r.Overload.damped.Overload.lfi_violations = 0
-        && r.Overload.undamped.Overload.converged
-        && r.Overload.damped.Overload.converged
-      in
-      let checks =
-        List.map2
-          (fun mult (label, r) ->
-            let ok =
-              clean r && (mult <= 1.0 || r.Overload.fluid.Overload.degraded)
-            in
-            Printf.printf "  [%s] %s: %s\n"
-              (if ok then "PASS" else "FAIL")
-              label
-              (if not (clean r) then
-                 "non-finite costs, invariant violations or failed quiescence"
-               else if mult > 1.0 then "degraded gracefully (demand shed, reported)"
-               else "clean");
-            ok)
-          loads rows
-      in
-      exit_of_ok (List.for_all Fun.id checks)
+    let w = workload topo ~load:1.0 in
+    let base = Workload.traffic w in
+    let packet_size = Workload.packet_size in
+    (* Admissible fractions are capped at 1, so probe at a certainly
+       infeasible load and scale back to recover the envelope. *)
+    let probe = 32.0 in
+    let frac_probe =
+      (Feasibility.report w.Workload.topo ~packet_size
+         (Traffic.scale base probe))
+        .Feasibility.fraction
+    in
+    let envelope = probe *. frac_probe in
+    Printf.printf
+      "%s feasible envelope: %.2fx the base workload; auditing %s of it\n\n"
+      w.Workload.name envelope
+      (String.concat ", " (List.map (fun m -> Printf.sprintf "%.2fx" m) loads));
+    let config = { Overload.default_config with seed } in
+    let reports =
+      Overload.audit_batch ~config ~topo:w.Workload.topo ~packet_size ~base
+        (List.map (fun mult -> Traffic.scale base (mult *. envelope)) loads)
+    in
+    let rows =
+      List.map2 (fun mult r -> (Printf.sprintf "%.2fx" mult, r)) loads reports
+    in
+    print_string (Overload.table rows);
+    print_newline ();
+    print_string (Overload.slo_table rows);
+    print_newline ();
+    let clean (r : Overload.report) =
+      r.fluid.costs_finite
+      && List.for_all
+           (fun (c : Overload.control_slo) ->
+             c.loop_violations = 0 && c.lfi_violations = 0 && c.converged)
+           [ r.undamped; r.damped ]
+    in
+    let checks =
+      List.map2
+        (fun mult (label, r) ->
+          let ok =
+            clean r && (mult <= 1.0 || r.Overload.fluid.Overload.degraded)
+          in
+          Printf.printf "  [%s] %s: %s\n"
+            (if ok then "PASS" else "FAIL")
+            label
+            (if not (clean r) then
+               "non-finite costs, invariant violations or failed quiescence"
+             else if mult > 1.0 then "degraded gracefully (demand shed, reported)"
+             else "clean");
+          ok)
+        loads rows
+    in
+    exit_of_ok (List.for_all Fun.id checks)
   in
   Cmd.v
     (cmd_info "overload"
@@ -612,12 +595,9 @@ let verify_cmd =
   let module Determinism = Mdr_analysis.Determinism in
   let max_states_arg =
     let doc = "Per-scenario state cap for the interleaving checker." in
-    Arg.(value & opt int 30_000 & info [ "max-states" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 30_000 & info [ "max-states" ] ~docv:"N" ~doc)
   in
-  let seed_arg =
-    let doc = "Seed for the determinism checks." in
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
+  let seed_arg = seed_opt 7 ~doc:"Seed for the determinism checks." in
   let skip_det_arg =
     let doc = "Skip the determinism sanitizer (interleaving checker only)." in
     Arg.(value & flag & info [ "no-determinism" ] ~doc)
@@ -655,96 +635,96 @@ let verify_cmd =
          "Model-check MPDA message interleavings and sanitize experiment determinism.")
     Term.(const run $ max_states_arg $ seed_arg $ skip_det_arg)
 
-(* --jobs of the benchmark commands; 0 means MDR_JOBS, at least 2. *)
-let jobs_arg doc = Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N" ~doc)
-
-let with_jobs name jobs k =
-  if jobs < 0 then begin
-    prerr_endline (name ^ ": --jobs must be >= 1");
-    2
-  end
-  else k (if jobs > 0 then jobs else Stdlib.max 2 (Mdr_util.Pool.default_jobs ()))
-
 let out_arg default =
   let doc = "Where to write the JSON report." in
   Arg.(value & opt string default & info [ "out" ] ~docv:"FILE" ~doc)
 
+(* Domains for the benchmark commands' parallel pass: MDR_JOBS, at
+   least 2. *)
+let par_jobs () = Stdlib.max 2 (Mdr_util.Pool.default_jobs ())
+
+type 'a passes = {
+  result : 'a;  (* the sequential pass's *)
+  seq_s : float;
+  par_s : float;
+  md5_seq : string;
+  md5_par : string;
+}
+
+(* The sequential-vs-parallel determinism gate of perfbench and scale:
+   [run ~jobs ~now] once on one domain with the wall clock, then over
+   MDR_JOBS domains (at least 2) with a constant clock, so no pool task
+   reads the time. Each pass is timed as a whole; the gate is equality
+   of the two results' digests. *)
+let digest_passes ~digest run =
+  let timed jobs now =
+    let t0 = Unix.gettimeofday () in
+    let r = run ~jobs ~now in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let seq, seq_s = timed 1 Unix.gettimeofday in
+  let par, par_s = timed (par_jobs ()) (fun () -> 0.0) in
+  { result = seq; seq_s; par_s; md5_seq = digest seq; md5_par = digest par }
+
+let identical p = String.equal p.md5_seq p.md5_par
+
+let digest_gate name p =
+  (name, identical p, Json.[ ("md5_sequential", String p.md5_seq); ("md5_parallel", String p.md5_par) ])
+
 let perfbench_cmd =
   (* Parallel-speedup benchmark: run the chaos-campaign grid and the
      interleaving sweep once sequentially and once over a domain pool,
-     assert the trace digests match, and emit BENCH_perf.json. Digest
-     equality is the gate — bit-identical results at any job count;
-     the speedup itself is recorded, not gated, because it depends on
-     how many cores the machine actually has. *)
+     assert the trace digests match, and emit BENCH_perfbench.json.
+     Digest equality is the gate — bit-identical results at any job
+     count; the speedup itself is recorded, not gated, because it
+     depends on how many cores the machine actually has. *)
   let module Campaign = Mdr_faults.Campaign in
   let module Interleave = Mdr_analysis.Interleave in
   let quick_arg =
     let doc = "Small preset (6 scenarios, 8 s churn, 4000-state cap) for CI." in
     Arg.(value & flag & info [ "quick" ] ~doc)
   in
-  let seed_arg =
-    let doc = "Master seed for the chaos campaign." in
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let run quick jobs seed out =
-    with_jobs "perfbench" jobs @@ fun jobs ->
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
+  let seed_arg = seed_opt 7 ~doc:"Master seed for the chaos campaign." in
+  let run quick seed out =
+    let jobs = par_jobs () in
     let scenarios = if quick then 6 else 24 in
     let duration = if quick then 8.0 else 20.0 in
     let max_states = if quick then 4_000 else 30_000 in
     let profile = { Campaign.default_profile with Campaign.duration } in
-    let campaign j () =
-      Campaign.run_campaign ~jobs:j ~profile ~topo_of:rotating_topo ~seed
-        ~scenarios ()
-    in
     let iscens = Interleave.bundled ~max_states () in
-    let sweep j () = Interleave.explore_all ~jobs:j iscens in
-    let idigest stats =
-      Digest.to_hex
-        (Digest.string
-           (String.concat "\n" (List.map Interleave.render_stats stats)))
-    in
     Printf.printf
       "perfbench: %d chaos scenarios x {MPDA, DV} (%.0f s churn) + %d \
        interleave scenarios (cap %d); 1 vs %d domains\n\n"
       scenarios duration (List.length iscens) max_states jobs;
-    let c_seq, ct_seq = time (campaign 1) in
-    let c_par, ct_par = time (campaign jobs) in
-    let i_seq, it_seq = time (sweep 1) in
-    let i_par, it_par = time (sweep jobs) in
-    let rows =
-      [
-        ("chaos-campaign", ct_seq, ct_par, Campaign.digest c_seq,
-         Campaign.digest c_par);
-        ("interleave-sweep", it_seq, it_par, idigest i_seq, idigest i_par);
-      ]
+    (* One workload's row and gate. *)
+    let workload name ~digest run =
+      let p = digest_passes ~digest run in
+      Printf.printf "  %-17s seq %7.2f s  %d-domain %7.2f s  speedup x%.2f  md5 %s [%s]\n"
+        name p.seq_s jobs p.par_s (p.seq_s /. p.par_s) p.md5_seq
+        (if identical p then "match" else "MISMATCH: " ^ p.md5_par);
+      ( Json.(
+          Obj
+            [ ("workload", String name); ("sequential_s", Float p.seq_s);
+              ("parallel_s", Float p.par_s); ("speedup", Float (p.seq_s /. p.par_s)) ]),
+        digest_gate (name ^ ": parallel digest = sequential") p )
     in
-    List.iter
-      (fun (name, ts, tp, ds, dp) ->
-        Printf.printf
-          "  %-17s seq %7.2f s  %d-domain %7.2f s  speedup x%.2f  md5 %s [%s]\n"
-          name ts jobs tp (ts /. tp) ds
-          (if String.equal ds dp then "match" else "MISMATCH: " ^ dp))
-      rows;
-    let json_row (name, ts, tp, ds, dp) =
-      Printf.sprintf
-        "    {\"workload\": %S, \"sequential_s\": %.6f, \"parallel_s\": %.6f, \
-         \"speedup\": %.4f, \"md5_sequential\": %S, \"md5_parallel\": %S, \
-         \"identical\": %b}"
-        name ts tp (ts /. tp) ds dp (String.equal ds dp)
+    let chaos_row, chaos_gate =
+      workload "chaos-campaign" ~digest:Campaign.digest (fun ~jobs ~now:_ ->
+          Campaign.run_campaign ~jobs ~profile ~topo_of:rotating_topo ~seed ~scenarios ())
     in
-    write_report out
-      (Printf.sprintf
-         "{\n  \"benchmark\": \"perf-parallel\",\n  \"jobs\": %d,\n  \
-          \"quick\": %b,\n  \"seed\": %d,\n  \"rows\": [\n%s\n  ]\n}\n"
-         jobs quick seed
-         (String.concat ",\n" (List.map json_row rows)));
-    verdict "perfbench"
-      (List.for_all (fun (_, _, _, ds, dp) -> String.equal ds dp) rows)
+    let sweep_row, sweep_gate =
+      workload "interleave-sweep"
+        ~digest:(fun stats ->
+          Digest.to_hex
+            (Digest.string (String.concat "\n" (List.map Interleave.render_stats stats))))
+        (fun ~jobs ~now:_ -> Interleave.explore_all ~jobs iscens)
+    in
+    let ok =
+      write_report ~out ~benchmark:"perfbench"
+        ~params:Json.[ ("quick", Bool quick); ("seed", Int seed); ("parallel_domains", Int jobs) ]
+        ~rows:[ chaos_row; sweep_row ] [ chaos_gate; sweep_gate ]
+    in
+    verdict "perfbench" ok
       ~pass:"PASS (parallel digests match sequential)"
       ~fail:"FAIL (parallel trace diverged from sequential)"
   in
@@ -753,10 +733,7 @@ let perfbench_cmd =
        ~doc:
          "Time sequential vs multi-domain execution and assert bit-identical \
           traces.")
-    Term.(
-      const run $ quick_arg
-      $ jobs_arg "Domains for the parallel runs (default: MDR_JOBS, at least 2)."
-      $ seed_arg $ out_arg "BENCH_perf.json")
+    Term.(const run $ quick_arg $ seed_arg $ out_arg "BENCH_perfbench.json")
 
 (* ---- internet-scale SPF benchmark --------------------------------- *)
 
@@ -822,13 +799,9 @@ let scale_cmd =
     let rng = Rng.substream ~seed ~index in
     let topo = make_topo gen target rng in
     let n = Graph.node_count topo in
-    let costs = Hashtbl.create (4 * n) in
     let table = Topo_table.create () in
     List.iter
-      (fun (l : Graph.link) ->
-        let c = draw_cost rng in
-        Hashtbl.replace costs (l.Graph.src, l.Graph.dst) c;
-        Topo_table.set table ~head:l.Graph.src ~tail:l.Graph.dst ~cost:c)
+      (fun (l : Graph.link) -> Topo_table.set table ~head:l.src ~tail:l.dst ~cost:(draw_cost rng))
       (Graph.links topo);
     let conv_table = Topo_table.copy table in
     let links = Array.of_list (Graph.links topo) in
@@ -850,19 +823,10 @@ let scale_cmd =
     for _i = 1 to k do
       let l = links.(Rng.int rng ~bound:(Array.length links)) in
       let head = l.Graph.src and tail = l.Graph.dst in
-      let cur =
-        match Topo_table.cost table ~head ~tail with
-        | Some c -> c
-        | None -> infinity
-      in
-      let cost = redraw rng cur in
+      let cost = redraw rng (Option.value ~default:infinity (Topo_table.cost table ~head ~tail)) in
       Topo_table.set table ~head ~tail ~cost;
       let t0 = now () in
-      (match
-         Incr_spf.update iws st table
-           ~changes:[ { Topo_table.head; tail; cost } ]
-       with
-      | Incr_spf.Repaired _ | Incr_spf.Recomputed -> ());
+      ignore (Incr_spf.update iws st table ~changes:[ { Topo_table.head; tail; cost } ]);
       incr_s := !incr_s +. (now () -. t0);
       let t1 = now () in
       Dijkstra.on_table_into dws ~n ~root:0 ~dist:sdist ~parent:sparent table;
@@ -881,11 +845,11 @@ let scale_cmd =
     let conv =
       if n > conv_max then None
       else begin
-        let cost_fn (l : Graph.link) =
-          Hashtbl.find costs (l.Graph.src, l.Graph.dst)
-        in
+        let cost_of ~head ~tail = Option.get (Topo_table.cost conv_table ~head ~tail) in
         let t0 = now () in
-        let net = Syncnet.create ~topo ~cost:cost_fn () in
+        let net =
+          Syncnet.create ~topo ~cost:(fun (l : Graph.link) -> cost_of ~head:l.src ~tail:l.dst) ()
+        in
         let completed = Syncnet.run ~max_messages:5_000_000 net in
         let secs = now () -. t0 in
         let msgs = Syncnet.messages_delivered net in
@@ -895,8 +859,7 @@ let scale_cmd =
         in
         let l = links.(Rng.int rng ~bound:(Array.length links)) in
         let head = l.Graph.src and tail = l.Graph.dst in
-        let c = redraw rng (Hashtbl.find costs (head, tail)) in
-        Hashtbl.replace costs (head, tail) c;
+        let c = redraw rng (cost_of ~head ~tail) in
         Topo_table.set conv_table ~head ~tail ~cost:c;
         Syncnet.change_link_cost net ~src:head ~dst:tail ~cost:c;
         let completed2 = Syncnet.run ~max_messages:5_000_000 net in
@@ -946,17 +909,48 @@ let scale_cmd =
       "Run the MPDA convergence bench only on cells with at most $(docv) \
        routers (the exact check costs n from-scratch Dijkstras)."
     in
-    Arg.(value & opt int 1000 & info [ "conv-max" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 1000 & info [ "conv-max" ] ~docv:"N" ~doc)
   in
-  let perfbench_arg =
-    let doc =
-      "Embed a previously written $(b,perfbench) JSON report into the output \
-       file, so one artifact carries both benchmark suites."
-    in
-    Arg.(value & opt (some string) None & info [ "perfbench" ] ~docv:"FILE" ~doc)
+  let per_lsu r =
+    let us s = s /. float_of_int r.sr_changes *. 1e6 in
+    (us r.sr_incr_s, us r.sr_full_s)
   in
-  let run quick jobs seeds conv_max out perfbench_file =
-    with_jobs "scale" jobs @@ fun jobs ->
+  let print_row r =
+    let per_incr, per_full = per_lsu r in
+    Printf.printf
+      "  %-6s n=%5d seed=%d  per-LSU incr %9.1f us  full %9.1f us  \
+       speedup x%7.1f  rep/fb %3d/%d  [%s]\n%!"
+      r.sr_gen r.sr_n r.sr_seed per_incr per_full
+      (per_full /. per_incr) r.sr_repairs r.sr_fallbacks
+      (if r.sr_equal then "exact" else "MISMATCH");
+    (match r.sr_conv with
+    | None -> ()
+    | Some (m, s, ex, rc, rp) ->
+        Printf.printf
+          "         converge %7d msgs %6.2f s  reconverge %5d msgs  \
+           %d repairs  [%s]\n%!"
+          m s rc rp
+          (if ex then "exact" else "NOT CONVERGED"));
+    r
+  in
+  let json_row r =
+    let per_incr, per_full = per_lsu r in
+    Json.(
+      Obj
+        [ ("gen", String r.sr_gen); ("n", Int r.sr_n); ("seed", Int r.sr_seed);
+          ("changes", Int r.sr_changes); ("per_lsu_incr_us", Float per_incr);
+          ("per_lsu_full_us", Float per_full); ("speedup", Float (per_full /. per_incr));
+          ("repairs", Int r.sr_repairs); ("fallbacks", Int r.sr_fallbacks);
+          ("engine_equal", Bool r.sr_equal);
+          ( "convergence",
+            match r.sr_conv with
+            | None -> Null
+            | Some (m, s, ex, rc, rp) ->
+                Obj
+                  [ ("messages", Int m); ("seconds", Float s); ("exact", Bool ex);
+                    ("reconverge_messages", Int rc); ("spf_repairs", Int rp) ] ) ])
+  in
+  let run quick seeds conv_max out =
     let sizes = if quick then [ 100; 1000 ] else [ 100; 1000; 5000; 10000 ] in
     let gens = [ "ba"; "waxman"; "hier" ] in
     let cells =
@@ -975,49 +969,22 @@ let scale_cmd =
       (String.concat ", " gens)
       (String.concat ", " (List.map string_of_int sizes))
       (List.length seeds) conv_max;
-    (* Timed sequential pass: the only place the wall clock is read.
-       Rows print as they land — the big cells take a while. *)
-    let rows =
-      Array.map
-        (fun c ->
-          let r = run_cell ~now:Unix.gettimeofday ~conv_max c in
-          let per_incr = r.sr_incr_s /. float_of_int r.sr_changes *. 1e6 in
-          let per_full = r.sr_full_s /. float_of_int r.sr_changes *. 1e6 in
-          Printf.printf
-            "  %-6s n=%5d seed=%d  per-LSU incr %9.1f us  full %9.1f us  \
-             speedup x%7.1f  rep/fb %3d/%d  [%s]\n%!"
-            r.sr_gen r.sr_n r.sr_seed per_incr per_full
-            (per_full /. per_incr) r.sr_repairs r.sr_fallbacks
-            (if r.sr_equal then "exact" else "MISMATCH");
-          (match r.sr_conv with
-          | None -> ()
-          | Some (m, s, ex, rc, rp) ->
-              Printf.printf
-                "         converge %7d msgs %6.2f s  reconverge %5d msgs  \
-                 %d repairs  [%s]\n%!"
-                m s rc rp
-                (if ex then "exact" else "NOT CONVERGED"));
-          r)
-        tasks
+    (* The sequential pass prints rows as they land — the big cells take
+       a while. *)
+    let p =
+      digest_passes
+        ~digest:(fun rs ->
+          Digest.to_hex
+            (Digest.string
+               (String.concat "\n" (Array.to_list (Array.map (fun r -> r.sr_digest) rs)))))
+        (fun ~jobs ~now ->
+          if jobs = 1 then Array.map (fun c -> print_row (run_cell ~now ~conv_max c)) tasks
+          else Pool.map_array ~jobs (run_cell ~now ~conv_max) tasks)
     in
-    (* Pure parallel rerun: same cells over a domain pool, constant
-       clock, digest equality gates determinism across domains. *)
-    let digest_of rs =
-      Digest.to_hex
-        (Digest.string
-           (String.concat "\n" (List.map (fun r -> r.sr_digest) rs)))
-    in
-    let md5_seq = digest_of (Array.to_list rows) in
-    let par =
-      Pool.map_array ~jobs
-        (fun c -> run_cell ~now:(fun () -> 0.0) ~conv_max c)
-        tasks
-    in
-    let md5_par = digest_of (Array.to_list par) in
-    let identical = String.equal md5_seq md5_par in
-    Printf.printf "\n  digest seq %s  %d-domain %s [%s]\n" md5_seq jobs
-      md5_par
-      (if identical then "match" else "MISMATCH");
+    let rows = p.result in
+    Printf.printf "\n  digest seq %s  %d-domain %s [%s]\n" p.md5_seq (par_jobs ())
+      p.md5_par
+      (if identical p then "match" else "MISMATCH");
     (* The acceptance gate: at n >= 5000 a single-link change must
        repair at least 5x faster than recomputing from scratch. *)
     let big = Array.to_list rows |> List.filter (fun r -> r.sr_target >= 5000) in
@@ -1029,51 +996,24 @@ let scale_cmd =
     if big <> [] then
       Printf.printf "  n>=5000 speedup gate (>= x5 per LSU): %s\n"
         (if speedup_ok then "PASS" else "FAIL");
-    let all_equal = Array.for_all (fun r -> r.sr_equal) rows in
-    let all_conv =
-      Array.for_all
-        (fun r -> match r.sr_conv with Some (_, _, ex, _, _) -> ex | None -> true)
-        rows
+    let ok =
+      write_report ~out ~benchmark:"scale"
+        ~params:
+          Json.[ ("quick", Bool quick); ("seeds", List (List.map (fun s -> Int s) seeds));
+                 ("conv_max", Int conv_max) ]
+        ~rows:(Array.to_list (Array.map json_row rows))
+        ([
+           ("engine_equal", Array.for_all (fun r -> r.sr_equal) rows, []);
+           ( "convergence exact",
+             Array.for_all
+               (fun r -> match r.sr_conv with Some (_, _, ex, _, _) -> ex | None -> true)
+               rows,
+             [] );
+           digest_gate "parallel digest = sequential" p;
+         ]
+        @ if big = [] then [] else [ ("n>=5000 speedup >= x5 per LSU", speedup_ok, []) ])
     in
-    let json_row r =
-      let conv_json =
-        match r.sr_conv with
-        | None -> "null"
-        | Some (m, s, ex, rc, rp) ->
-            Printf.sprintf
-              "{\"messages\": %d, \"seconds\": %.6f, \"exact\": %b, \
-               \"reconverge_messages\": %d, \"spf_repairs\": %d}"
-              m s ex rc rp
-      in
-      let per_incr = r.sr_incr_s /. float_of_int r.sr_changes *. 1e6 in
-      let per_full = r.sr_full_s /. float_of_int r.sr_changes *. 1e6 in
-      Printf.sprintf
-        "    {\"gen\": %S, \"n\": %d, \"seed\": %d, \"changes\": %d, \
-         \"per_lsu_incr_us\": %.3f, \"per_lsu_full_us\": %.3f, \
-         \"speedup\": %.2f, \"repairs\": %d, \"fallbacks\": %d, \
-         \"engine_equal\": %b, \"convergence\": %s}"
-        r.sr_gen r.sr_n r.sr_seed r.sr_changes per_incr per_full
-        (per_full /. per_incr) r.sr_repairs r.sr_fallbacks r.sr_equal
-        conv_json
-    in
-    let perfbench_json =
-      match perfbench_file with
-      | None -> "null"
-      | Some f -> String.trim (In_channel.with_open_text f In_channel.input_all)
-    in
-    write_report out
-      (Printf.sprintf
-         "{\n  \"benchmark\": \"scaling-spf\",\n  \"jobs\": %d,\n  \
-          \"quick\": %b,\n  \"seeds\": [%s],\n  \"md5_sequential\": %S,\n  \
-          \"md5_parallel\": %S,\n  \"identical\": %b,\n  \"rows\": [\n%s\n  \
-          ],\n  \"perfbench\": %s\n}\n"
-         jobs quick
-         (String.concat ", " (List.map string_of_int seeds))
-         md5_seq md5_par identical
-         (String.concat ",\n" (Array.to_list (Array.map json_row rows)))
-         perfbench_json);
-    verdict "scale"
-      (all_equal && all_conv && identical && speedup_ok)
+    verdict "scale" ok
       ~pass:"PASS (repairs bit-identical, convergence exact, domains agree)"
       ~fail:"FAIL"
   in
@@ -1084,8 +1024,8 @@ let scale_cmd =
           internet-like topologies up to 10k nodes.")
     Term.(
       const run $ quick_arg
-      $ jobs_arg "Domains for the parallel digest-gate rerun."
-      $ seeds_arg $ conv_max_arg $ out_arg "BENCH_perf.json" $ perfbench_arg)
+      $ seeds_opt [ 1; 2; 3 ] ~doc:"Comma-separated seeds; the grid runs once per seed."
+      $ conv_max_arg $ out_arg "BENCH_scale.json")
 
 (* ---- the route-server daemon and its crash-recovery audit ---------- *)
 
@@ -1102,8 +1042,7 @@ let serve_topo_arg =
   let doc = "Topology: cairn, net1, or a file path." in
   Arg.(value & opt string "cairn" & info [ "topo" ] ~docv:"TOPOLOGY" ~doc)
 
-let audit_dir_arg default =
-  let doc = "Scratch directory for the audit's server states." in
+let dir_opt ?(doc = "Scratch directory for the audit's server states.") default =
   Arg.(value & opt string default & info [ "dir" ] ~docv:"DIR" ~doc)
 
 let describe_alarm = function
@@ -1132,10 +1071,14 @@ let describe_wire_alarm = function
   | Wire_server.Quarantined { client; strikes } ->
       Printf.sprintf "client %d quarantined after %d strikes" client strikes
 
+let slo_fields prefix (s : Mdr_faults.Recovery.slo) =
+  Json.[ (prefix ^ "count", Int s.count); (prefix ^ "p50_s", Float s.p50);
+         (prefix ^ "p95_s", Float s.p95); (prefix ^ "max_s", Float s.max_) ]
+
 (* The wire audits' reconnect SLOs, pooled by one grid axis (chaos
-   intensity, client count): a table on stdout, rows in the JSON report,
-   and the latency fields every per-run JSON row carries. *)
-let print_slo_table ~by ~axis ~key rows =
+   intensity, client count): printed as a table, returned as report
+   rows. *)
+let slo_rows ~by ~axis ~key ~value rows =
   Printf.printf "\nreconnect SLO by %s:\n%s" by
     (Mdr_util.Tab.render
        ~header:[ axis; "samples"; "p50 s"; "p95 s"; "max s" ]
@@ -1148,19 +1091,11 @@ let print_slo_table ~by ~axis ~key rows =
               Printf.sprintf "%.3f" s.p95;
               Printf.sprintf "%.3f" s.max_;
             ])
-          rows))
-
-let slo_json ~axis ~key (k, (s : Mdr_faults.Recovery.slo)) =
-  Printf.sprintf
-    "    {\"%s\": %s, \"count\": %d, \"p50_s\": %.4f, \"p95_s\": %.4f, \
-     \"max_s\": %.4f}"
-    axis (key k) s.count s.p50 s.p95 s.max_
-
-let reconnect_json (s : Mdr_faults.Recovery.slo) =
-  Printf.sprintf
-    "\"reconnect_count\": %d, \"reconnect_p50_s\": %.4f, \
-     \"reconnect_p95_s\": %.4f, \"reconnect_max_s\": %.4f"
-    s.count s.p50 s.p95 s.max_
+          rows));
+  List.map
+    (fun (k, s) ->
+      Json.Obj ((("table", Json.String "reconnect_slo") :: (axis, value k) :: slo_fields "" s)))
+    rows
 
 let parse_wire_addr spec =
   let malformed = Error "ADDR must be unix:PATH or tcp:HOST:PORT" in
@@ -1192,6 +1127,13 @@ let parse_wire_addr spec =
               | _ -> Error (Printf.sprintf "bad port %S" port)))
       | _ -> malformed)
 
+let string_of_addr = function
+  | Unix.ADDR_UNIX p -> "unix:" ^ p
+  | Unix.ADDR_INET (a, p) -> Printf.sprintf "tcp:%s:%d" (Unix.string_of_inet_addr a) p
+
+let addr_conv =
+  Arg.conv' ~docv:"ADDR" (parse_wire_addr, fun ppf a -> Format.pp_print_string ppf (string_of_addr a))
+
 (* Atomic metrics exposition: write the whole page to a temp file in
    the target's directory, then rename over it, so a scraper never
    reads a torn page. *)
@@ -1204,8 +1146,7 @@ let write_metrics ~path text =
    per accepted connection, watchdog heartbeat roughly once a second.
    SIGTERM/SIGINT request a graceful shutdown: stop accepting, send
    Shutdown to every live session, and return so the caller can flush
-   the journal and write the final snapshot. Returns the wire stats
-   and the logical time at shutdown. *)
+   the journal and write the final snapshot. Returns the wire stats. *)
 let listen_loop srv ~addr ~once ~max_seconds ~metrics =
   let wsrv = Wire_server.create srv in
   let sig_stop = ref false in
@@ -1225,10 +1166,7 @@ let listen_loop srv ~addr ~once ~max_seconds ~metrics =
   Unix.bind lsock addr;
   Unix.listen lsock 16;
   Unix.set_nonblock lsock;
-  (match Unix.getsockname lsock with
-  | Unix.ADDR_UNIX p -> Printf.printf "listening on unix:%s\n%!" p
-  | Unix.ADDR_INET (a, p) ->
-      Printf.printf "listening on tcp:%s:%d\n%!" (Unix.string_of_inet_addr a) p);
+  Printf.printf "listening on %s\n%!" (string_of_addr (Unix.getsockname lsock));
   let t0 = Unix.gettimeofday () in
   let last_beat = ref 0.0 in
   let now = ref 0.0 in
@@ -1248,9 +1186,7 @@ let listen_loop srv ~addr ~once ~max_seconds ~metrics =
       List.iter
         (fun a -> Printf.printf "  alarm: %s\n%!" (describe_wire_alarm a))
         (Wire_server.heartbeat wsrv ~now:!now);
-      match metrics with
-      | Some path -> write_metrics ~path (Wire_server.metrics wsrv ~now:!now)
-      | None -> ()
+      Option.iter (fun path -> write_metrics ~path (Wire_server.metrics wsrv ~now:!now)) metrics
     end;
     if once
        && (Wire_server.stats wsrv).Wire_server.opened > 0
@@ -1268,42 +1204,32 @@ let listen_loop srv ~addr ~once ~max_seconds ~metrics =
   end;
   Sys.set_signal Sys.sigterm prev_term;
   Sys.set_signal Sys.sigint prev_int;
-  (match metrics with
-  | Some path -> write_metrics ~path (Wire_server.metrics wsrv ~now:!now)
-  | None -> ());
+  Option.iter (fun path -> write_metrics ~path (Wire_server.metrics wsrv ~now:!now)) metrics;
   Unix.close lsock;
   (match addr with
   | Unix.ADDR_UNIX path -> ( try Sys.remove path with Sys_error _ -> ())
   | _ -> ());
-  (Wire_server.stats wsrv, !now)
+  Wire_server.stats wsrv
 
 let serve_cmd =
-  let dir_arg =
-    let doc = "State directory (journal + snapshot)." in
-    Arg.(value & opt string "mdr-server" & info [ "dir" ] ~docv:"DIR" ~doc)
-  in
   let resume_arg =
     let doc = "Restore from $(b,--dir) (snapshot + journal replay) instead \
                of starting fresh." in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
   let updates_arg =
-    let doc = "Ingest this many seeded updates through the backpressure \
-               queue, then shut down cleanly." in
-    Arg.(value & opt int 40 & info [ "updates" ] ~docv:"N" ~doc)
+    updates_opt nonneg_int 40
+      ~doc:"Ingest this many seeded updates through the backpressure queue, then shut down cleanly."
   in
-  let seed_arg =
-    let doc = "Seed for the update stream." in
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
+  let seed_arg = seed_opt 7 ~doc:"Seed for the update stream." in
   let snap_arg =
     let doc = "Snapshot every $(docv) applied updates (0 = only at \
                shutdown)." in
-    Arg.(value & opt int 16 & info [ "snapshot-every" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 16 & info [ "snapshot-every" ] ~docv:"N" ~doc)
   in
   let queue_arg =
     let doc = "Ingest queue capacity." in
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 64 & info [ "queue" ] ~docv:"N" ~doc)
   in
   let routes_arg =
     let doc = "After shutdown, print routes and flow splits from node \
@@ -1314,7 +1240,7 @@ let serve_cmd =
     let doc = "Serve the framed wire protocol on $(docv) (unix:PATH or \
                tcp:HOST:PORT) instead of replaying a seeded stream; \
                clients connect with $(b,mdrsim wire-client)." in
-    Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR" ~doc)
+    Arg.(value & opt (some addr_conv) None & info [ "listen" ] ~docv:"ADDR" ~doc)
   in
   let once_arg =
     let doc = "With $(b,--listen): shut down cleanly once at least one \
@@ -1324,7 +1250,7 @@ let serve_cmd =
   let max_seconds_arg =
     let doc = "With $(b,--listen): hard wall-clock cap on the daemon \
                (0 = run until $(b,--once) fires or the process is killed)." in
-    Arg.(value & opt float 0.0 & info [ "max-seconds" ] ~docv:"S" ~doc)
+    Arg.(value & opt nonneg_float 0.0 & info [ "max-seconds" ] ~docv:"S" ~doc)
   in
   let metrics_arg =
     let doc = "With $(b,--listen): write a Prometheus-style text \
@@ -1333,146 +1259,112 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
   let run topo_name dir resume updates seed snapshot_every queue routes_from
-      listen once max_seconds metrics =
-    let addr =
-      match listen with
-      | None -> Ok None
-      | Some spec -> Result.map Option.some (parse_wire_addr spec)
+      addr once max_seconds metrics =
+    let topo = named_topo topo_name in
+    let cost = Procfault.default_base_cost in
+    let config =
+      { Server.default_config with snapshot_every; queue_capacity = queue }
     in
-    match addr with
-    | Error msg ->
-        prerr_endline ("serve: " ^ msg);
+    match
+      if resume then Server.restore ~config ~now:0.0 ~dir ~topo ~cost ()
+      else Server.create ~config ~dir ~topo ~cost ()
+    with
+    | exception Server.Unreadable reason ->
+        Printf.eprintf "serve: cannot restore from %s: %s\n" dir reason;
         2
-    | Ok _
-      when updates < 0 || snapshot_every < 0 || queue < 1
-           || (not (Float.is_finite max_seconds))
-           || max_seconds < 0.0 ->
-        prerr_endline
-          "serve: --updates/--snapshot-every/--max-seconds must be >= 0, \
-           --queue >= 1";
-        2
-    | Ok addr -> (
-      let topo = named_topo topo_name in
-      let cost = Procfault.default_base_cost in
-      let config =
-        { Server.default_config with snapshot_every; queue_capacity = queue }
-      in
-      match
-        if resume then Server.restore ~config ~now:0.0 ~dir ~topo ~cost ()
-        else Server.create ~config ~dir ~topo ~cost ()
-      with
-      | exception Server.Unreadable reason ->
-          Printf.eprintf "serve: cannot restore from %s: %s\n" dir reason;
-          2
-      | srv ->
-          (match (Server.health srv ~now:0.0).Server.last_restore with
-          | Some info ->
-              Printf.printf
-                "restored from %s: seq %d, %d journal records replayed%s, %.1f ms\n"
-                (if info.Server.from_snapshot then "snapshot" else "genesis")
-                (Server.seq srv) info.Server.replayed
-                (if info.Server.torn_skipped then ", torn tail skipped" else "")
-                (info.Server.duration *. 1e3)
-          | None -> Printf.printf "fresh server: seq 0\n");
-          let wire_stats =
-            match addr with
-            | Some addr ->
-                let stats, _shutdown =
-                  listen_loop srv ~addr ~once ~max_seconds ~metrics
-                in
-                Some stats
-            | None ->
-                let stream =
-                  Procfault.stream
-                    ~rng:(Mdr_util.Rng.create ~seed)
-                    ~topo ~updates ()
-                in
-                List.iteri
-                  (fun i u ->
-                    let now = float_of_int (i + 1) in
-                    Server.offer srv ~now (Mdr_server.Update.of_procfault u);
-                    ignore (Server.poll srv ~now);
-                    List.iter
-                      (fun alarm ->
-                        Printf.printf "  alarm: %s\n" (describe_alarm alarm))
-                      (Server.heartbeat srv ~now:(now +. 0.5)))
-                  stream;
-                None
-          in
-          let now = float_of_int (updates + 1) in
-          (* drain any held-down cost updates before shutting down *)
-          let guard = ref 0 in
-          let now = ref now in
-          let continue = ref true in
-          while !continue do
-            incr guard;
-            if !guard > 10_000 then failwith "serve: backlog failed to drain";
-            ignore (Server.poll srv ~now:!now);
-            let h = Server.health srv ~now:!now in
-            if h.Server.queue_depth = 0 && h.Server.pending_timers = 0 then
-              continue := false
-            else now := !now +. 1.0
-          done;
-          Server.checkpoint srv;
-          let h = Server.health srv ~now:!now in
-          let ok = Server.lfi_ok srv && Server.settled srv in
-          (match wire_stats with
-          | Some st ->
-              Printf.printf
-                "wire: %d sessions (%d reaped, %d closed), %d frames, %d applied, \
-                 %d duplicates, %d rejects, %d malformed\n\
-                 served to seq %d, snapshot at %d\nfingerprint %s\n"
-                st.Wire_server.opened st.Wire_server.reaped st.Wire_server.closed
-                st.Wire_server.frames st.Wire_server.applied
-                st.Wire_server.duplicates st.Wire_server.rejects
-                st.Wire_server.malformed (Server.seq srv) h.Server.snap_seq
-                (Server.fingerprint srv)
+    | srv ->
+        (match (Server.health srv ~now:0.0).Server.last_restore with
+        | Some info ->
+            Printf.printf
+              "restored from %s: seq %d, %d journal records replayed%s, %.1f ms\n"
+              (if info.Server.from_snapshot then "snapshot" else "genesis")
+              (Server.seq srv) info.Server.replayed
+              (if info.Server.torn_skipped then ", torn tail skipped" else "")
+              (info.Server.duration *. 1e3)
+        | None -> Printf.printf "fresh server: seq 0\n");
+        let wire_stats =
+          match addr with
+          | Some addr -> Some (listen_loop srv ~addr ~once ~max_seconds ~metrics)
           | None ->
-              Printf.printf
-                "served %d updates: seq %d, snapshot at %d, %d shed, %d coalesced, \
-                 %d absorbed\nfingerprint %s\n"
-                updates (Server.seq srv) h.Server.snap_seq
-                h.Server.ingest.Mdr_server.Ingest.shed
-                h.Server.ingest.Mdr_server.Ingest.coalesced
-                h.Server.ingest.Mdr_server.Ingest.absorbed
-                (Server.fingerprint srv));
-          Printf.printf "spf: %d full runs, %d incremental repairs, %d fallbacks\n"
-            h.Server.spf_full_runs h.Server.spf_repairs h.Server.spf_fallbacks;
-          (match routes_from with
-          | None -> ()
-          | Some spec ->
-              let n = Mdr_topology.Graph.node_count topo in
-              let src =
-                match int_of_string_opt spec with
-                | Some i -> i
-                | None -> (
-                    match Mdr_topology.Graph.node_of_name topo spec with
-                    | i -> i
-                    | exception _ -> -1)
+              let stream =
+                Procfault.stream
+                  ~rng:(Mdr_util.Rng.create ~seed)
+                  ~topo ~updates ()
               in
-              if src < 0 || src >= n then
-                Printf.printf "routes: unknown node %S\n" spec
-              else
-                for dst = 0 to n - 1 do
-                  if dst <> src then begin
-                    let r = Server.route srv ~src ~dst in
-                    let split = Server.split srv ~src ~dst in
-                    Printf.printf "  %s -> %s: dist %.3f via [%s]\n"
-                      (Mdr_topology.Graph.name topo src)
-                      (Mdr_topology.Graph.name topo dst)
-                      r.Server.distance
-                      (String.concat "; "
-                         (List.map
-                            (fun (k, f) ->
-                              Printf.sprintf "%s %.0f%%"
-                                (Mdr_topology.Graph.name topo k)
-                                (100.0 *. f))
-                            split))
-                  end
-                done);
-          Server.close srv;
-          Printf.printf "serve: %s\n" (if ok then "PASS (LFI clean, settled)" else "FAIL");
-          exit_of_ok ok)
+              List.iteri
+                (fun i u ->
+                  let now = float_of_int (i + 1) in
+                  Server.offer srv ~now (Mdr_server.Update.of_procfault u);
+                  ignore (Server.poll srv ~now);
+                  List.iter
+                    (fun alarm ->
+                      Printf.printf "  alarm: %s\n" (describe_alarm alarm))
+                    (Server.heartbeat srv ~now:(now +. 0.5)))
+                stream;
+              None
+        in
+        (* drain any held-down cost updates before shutting down *)
+        let now, _ = Server.drain srv ~now:(float_of_int (updates + 1)) in
+        Server.checkpoint srv;
+        let h = Server.health srv ~now in
+        let ok = Server.lfi_ok srv && Server.settled srv in
+        (match wire_stats with
+        | Some st ->
+            Printf.printf
+              "wire: %d sessions (%d reaped, %d closed), %d frames, %d applied, \
+               %d duplicates, %d rejects, %d malformed\n\
+               served to seq %d, snapshot at %d\nfingerprint %s\n"
+              st.Wire_server.opened st.Wire_server.reaped st.Wire_server.closed
+              st.Wire_server.frames st.Wire_server.applied
+              st.Wire_server.duplicates st.Wire_server.rejects
+              st.Wire_server.malformed (Server.seq srv) h.Server.snap_seq
+              (Server.fingerprint srv)
+        | None ->
+            Printf.printf
+              "served %d updates: seq %d, snapshot at %d, %d shed, %d coalesced, \
+               %d absorbed\nfingerprint %s\n"
+              updates (Server.seq srv) h.Server.snap_seq
+              h.Server.ingest.Mdr_server.Ingest.shed
+              h.Server.ingest.Mdr_server.Ingest.coalesced
+              h.Server.ingest.Mdr_server.Ingest.absorbed
+              (Server.fingerprint srv));
+        Printf.printf "spf: %d full runs, %d incremental repairs, %d fallbacks\n"
+          h.Server.spf_full_runs h.Server.spf_repairs h.Server.spf_fallbacks;
+        (match routes_from with
+        | None -> ()
+        | Some spec ->
+            let n = Mdr_topology.Graph.node_count topo in
+            let src =
+              match int_of_string_opt spec with
+              | Some i -> i
+              | None -> (
+                  match Mdr_topology.Graph.node_of_name topo spec with
+                  | i -> i
+                  | exception Not_found -> -1)
+            in
+            if src < 0 || src >= n then
+              Printf.printf "routes: unknown node %S\n" spec
+            else
+              for dst = 0 to n - 1 do
+                if dst <> src then begin
+                  let r = Server.route srv ~src ~dst in
+                  let split = Server.split srv ~src ~dst in
+                  Printf.printf "  %s -> %s: dist %.3f via [%s]\n"
+                    (Mdr_topology.Graph.name topo src)
+                    (Mdr_topology.Graph.name topo dst)
+                    r.Server.distance
+                    (String.concat "; "
+                       (List.map
+                          (fun (k, f) ->
+                            Printf.sprintf "%s %.0f%%"
+                              (Mdr_topology.Graph.name topo k)
+                              (100.0 *. f))
+                          split))
+                end
+              done);
+        Server.close srv;
+        Printf.printf "serve: %s\n" (if ok then "PASS (LFI clean, settled)" else "FAIL");
+        exit_of_ok ok
   in
   Cmd.v
     (cmd_info "serve"
@@ -1482,40 +1374,34 @@ let serve_cmd =
           --resume restores and continues; --listen serves the framed \
           wire protocol on a Unix-domain or TCP socket instead.")
     Term.(
-      const run $ serve_topo_arg $ dir_arg $ resume_arg $ updates_arg
+      const run $ serve_topo_arg
+      $ dir_opt ~doc:"State directory (journal + snapshot)." "mdr-server"
+      $ resume_arg $ updates_arg
       $ seed_arg $ snap_arg $ queue_arg $ routes_arg $ listen_arg $ once_arg
       $ max_seconds_arg $ metrics_arg)
 
 let serve_audit_cmd =
-  let updates_arg =
-    let doc = "Updates per audit run." in
-    Arg.(value & opt int 60 & info [ "updates" ] ~docv:"N" ~doc)
-  in
+  let updates_arg = updates_opt pos_int 60 ~doc:"Updates per audit run." in
   let kills_arg =
     let doc = "Process kills per audit run (kinds rotate between-update, \
                mid-journal, mid-snapshot)." in
-    Arg.(value & opt int 6 & info [ "kills" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 6 & info [ "kills" ] ~docv:"N" ~doc)
   in
   let audit_seeds_arg =
-    let doc = "Comma-separated seeds; one full chaos audit per seed." in
-    Arg.(value & opt seeds_conv [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+    seeds_opt [ 1; 2; 3 ] ~doc:"Comma-separated seeds; one full chaos audit per seed."
   in
   let intensities_arg =
     let doc = "Comma-separated storm intensities (cost updates offered per \
                tick) for the shed-rate bench." in
-    Arg.(value & opt (list int) [ 2; 8; 32 ] & info [ "intensities" ] ~docv:"LIST" ~doc)
+    Arg.(value & opt (nonempty pos_int) [ 2; 8; 32 ] & info [ "intensities" ] ~docv:"LIST" ~doc)
   in
   let budget_arg =
     let doc = "Updates the stormed server applies per tick." in
-    Arg.(value & opt int 8 & info [ "budget" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 8 & info [ "budget" ] ~docv:"N" ~doc)
   in
   let run topo_name dir updates kills seeds intensities budget out =
-    if updates < kills + 2 || kills < 1 || budget < 1
-       || List.exists (fun i -> i < 1) intensities
-    then begin
-      prerr_endline
-        "serve-audit: need updates >= kills + 2, kills >= 1, budget >= 1, \
-         intensities >= 1";
+    if updates < kills + 2 then begin
+      prerr_endline "serve-audit: need --updates >= --kills + 2";
       2
     end
     else begin
@@ -1533,7 +1419,7 @@ let serve_audit_cmd =
             (seed, r))
           seeds
       in
-      let storm_seed = match seeds with s :: _ -> s | [] -> 1 in
+      let storm_seed = List.hd seeds in
       let storms =
         List.map
           (fun intensity ->
@@ -1544,10 +1430,8 @@ let serve_audit_cmd =
       Printf.printf "storm (budget %d/tick):\n%s\n" budget
         (Mdr_util.Tab.render
            ~header:
-             [
-               "intensity"; "offered"; "applied"; "coalesced"; "shed";
-               "shed rate"; "degraded ticks"; "lfi";
-             ]
+             [ "intensity"; "offered"; "applied"; "coalesced"; "shed"; "shed rate";
+               "degraded ticks"; "lfi" ]
            (List.map
               (fun (s : Server_audit.storm_report) ->
                 [
@@ -1579,55 +1463,50 @@ let serve_audit_cmd =
                   Printf.sprintf "%.2f" (p.Server_audit.restore_max_s *. 1e3);
                 ])
               sweep));
-      let audit_json (seed, (r : Server_audit.result)) =
-        let slo = r.Server_audit.restore_slo in
-        Printf.sprintf
-          "    {\"seed\": %d, \"ok\": %b, \"kills\": %d, \
-           \"final_fingerprint_ok\": %b, \"final_lfi_ok\": %b, \
-           \"restore_p50_ms\": %.3f, \"restore_p95_ms\": %.3f, \
-           \"restore_max_ms\": %.3f, \"apply_per_s\": %.1f, \
-           \"query_per_s\": %.1f}"
-          seed (Server_audit.ok r)
-          (List.length r.Server_audit.kills)
-          r.Server_audit.final_fingerprint_ok r.Server_audit.final_lfi_ok
-          (slo.Mdr_faults.Recovery.p50 *. 1e3)
-          (slo.Mdr_faults.Recovery.p95 *. 1e3)
-          (slo.Mdr_faults.Recovery.max_ *. 1e3)
-          r.Server_audit.apply_per_s r.Server_audit.query_per_s
+      let audit_row (seed, (r : Server_audit.result)) =
+        let ms x = Json.Float (x *. 1e3) in
+        Json.(
+          Obj
+            [ ("table", String "audit"); ("seed", Int seed); ("ok", Bool (Server_audit.ok r));
+              ("kills", Int (List.length r.kills)); ("final_fingerprint_ok", Bool r.final_fingerprint_ok);
+              ("final_lfi_ok", Bool r.final_lfi_ok); ("restore_p50_ms", ms r.restore_slo.p50);
+              ("restore_p95_ms", ms r.restore_slo.p95); ("restore_max_ms", ms r.restore_slo.max_);
+              ("apply_per_s", Float r.apply_per_s); ("query_per_s", Float r.query_per_s) ])
       in
-      let storm_json (s : Server_audit.storm_report) =
-        Printf.sprintf
-          "    {\"intensity\": %d, \"budget\": %d, \"ticks\": %d, \
-           \"offered\": %d, \"applied\": %d, \"coalesced\": %d, \"shed\": %d, \
-           \"shed_rate\": %.4f, \"degraded_ticks\": %d, \"lfi_ok\": %b}"
-          s.Server_audit.intensity s.Server_audit.budget s.Server_audit.ticks
-          s.Server_audit.offered s.Server_audit.applied
-          s.Server_audit.coalesced s.Server_audit.shed
-          s.Server_audit.shed_rate s.Server_audit.degraded_ticks
-          s.Server_audit.storm_lfi_ok
+      let storm_row (s : Server_audit.storm_report) =
+        Json.(
+          Obj
+            [ ("table", String "storm"); ("intensity", Int s.intensity); ("budget", Int s.budget);
+              ("ticks", Int s.ticks); ("offered", Int s.offered); ("applied", Int s.applied);
+              ("coalesced", Int s.coalesced); ("shed", Int s.shed); ("shed_rate", Float s.shed_rate);
+              ("degraded_ticks", Int s.degraded_ticks); ("lfi_ok", Bool s.storm_lfi_ok) ])
       in
-      let sweep_json (p : Server_audit.sweep_point) =
-        Printf.sprintf
-          "    {\"snapshot_every\": %d, \"journal_records\": %d, \
-           \"restore_mean_ms\": %.4f, \"restore_max_ms\": %.4f}"
-          p.Server_audit.snapshot_every p.Server_audit.journal_records
-          (p.Server_audit.restore_mean_s *. 1e3)
-          (p.Server_audit.restore_max_s *. 1e3)
+      let sweep_row (p : Server_audit.sweep_point) =
+        Json.(
+          Obj
+            [ ("table", String "snapshot_sweep"); ("snapshot_every", Int p.snapshot_every);
+              ("journal_records", Int p.journal_records);
+              ("restore_mean_ms", Float (p.restore_mean_s *. 1e3));
+              ("restore_max_ms", Float (p.restore_max_s *. 1e3)) ])
       in
-      write_report out
-        (Printf.sprintf
-           "{\n  \"benchmark\": \"serve-crash-recovery\",\n  \"topology\": %S,\n  \
-            \"updates\": %d,\n  \"kills\": %d,\n  \"audits\": [\n%s\n  ],\n  \
-            \"storm\": [\n%s\n  ],\n  \"snapshot_sweep\": [\n%s\n  ]\n}\n"
-           topo_name updates kills
-           (String.concat ",\n" (List.map audit_json audits))
-           (String.concat ",\n" (List.map storm_json storms))
-           (String.concat ",\n" (List.map sweep_json sweep)));
-      verdict "serve-audit"
-        (List.for_all (fun (_, r) -> Server_audit.ok r) audits
-        && List.for_all
-             (fun (s : Server_audit.storm_report) -> s.Server_audit.storm_lfi_ok)
-             storms)
+      let ok =
+        write_report ~out ~benchmark:"serve-audit"
+          ~params:
+            Json.[ ("topology", String topo_name); ("updates", Int updates); ("kills", Int kills);
+                   ("budget", Int budget) ]
+          ~rows:
+            (List.map audit_row audits @ List.map storm_row storms
+           @ List.map sweep_row sweep)
+          (List.map
+             (fun (seed, r) ->
+               (Printf.sprintf "seed %d: every kill recovered" seed, Server_audit.ok r, []))
+             audits
+          @ List.map
+              (fun (s : Server_audit.storm_report) ->
+                (Printf.sprintf "storm intensity %d: LFI clean" s.intensity, s.storm_lfi_ok, []))
+              storms)
+      in
+      verdict "serve-audit" ok
         ~pass:"PASS (every kill recovered fingerprint-identical, LFI clean)"
         ~fail:"FAIL (crash recovery diverged or LFI violated)"
     end
@@ -1638,38 +1517,31 @@ let serve_audit_cmd =
          "Crash-recovery chaos audit: kill the route-server at seeded points \
           (including mid-journal and mid-snapshot), restore, and assert \
           byte-identical state; also bench storm shedding and \
-          restore-latency vs snapshot cadence into BENCH_serve.json.")
+          restore-latency vs snapshot cadence into BENCH_serve-audit.json.")
     Term.(
-      const run $ serve_topo_arg $ audit_dir_arg "_serve_audit" $ updates_arg
+      const run $ serve_topo_arg $ dir_opt "_serve_audit" $ updates_arg
       $ kills_arg $ audit_seeds_arg $ intensities_arg $ budget_arg
-      $ out_arg "BENCH_serve.json")
+      $ out_arg "BENCH_serve-audit.json")
 
 let wire_client_cmd =
   let connect_arg =
     let doc = "Server address (unix:PATH or tcp:HOST:PORT)." in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"ADDR" ~doc)
+    Arg.(required & opt (some addr_conv) None & info [ "connect" ] ~docv:"ADDR" ~doc)
   in
   let updates_arg =
-    let doc = "Stream this many seeded updates, then fetch the server \
-               fingerprint and disconnect." in
-    Arg.(value & opt int 20 & info [ "updates" ] ~docv:"N" ~doc)
+    updates_opt pos_int 20
+      ~doc:"Stream this many seeded updates, then fetch the server fingerprint and disconnect."
   in
-  let seed_arg =
-    let doc = "Seed for the update stream (and backoff jitter)." in
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
+  let seed_arg = seed_opt 7 ~doc:"Seed for the update stream (and backoff jitter)." in
   let max_seconds_arg =
     let doc = "Give up after this much wall-clock time." in
-    Arg.(value & opt float 60.0 & info [ "max-seconds" ] ~docv:"S" ~doc)
+    Arg.(value & opt pos_float 60.0 & info [ "max-seconds" ] ~docv:"S" ~doc)
   in
   let client_id_arg =
     let doc = "Client identity: names this writer's durable sequence \
                space on the server, so concurrent clients (and resumed \
                ones) must each pick a distinct stable id >= 1." in
-    Arg.(value & opt int 1 & info [ "client-id" ] ~docv:"ID" ~doc)
+    Arg.(value & opt pos_int 1 & info [ "client-id" ] ~docv:"ID" ~doc)
   in
   let claim_arg =
     let doc = "Claim exclusive ownership of the whole topology under a \
@@ -1677,88 +1549,62 @@ let wire_client_cmd =
                the same links is then fenced instead of racing us." in
     Arg.(value & flag & info [ "claim" ] ~doc)
   in
-  let run topo_name connect updates seed max_seconds client_id claim =
-    if updates < 1 || (not (Float.is_finite max_seconds)) || max_seconds <= 0.0
-       || client_id < 1
-    then begin
-      prerr_endline
-        "wire-client: need --updates >= 1, --max-seconds > 0, --client-id >= 1";
-      2
-    end
-    else
-      match parse_wire_addr connect with
-      | Error msg ->
-          prerr_endline ("wire-client: " ^ msg);
-          2
-      | Ok addr ->
-          (* The stream must be built against the same --topo the server
-             runs, or submits are rejected as referencing unknown nodes. *)
-          let topo = named_topo topo_name in
-          let stream =
-            Array.of_list
-              (List.map Mdr_server.Update.of_procfault
-                 (Procfault.stream
-                    ~rng:(Mdr_util.Rng.create ~seed)
-                    ~topo ~updates ()))
-          in
-          let dial ~now:_ =
-            let fd =
-              Unix.socket ~cloexec:true
-                (Unix.domain_of_sockaddr addr)
-                Unix.SOCK_STREAM 0
-            in
-            match Unix.connect fd addr with
-            | () -> Some (Wire_transport.of_fd fd)
-            | exception
-                Unix.Unix_error
-                  ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ENOENT
-                    | Unix.ETIMEDOUT | Unix.EHOSTUNREACH | Unix.ENETUNREACH
-                    | Unix.EAGAIN | Unix.EINTR ),
-                    _,
-                    _ ) ->
-                Unix.close fd;
-                None
-          in
-          let client =
-            Wire_client.create ~client_id
-              ?claim:(if claim then Some Mdr_wire.Proto.All else None)
-              ~rng:(Mdr_util.Rng.create ~seed)
-              ~dial ~updates:stream ()
-          in
-          let t0 = Unix.gettimeofday () in
-          let timed_out = ref false in
-          while (not (Wire_client.finished client)) && not !timed_out do
-            let now = Unix.gettimeofday () -. t0 in
-            if now > max_seconds then timed_out := true
-            else begin
-              Wire_client.step client ~now;
-              try Unix.sleepf 0.002
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            end
-          done;
-          let st = Wire_client.stats client in
-          Printf.printf
-            "client: %d sent (+%d retries), %d acked, %d fast-forwarded, %d \
-             reconnects, %d dial failures\n"
-            st.Wire_client.sent st.Wire_client.retries st.Wire_client.acked
-            st.Wire_client.fast_forwarded st.Wire_client.reconnects
-            st.Wire_client.dial_failures;
-          (match Wire_client.fingerprint client with
-          | Some fp -> Printf.printf "server fingerprint %s\n" fp
-          | None -> ());
-          let ok =
-            match Wire_client.phase client with
-            | Wire_client.Done -> true
-            | _ -> false
-          in
-          (match Wire_client.phase client with
-          | Wire_client.Failed msg ->
-              Printf.printf "wire-client: FAIL (%s)\n" msg
-          | _ ->
-              Printf.printf "wire-client: %s\n"
-                (if ok then "PASS (stream durable, fingerprint fetched)"
-                 else "FAIL (timed out)"));
-          exit_of_ok ok
+  let run topo_name addr updates seed max_seconds client_id claim =
+    (* The stream must be built against the same --topo the server
+       runs, or submits are rejected as referencing unknown nodes. *)
+    let topo = named_topo topo_name in
+    let stream =
+      Array.of_list
+        (List.map Mdr_server.Update.of_procfault
+           (Procfault.stream ~rng:(Mdr_util.Rng.create ~seed) ~topo ~updates ()))
+    in
+    let dial ~now:_ =
+      let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+      match Unix.connect fd addr with
+      | () -> Some (Wire_transport.of_fd fd)
+      | exception
+          Unix.Unix_error
+            ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ENOENT
+              | Unix.ETIMEDOUT | Unix.EHOSTUNREACH | Unix.ENETUNREACH
+              | Unix.EAGAIN | Unix.EINTR ),
+              _,
+              _ ) ->
+          Unix.close fd;
+          None
+    in
+    let client =
+      Wire_client.create ~client_id
+        ?claim:(if claim then Some Mdr_wire.Proto.All else None)
+        ~rng:(Mdr_util.Rng.create ~seed)
+        ~dial ~updates:stream ()
+    in
+    let t0 = Unix.gettimeofday () in
+    let timed_out = ref false in
+    while (not (Wire_client.finished client)) && not !timed_out do
+      let now = Unix.gettimeofday () -. t0 in
+      if now > max_seconds then timed_out := true
+      else begin
+        Wire_client.step client ~now;
+        try Unix.sleepf 0.002
+        with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      end
+    done;
+    let st = Wire_client.stats client in
+    Printf.printf
+      "client: %d sent (+%d retries), %d acked, %d fast-forwarded, %d \
+       reconnects, %d dial failures\n"
+      st.Wire_client.sent st.Wire_client.retries st.Wire_client.acked
+      st.Wire_client.fast_forwarded st.Wire_client.reconnects
+      st.Wire_client.dial_failures;
+    (match Wire_client.fingerprint client with
+    | Some fp -> Printf.printf "server fingerprint %s\n" fp
+    | None -> ());
+    Printf.printf "wire-client: %s\n"
+      (match Wire_client.phase client with
+      | Wire_client.Done -> "PASS (stream durable, fingerprint fetched)"
+      | Wire_client.Failed msg -> "FAIL (" ^ msg ^ ")"
+      | _ -> "FAIL (timed out)");
+    exit_of_ok (Wire_client.phase client = Wire_client.Done)
   in
   Cmd.v
     (cmd_info "wire-client"
@@ -1771,94 +1617,68 @@ let wire_client_cmd =
       $ max_seconds_arg $ client_id_arg $ claim_arg)
 
 let serve_wire_audit_cmd =
-  let updates_arg =
-    let doc = "Updates per audit run." in
-    Arg.(value & opt int 60 & info [ "updates" ] ~docv:"N" ~doc)
-  in
+  let updates_arg = updates_opt pos_int 60 ~doc:"Updates per audit run." in
   let audit_seeds_arg =
-    let doc = "Comma-separated seeds; one reference-vs-chaos session per \
-               (seed, intensity) cell." in
-    Arg.(
-      value
-      & opt seeds_conv [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+    seeds_opt (List.init 12 succ)
+      ~doc:"Comma-separated seeds; one reference-vs-chaos session per (seed, intensity) cell."
   in
   let intensities_arg =
     let doc = "Comma-separated chaos intensities scaling the fault-line \
                probabilities (0 = clean wire)." in
     Arg.(
       value
-      & opt (list float) [ 0.5; 1.0; 2.0 ]
+      & opt (nonempty nonneg_float) [ 0.5; 1.0; 2.0 ]
       & info [ "intensities" ] ~docv:"LIST" ~doc)
   in
   let run topo_name dir updates seeds intensities out =
-    if updates < 1 || seeds = [] || intensities = []
-       || List.exists
-            (fun i -> (not (Float.is_finite i)) || i < 0.0)
-            intensities
-    then begin
-      prerr_endline
-        "serve-wire-audit: need --updates >= 1, non-empty seeds, finite \
-         intensities >= 0";
-      2
-    end
-    else begin
-      let topo = named_topo topo_name in
-      Printf.printf
-        "serve-wire-audit: %s, %d updates per run, seeds {%s}, intensities \
-         {%s}\n\n"
-        topo_name updates
-        (String.concat ", " (List.map string_of_int seeds))
-        (String.concat ", " (List.map (Printf.sprintf "%g") intensities));
-      let results =
-        Wire_audit.run_grid ~updates ~dir ~topo ~seeds ~intensities ()
-      in
-      print_string (Wire_audit.report results);
-      let slo = Wire_audit.slo_by_intensity results in
-      let key = Printf.sprintf "%g" in
-      print_slo_table ~by:"intensity (pooled)" ~axis:"intensity" ~key slo;
-      let run_json (r : Wire_audit.result) =
-        Printf.sprintf
-          "    {\"seed\": %d, \"intensity\": %g, \"ok\": %b, \
-           \"client_done\": %b, \"fingerprint_ok\": %b, \
-           \"exactly_once\": %b, \"lfi_ok\": %b, \"settled\": %b, \
-           \"reconnects\": %d, \"dial_failures\": %d, \"retries\": %d, \
-           \"fast_forwarded\": %d, \"duplicates\": %d, \"malformed\": %d, \
-           \"reaped\": %d, \"chaos_chunks\": %d, \"chaos_flips\": %d, \
-           \"chaos_truncations\": %d, \"chaos_duplicates\": %d, \
-           \"chaos_delays\": %d, \"chaos_stalls\": %d, \
-           \"chaos_disconnects\": %d, %s, \"wall_s\": %.2f}"
-          r.Wire_audit.seed r.Wire_audit.intensity r.Wire_audit.ok
-          r.Wire_audit.client_done r.Wire_audit.fingerprint_ok
-          r.Wire_audit.exactly_once r.Wire_audit.lfi r.Wire_audit.settled
-          r.Wire_audit.reconnects r.Wire_audit.dial_failures
-          r.Wire_audit.retries r.Wire_audit.fast_forwarded
-          r.Wire_audit.duplicates r.Wire_audit.malformed r.Wire_audit.reaped
-          r.Wire_audit.chaos.Mdr_faults.Wirefault.chunks
-          r.Wire_audit.chaos.Mdr_faults.Wirefault.flips
-          r.Wire_audit.chaos.Mdr_faults.Wirefault.truncations
-          r.Wire_audit.chaos.Mdr_faults.Wirefault.duplicates
-          r.Wire_audit.chaos.Mdr_faults.Wirefault.delays
-          r.Wire_audit.chaos.Mdr_faults.Wirefault.stalls
-          r.Wire_audit.chaos.Mdr_faults.Wirefault.disconnects
-          (reconnect_json r.Wire_audit.reconnect_slo)
-          r.Wire_audit.wall_s
-      in
-      write_report out
-        (Printf.sprintf
-           "{\n  \"benchmark\": \"serve-wire-chaos\",\n  \"topology\": %S,\n  \
-            \"updates\": %d,\n  \"runs\": [\n%s\n  ],\n  \
-            \"reconnect_slo_by_intensity\": [\n%s\n  ]\n}\n"
-           topo_name updates
-           (String.concat ",\n" (List.map run_json results))
-           (String.concat ",\n" (List.map (slo_json ~axis:"intensity" ~key) slo)));
-      verdict "serve-wire-audit"
-        (List.for_all (fun (r : Wire_audit.result) -> r.Wire_audit.ok) results)
-        ~pass:
-          "PASS (every session recovered, fingerprints byte-identical, \
-           exactly-once, LFI clean)"
-        ~fail:"FAIL (a chaos session diverged, stalled, or violated LFI)"
-    end
+    let topo = named_topo topo_name in
+    Printf.printf
+      "serve-wire-audit: %s, %d updates per run, seeds {%s}, intensities \
+       {%s}\n\n"
+      topo_name updates
+      (String.concat ", " (List.map string_of_int seeds))
+      (String.concat ", " (List.map (Printf.sprintf "%g") intensities));
+    let results =
+      Wire_audit.run_grid ~updates ~dir ~topo ~seeds ~intensities ()
+    in
+    print_string (Wire_audit.report results);
+    let slo =
+      slo_rows ~by:"intensity (pooled)" ~axis:"intensity" ~key:(Printf.sprintf "%g")
+        ~value:(fun i -> Json.Float i)
+        (Wire_audit.slo_by_intensity results)
+    in
+    let run_row (r : Wire_audit.result) =
+      let c = r.chaos in
+      Json.(
+        Obj
+          ([ ("table", String "run"); ("seed", Int r.seed); ("intensity", Float r.intensity);
+             ("ok", Bool r.ok); ("client_done", Bool r.client_done);
+             ("fingerprint_ok", Bool r.fingerprint_ok); ("exactly_once", Bool r.exactly_once);
+             ("lfi_ok", Bool r.lfi); ("settled", Bool r.settled); ("reconnects", Int r.reconnects);
+             ("dial_failures", Int r.dial_failures); ("retries", Int r.retries);
+             ("fast_forwarded", Int r.fast_forwarded); ("duplicates", Int r.duplicates);
+             ("malformed", Int r.malformed); ("reaped", Int r.reaped);
+             ("chaos_chunks", Int c.chunks); ("chaos_flips", Int c.flips);
+             ("chaos_truncations", Int c.truncations); ("chaos_duplicates", Int c.duplicates);
+             ("chaos_delays", Int c.delays); ("chaos_stalls", Int c.stalls);
+             ("chaos_disconnects", Int c.disconnects) ]
+          @ slo_fields "reconnect_" r.reconnect_slo
+          @ [ ("wall_s", Float r.wall_s) ]))
+    in
+    let ok =
+      write_report ~out ~benchmark:"serve-wire-audit"
+        ~params:[ ("topology", Json.String topo_name); ("updates", Json.Int updates) ]
+        ~rows:(List.map run_row results @ slo)
+        (List.map
+           (fun (r : Wire_audit.result) ->
+             (Printf.sprintf "seed %d intensity %g" r.seed r.intensity, r.ok, []))
+           results)
+    in
+    verdict "serve-wire-audit" ok
+      ~pass:
+        "PASS (every session recovered, fingerprints byte-identical, \
+         exactly-once, LFI clean)"
+      ~fail:"FAIL (a chaos session diverged, stalled, or violated LFI)"
   in
   Cmd.v
     (cmd_info "serve-wire-audit"
@@ -1868,128 +1688,104 @@ let serve_wire_audit_cmd =
           duplication, delay, stalls, mid-frame disconnects), assert the \
           final state is byte-identical to a chaos-free reference with \
           exactly-once applies, and bench reconnect SLOs into \
-          BENCH_serve.json.")
+          BENCH_serve-wire-audit.json.")
     Term.(
-      const run $ serve_topo_arg $ audit_dir_arg "_serve_wire_audit"
+      const run $ serve_topo_arg $ dir_opt "_serve_wire_audit"
       $ updates_arg $ audit_seeds_arg $ intensities_arg
-      $ out_arg "BENCH_serve.json")
+      $ out_arg "BENCH_serve-wire-audit.json")
 
 let serve_multi_audit_cmd =
-  let updates_arg =
-    let doc = "Updates per client per run." in
-    Arg.(value & opt int 30 & info [ "updates" ] ~docv:"N" ~doc)
-  in
+  let updates_arg = updates_opt pos_int 30 ~doc:"Updates per client per run." in
   let audit_seeds_arg =
-    let doc = "Comma-separated seeds; one concurrent-chaos run per \
-               (seed, client count) cell." in
-    Arg.(
-      value
-      & opt seeds_conv [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ]
-      & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+    seeds_opt (List.init 12 succ)
+      ~doc:"Comma-separated seeds; one concurrent-chaos run per (seed, client count) cell."
   in
   let clients_arg =
     let doc = "Comma-separated concurrent writer counts (each >= 2)." in
     Arg.(
-      value & opt seeds_conv [ 2; 4; 8 ] & info [ "clients" ] ~docv:"LIST" ~doc)
+      value & opt (nonempty (int_from 2)) [ 2; 4; 8 ] & info [ "clients" ] ~docv:"LIST" ~doc)
   in
   let intensity_arg =
     let doc = "Chaos intensity scaling the fault-line probabilities \
                (0 = clean wire)." in
-    Arg.(value & opt float 1.0 & info [ "intensity" ] ~docv:"X" ~doc)
+    Arg.(value & opt nonneg_float 1.0 & info [ "intensity" ] ~docv:"X" ~doc)
   in
   let server_kills_arg =
     let doc = "Server kills (between updates, mid journal append, mid \
                snapshot) per run." in
-    Arg.(value & opt int 3 & info [ "server-kills" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 3 & info [ "server-kills" ] ~docv:"N" ~doc)
   in
   let client_kills_arg =
     let doc = "Client kills (fresh machine resumes through Welcome) per \
                run." in
-    Arg.(value & opt int 2 & info [ "client-kills" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 2 & info [ "client-kills" ] ~docv:"N" ~doc)
   in
   let run topo_name dir updates seeds clients intensity server_kills
       client_kills out =
-    if updates < 1 || seeds = [] || clients = []
-       || List.exists (fun c -> c < 2) clients
-       || (not (Float.is_finite intensity))
-       || intensity < 0.0 || server_kills < 0 || client_kills < 0
-    then begin
-      prerr_endline
-        "serve-multi-audit: need --updates >= 1, non-empty seeds, client \
-         counts >= 2, finite --intensity >= 0, kill counts >= 0";
-      2
-    end
-    else begin
-      let topo = named_topo topo_name in
-      Printf.printf
-        "serve-multi-audit: %s, %d updates per client, seeds {%s}, clients \
-         {%s}, intensity %g\n\n"
-        topo_name updates
-        (String.concat ", " (List.map string_of_int seeds))
-        (String.concat ", " (List.map string_of_int clients))
-        intensity;
-      let results =
-        Wire_audit.run_multi_grid ~updates ~server_kills ~client_kills
-          ~intensity ~dir ~topo ~seeds ~client_counts:clients ()
-      in
-      print_string (Wire_audit.report_multi results);
-      let slo = Wire_audit.multi_slo_by_clients results in
-      print_slo_table ~by:"client count (pooled per-client)" ~axis:"clients"
-        ~key:string_of_int slo;
-      let client_json (c : Wire_audit.client_report) =
-        Printf.sprintf
-          "{\"client\": %d, \"done\": %b, \"acked\": %d, \"resumes\": %d, \
-           \"reconnects\": %d, \"dial_failures\": %d, \"retries\": %d, \
-           \"fast_forwarded\": %d, \"throttled\": %d, \"shed\": %d, %s}"
-          c.Wire_audit.client c.Wire_audit.client_done c.Wire_audit.acked
-          c.Wire_audit.resumes c.Wire_audit.reconnects
-          c.Wire_audit.dial_failures c.Wire_audit.retries
-          c.Wire_audit.fast_forwarded c.Wire_audit.throttled c.Wire_audit.shed
-          (reconnect_json c.Wire_audit.reconnect_slo)
-      in
-      let run_json (r : Wire_audit.multi_result) =
-        Printf.sprintf
-          "    {\"seed\": %d, \"clients\": %d, \"intensity\": %g, \
-           \"updates_per_client\": %d, \"ok\": %b, \"all_done\": %b, \
-           \"fingerprint_ok\": %b, \"replay_ok\": %b, \"exactly_once\": %b, \
-           \"marks_ok\": %b, \"no_stale_applies\": %b, \"lfi_ok\": %b, \
-           \"settled\": %b, \"server_kills\": %d, \"client_kills\": %d, \
-           \"grants\": %d, \"fenced\": %d, \"throttled\": %d, \
-           \"quarantines\": %d, \"evicted\": %d, \"duplicates\": %d, \
-           \"malformed\": %d, %s, \"wall_s\": %.2f,\n     \
-           \"per_client\": [%s]}"
-          r.Wire_audit.seed r.Wire_audit.clients r.Wire_audit.intensity
-          r.Wire_audit.updates_per_client r.Wire_audit.ok r.Wire_audit.all_done
-          r.Wire_audit.fingerprint_ok r.Wire_audit.replay_ok
-          r.Wire_audit.exactly_once r.Wire_audit.marks_ok
-          r.Wire_audit.no_stale_applies r.Wire_audit.lfi r.Wire_audit.settled
-          r.Wire_audit.server_kills r.Wire_audit.client_kills
-          r.Wire_audit.grants r.Wire_audit.fenced r.Wire_audit.throttled
-          r.Wire_audit.quarantines r.Wire_audit.evicted r.Wire_audit.duplicates
-          r.Wire_audit.malformed
-          (reconnect_json r.Wire_audit.reconnect_slo)
-          r.Wire_audit.wall_s
-          (String.concat ", " (List.map client_json r.Wire_audit.per_client))
-      in
-      write_report out
-        (Printf.sprintf
-           "{\n  \"benchmark\": \"serve-multi-chaos\",\n  \"topology\": %S,\n  \
-            \"updates_per_client\": %d,\n  \"intensity\": %g,\n  \
-            \"runs\": [\n%s\n  ],\n  \
-            \"reconnect_slo_by_clients\": [\n%s\n  ]\n}\n"
-           topo_name updates intensity
-           (String.concat ",\n" (List.map run_json results))
-           (String.concat ",\n"
-              (List.map (slo_json ~axis:"clients" ~key:string_of_int) slo)));
-      verdict "serve-multi-audit"
-        (List.for_all (fun (r : Wire_audit.multi_result) -> r.Wire_audit.ok) results)
-        ~pass:
-          "PASS (every cell byte-identical to its sequential reference, \
-           exactly-once per client, zero stale-epoch applies, LFI clean)"
-        ~fail:
-          "FAIL (a cell diverged, lost or double-applied a client's \
-           update, or let a fenced write through)"
-    end
+    let topo = named_topo topo_name in
+    Printf.printf
+      "serve-multi-audit: %s, %d updates per client, seeds {%s}, clients \
+       {%s}, intensity %g\n\n"
+      topo_name updates
+      (String.concat ", " (List.map string_of_int seeds))
+      (String.concat ", " (List.map string_of_int clients))
+      intensity;
+    let results =
+      Wire_audit.run_multi_grid ~updates ~server_kills ~client_kills
+        ~intensity ~dir ~topo ~seeds ~client_counts:clients ()
+    in
+    print_string (Wire_audit.report_multi results);
+    let slo =
+      slo_rows ~by:"client count (pooled per-client)" ~axis:"clients" ~key:string_of_int
+        ~value:(fun c -> Json.Int c)
+        (Wire_audit.multi_slo_by_clients results)
+    in
+    let client_row (c : Wire_audit.client_report) =
+      Json.(
+        Obj
+          ([ ("client", Int c.client); ("done", Bool c.client_done); ("acked", Int c.acked);
+             ("resumes", Int c.resumes); ("reconnects", Int c.reconnects);
+             ("dial_failures", Int c.dial_failures); ("retries", Int c.retries);
+             ("fast_forwarded", Int c.fast_forwarded); ("throttled", Int c.throttled);
+             ("shed", Int c.shed) ]
+          @ slo_fields "reconnect_" c.reconnect_slo))
+    in
+    let run_row (r : Wire_audit.multi_result) =
+      Json.(
+        Obj
+          ([ ("table", String "run"); ("seed", Int r.seed); ("clients", Int r.clients);
+             ("intensity", Float r.intensity); ("updates_per_client", Int r.updates_per_client);
+             ("ok", Bool r.ok); ("all_done", Bool r.all_done);
+             ("fingerprint_ok", Bool r.fingerprint_ok); ("replay_ok", Bool r.replay_ok);
+             ("exactly_once", Bool r.exactly_once); ("marks_ok", Bool r.marks_ok);
+             ("no_stale_applies", Bool r.no_stale_applies); ("lfi_ok", Bool r.lfi);
+             ("settled", Bool r.settled); ("server_kills", Int r.server_kills);
+             ("client_kills", Int r.client_kills); ("grants", Int r.grants);
+             ("fenced", Int r.fenced); ("throttled", Int r.throttled);
+             ("quarantines", Int r.quarantines); ("evicted", Int r.evicted);
+             ("duplicates", Int r.duplicates); ("malformed", Int r.malformed) ]
+          @ slo_fields "reconnect_" r.reconnect_slo
+          @ [ ("wall_s", Float r.wall_s); ("per_client", List (List.map client_row r.per_client)) ]))
+    in
+    let ok =
+      write_report ~out ~benchmark:"serve-multi-audit"
+        ~params:
+          Json.[ ("topology", String topo_name); ("updates_per_client", Int updates);
+                 ("intensity", Float intensity); ("server_kills", Int server_kills);
+                 ("client_kills", Int client_kills) ]
+        ~rows:(List.map run_row results @ slo)
+        (List.map
+           (fun (r : Wire_audit.multi_result) ->
+             (Printf.sprintf "seed %d clients %d" r.seed r.clients, r.ok, []))
+           results)
+    in
+    verdict "serve-multi-audit" ok
+      ~pass:
+        "PASS (every cell byte-identical to its sequential reference, \
+         exactly-once per client, zero stale-epoch applies, LFI clean)"
+      ~fail:
+        "FAIL (a cell diverged, lost or double-applied a client's \
+         update, or let a fenced write through)"
   in
   Cmd.v
     (cmd_info "serve-multi-audit"
@@ -2000,11 +1796,11 @@ let serve_multi_audit_cmd =
           and resumed at adversarial points; assert the final state is \
           byte-identical to a sequential replay of the accepted order, \
           exactly-once per client, zero stale-epoch applies, and bench \
-          per-client reconnect/shed SLOs into BENCH_serve.json.")
+          per-client reconnect/shed SLOs into BENCH_serve-multi-audit.json.")
     Term.(
-      const run $ serve_topo_arg $ audit_dir_arg "_serve_multi_audit"
+      const run $ serve_topo_arg $ dir_opt "_serve_multi_audit"
       $ updates_arg $ audit_seeds_arg $ clients_arg $ intensity_arg
-      $ server_kills_arg $ client_kills_arg $ out_arg "BENCH_serve.json")
+      $ server_kills_arg $ client_kills_arg $ out_arg "BENCH_serve-multi-audit.json")
 
 let dot_cmd =
   let topo_arg =
@@ -2022,8 +1818,9 @@ let dot_cmd =
 let cmds =
   [
     topology_cmd;
-    fig9_cmd;
-    fig10_cmd;
+    fluid_cmd "fig9" ~doc:"OPT vs MP per-flow delays on CAIRN (fluid + packet)."
+      Experiments.fig9_cairn_opt_vs_mp;
+    fluid_cmd "fig10" ~doc:"OPT vs MP per-flow delays on NET1." Experiments.fig10_net1_opt_vs_mp;
     loaded_cmd "fig11" ~doc:"MP vs SP per-flow delays on CAIRN (packet-level)."
       ~default:1.05 Experiments.fig11_cairn_mp_vs_sp;
     loaded_cmd "fig12" ~doc:"MP vs SP per-flow delays on NET1 (packet-level)."
@@ -2034,12 +1831,10 @@ let cmds =
       ~default:1.4 Experiments.fig14_net1_tl_effect;
     loaded_cmd "dyn" ~doc:"Dynamic (bursty) traffic study on CAIRN."
       ~default:1.1 Experiments.dyn_bursty_traffic;
-    simple_cmd "abl-eta" ~doc:"Ablation: OPT's global step size."
-      Experiments.abl_eta_step_size;
+    simple_cmd "abl-eta" ~doc:"Ablation: OPT's global step size." Experiments.abl_eta_step_size;
     simple_cmd "abl-2nd" ~doc:"Ablation: second-order OPT step scaling."
       Experiments.abl_second_order;
-    simple_cmd "abl-lb" ~doc:"Ablation: IH+AH vs IH-only vs SP."
-      Experiments.abl_load_balancing;
+    simple_cmd "abl-lb" ~doc:"Ablation: IH+AH vs IH-only vs SP." Experiments.abl_load_balancing;
     simple_cmd "abl-est" ~doc:"Ablation: marginal-delay estimators."
       (fun () -> Experiments.abl_estimators ());
     loaded_cmd "abl-ecmp" ~doc:"Ablation: unequal-cost multipath vs ECMP vs SP."
@@ -2074,19 +1869,17 @@ let () =
         "Reproduction of 'A Simple Approximation to Minimum-Delay Routing' (SIGCOMM 1999)."
   in
   (* Exit-code contract: 0 = clean, 1 = a finding (failed check, lint
-     violation, SLO breach), 2 = usage error — both cmdliner parse
-     errors (a term error via [~term_err]; a missing or malformed
+     violation, SLO breach), 2 = usage error — cmdliner parse errors (a
+     term error via [~term_err]; a missing, malformed or out-of-range
      argument comes back as [Cmd.Exit.cli_error] and is mapped here)
-     and each subcommand's own argument validation. A broken MDR_JOBS is a usage error too; check it
-     eagerly here rather than letting [Pool.default_jobs] raise deep
-     inside whichever subcommand first fans out. *)
-  (match Sys.getenv_opt "MDR_JOBS" with
-  | None -> ()
-  | Some s -> (
-      match Mdr_util.Pool.jobs_of_string s with
-      | Ok _ -> ()
-      | Error reason ->
-          Printf.eprintf "mdrsim: MDR_JOBS: %s\n" reason;
-          exit 2));
+     and the few checks that compare two arguments. A broken MDR_JOBS
+     is a usage error too; check it eagerly here rather than letting
+     [Pool.default_jobs] raise deep inside whichever subcommand first
+     fans out. *)
+  (match Mdr_util.Pool.default_jobs () with
+  | _ -> ()
+  | exception Invalid_argument reason ->
+      Printf.eprintf "mdrsim: %s\n" reason;
+      exit 2);
   let code = Cmd.eval' ~term_err:2 (Cmd.group info cmds) in
   exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -256,21 +256,9 @@ let storm ?(config = default_storm_config) ?(ticks = 50) ~intensity ~budget
     | Server.Degraded -> incr degraded
     | Server.Ok -> ()
   done;
-  (* drain: keep polling past the storm until the queue and every
-     hold-down timer are gone *)
-  let now = ref (float_of_int ticks) in
-  let guard = ref 0 in
-  let continue = ref true in
-  while !continue do
-    incr guard;
-    if !guard > 10_000 then failwith "Audit.storm: backlog failed to drain";
-    applied := !applied + Server.poll srv ~now:!now;
-    let h = Server.health srv ~now:!now in
-    if h.Server.queue_depth = 0 && h.Server.pending_timers = 0 then
-      continue := false
-    else now := !now +. 1.0
-  done;
-  let stats = (Server.health srv ~now:!now).Server.ingest in
+  let now, drained = Server.drain srv ~now:(float_of_int ticks) in
+  applied := !applied + drained;
+  let stats = (Server.health srv ~now).Server.ingest in
   let storm_lfi_ok = Server.lfi_ok srv && Server.settled srv in
   Server.close srv;
   {

@@ -666,6 +666,15 @@ let poll ?max t ~now =
   List.iter (fun u -> apply t ~now u) updates;
   List.length updates
 
+let drain t ~now =
+  let rec go rounds now applied =
+    if rounds >= 10_000 then failwith "Server.drain: backlog failed to drain";
+    let applied = applied + poll t ~now in
+    if Ingest.depth t.ingest = 0 && Ingest.pending_timers t.ingest = 0 then (now, applied)
+    else go (rounds + 1) (now +. 1.0) applied
+  in
+  go 0 now 0
+
 let close t =
   if t.alive then begin
     t.alive <- false;

@@ -180,6 +180,12 @@ val poll : ?max:int -> t -> now:float -> int
 (** Drain up to [max] queued updates (default: all) through {!apply};
     returns how many were applied. *)
 
+val drain : t -> now:float -> float * int
+(** Poll until the queue is empty and no hold-down timer is armed,
+    starting at [now] and advancing the clock one second per round;
+    returns the clock it settled at and the updates applied.
+    @raise Failure after 10,000 rounds. *)
+
 val checkpoint : ?torn_after:int -> t -> unit
 (** Write a snapshot and reset the journal. [torn_after] simulates a
     kill mid-snapshot: a partial temp file is left behind, the real

@@ -609,6 +609,26 @@ let test_audit_storm_accounting () =
       check_int "offered = ticks * intensity" 80 s.Audit.offered;
       check "lfi survives the storm" true s.Audit.storm_lfi_ok)
 
+(* Offers without polling leave a backlog (queued updates, and armed
+   hold-down timers for sub-threshold costs); drain must clear both,
+   count every apply, and be a no-op on a settled server. *)
+let test_drain_settles () =
+  let topo = small_topo () in
+  with_dir (fun d ->
+      let srv = Server.create ~dir:d ~topo ~cost () in
+      List.iteri (fun i u -> Server.offer srv ~now:(0.01 *. float_of_int i) u) (stream topo ~seed:5 ~updates:30);
+      let now, applied = Server.drain srv ~now:1.0 in
+      let h = Server.health srv ~now in
+      check_int "queue empty" 0 h.Server.queue_depth;
+      check_int "no timers armed" 0 h.Server.pending_timers;
+      check_int "every apply counted" (Server.seq srv) applied;
+      check "clock never runs backwards" true (now >= 1.0);
+      check "settled, LFI clean" true (Server.settled srv && Server.lfi_ok srv);
+      let now', again = Server.drain srv ~now in
+      check_int "nothing left" 0 again;
+      check "settled drain keeps the clock" true (Float.equal now now');
+      Server.close srv)
+
 (* ---- multi-writer: per-client sequence spaces and epoch fencing ------ *)
 
 let set01 cost = Update.Set_cost { src = 0; dst = 1; cost }
@@ -831,5 +851,6 @@ let suite =
     Alcotest.test_case "audit: small end-to-end run" `Quick test_audit_small;
     Alcotest.test_case "audit: storm accounting" `Quick
       test_audit_storm_accounting;
+    Alcotest.test_case "server: drain clears queue and timers" `Quick test_drain_settles;
     QCheck_alcotest.to_alcotest prop_crash_recovery;
   ]

@@ -156,6 +156,35 @@ let test_tab_series () =
   in
   check "title present" true (String.length s > 10)
 
+let test_json_layout () =
+  let open Mdr_util.Json in
+  let v =
+    Obj
+      [
+        ("name", String "a\"b\\c\n\001");
+        ("rows", List [ Obj [ ("x", Int 1); ("y", Float 0.5); ("z", Float nan) ]; List [] ]);
+        ("ok", Bool true);
+        ("none", Null);
+      ]
+  in
+  Alcotest.(check string)
+    "layout" "{\n  \"name\": \"a\\\"b\\\\c\\n\\u0001\",\n  \"rows\": [\n    {\"x\": 1, \"y\": 0.5, \"z\": null},\n    []\n  ],\n  \"ok\": true,\n  \"none\": null\n}\n"
+    (to_string v);
+  Alcotest.(check string)
+    "numbers" "[\n  null,\n  1e+06,\n  -2\n]\n"
+    (to_string (List [ Float infinity; Float 1e6; Int (-2) ]))
+
+let test_json_report () =
+  match Mdr_util.Json.report ~benchmark:"b" ~params:[] ~rows:[] ~gates:[] with
+  | Mdr_util.Json.Obj fields ->
+      Alcotest.(check (list string))
+        "record keys" [ "benchmark"; "host"; "params"; "rows"; "gates" ] (List.map fst fields);
+      (match List.assoc "host" fields with
+      | Mdr_util.Json.Obj host ->
+          Alcotest.(check (list string)) "host keys" [ "cpus"; "ocaml"; "mdr_jobs" ] (List.map fst host)
+      | _ -> Alcotest.fail "host is not an object")
+  | _ -> Alcotest.fail "report is not an object"
+
 (* Property tests. *)
 let prop_percentile_member =
   QCheck.Test.make ~name:"percentile returns a member" ~count:200
@@ -184,5 +213,7 @@ let suite =
     Alcotest.test_case "tab: render aligns" `Quick test_tab_render;
     Alcotest.test_case "tab: float cells" `Quick test_tab_float_cell;
     Alcotest.test_case "tab: series" `Quick test_tab_series;
+    Alcotest.test_case "json: layout and escaping" `Quick test_json_layout;
+    Alcotest.test_case "json: report record" `Quick test_json_report;
     QCheck_alcotest.to_alcotest prop_percentile_member;
   ]
