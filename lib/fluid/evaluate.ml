@@ -1,21 +1,34 @@
 module Graph = Mdr_topology.Graph
 
+(* Keyed by [src * n + dst], hashed as the int itself; nothing iterates
+   the table. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type model = {
   topo : Graph.t;
   packet_size : float;
-  delays : (int * int, Delay.t) Hashtbl.t;
+  delays : Delay.t Key_tbl.t;
 }
 
 let model ?rho_max topo ~packet_size =
-  let delays = Hashtbl.create (Graph.link_count topo) in
+  let n = Graph.node_count topo in
+  let delays = Key_tbl.create (Graph.link_count topo) in
   Graph.fold_links topo ~init:() ~f:(fun () l ->
-      Hashtbl.replace delays (l.src, l.dst) (Delay.of_link ?rho_max ~packet_size l));
+      Key_tbl.replace delays ((l.src * n) + l.dst) (Delay.of_link ?rho_max ~packet_size l));
   { topo; packet_size; delays }
 
 let packet_size m = m.packet_size
 
 let delay_of_link m ~src ~dst =
-  try Hashtbl.find m.delays (src, dst)
+  let n = Graph.node_count m.topo in
+  try
+    if src < 0 || src >= n || dst < 0 || dst >= n then raise Not_found;
+    Key_tbl.find m.delays ((src * n) + dst)
   with Not_found ->
     invalid_arg
       (Printf.sprintf "Evaluate.delay_of_link: no link %s -> %s"

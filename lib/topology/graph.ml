@@ -9,11 +9,21 @@ type link = {
 
 type csr = { row : int array; links : link array }
 
+(* Node-keyed tables hash the id itself rather than calling the
+   polymorphic hash. Nothing iterates them, so bucket order is never
+   observed. *)
+module Node_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash v = v land max_int
+end)
+
 type t = {
   names : string array;
   by_name : (string, node) Hashtbl.t;
-  adjacency : (node, link) Hashtbl.t array;  (* per-src: dst -> link *)
-  order : (node, link list) Hashtbl.t;  (* per-src out-links, reversed insertion order *)
+  adjacency : link Node_tbl.t array;  (* per-src: dst -> link *)
+  order : link list array;  (* per-src out-links, reversed insertion order *)
   mutable all_links_rev : link list;
   mutable link_count : int;
   (* Lazily built flat adjacency, keyed by the link count at build time
@@ -37,8 +47,8 @@ let create ~names =
   {
     names = Array.copy names;
     by_name;
-    adjacency = Array.init n (fun _ -> Hashtbl.create 4);
-    order = Hashtbl.create n;
+    adjacency = Array.init n (fun _ -> Node_tbl.create 4);
+    order = Array.make n [];
     all_links_rev = [];
     link_count = 0;
     out_cache = Atomic.make None;
@@ -64,14 +74,13 @@ let add_link t ~src ~dst ~capacity ~prop_delay =
   if src = dst then invalid_arg "Graph.add_link: self-loop";
   if capacity <= 0.0 then invalid_arg "Graph.add_link: capacity <= 0";
   if prop_delay < 0.0 then invalid_arg "Graph.add_link: negative propagation delay";
-  if Hashtbl.mem t.adjacency.(src) dst then
+  if Node_tbl.mem t.adjacency.(src) dst then
     invalid_arg
       (Printf.sprintf "Graph.add_link: duplicate link %s -> %s" t.names.(src)
          t.names.(dst));
   let l = { src; dst; capacity; prop_delay } in
-  Hashtbl.add t.adjacency.(src) dst l;
-  let existing = try Hashtbl.find t.order src with Not_found -> [] in
-  Hashtbl.replace t.order src (l :: existing);
+  Node_tbl.add t.adjacency.(src) dst l;
+  t.order.(src) <- l :: t.order.(src);
   t.all_links_rev <- l :: t.all_links_rev;
   t.link_count <- t.link_count + 1
 
@@ -80,7 +89,7 @@ let add_duplex t a b ~capacity ~prop_delay =
   add_link t ~src:va ~dst:vb ~capacity ~prop_delay;
   add_link t ~src:vb ~dst:va ~capacity ~prop_delay
 
-let link t ~src ~dst = Hashtbl.find_opt t.adjacency.(src) dst
+let link t ~src ~dst = Node_tbl.find_opt t.adjacency.(src) dst
 
 let link_exn t ~src ~dst =
   match link t ~src ~dst with
@@ -91,9 +100,7 @@ let link_exn t ~src ~dst =
 
 let out_links t v =
   check_node t v "Graph.out_links";
-  match Hashtbl.find_opt t.order v with
-  | None -> []
-  | Some ls -> List.rev ls
+  List.rev t.order.(v)
 
 let neighbors t v = List.map (fun l -> l.dst) (out_links t v)
 
