@@ -192,66 +192,77 @@ let make_estimator cfg (l : Graph.link) =
 let through ns ~dst ~cost_of k =
   Router.neighbor_distance ns.router ~nbr:k ~dst +. cost_of k
 
-let refresh_forwarding sim ns =
-  let n = Graph.node_count sim.topo in
+(* Re-choose the successors in use toward [dst] and, when they moved,
+   the forwarding distribution. Reads only [dst]'s slots, so
+   destinations may be refreshed in any order. *)
+let refresh_destination sim ns ~long_cost dst =
+  let s = Router.successors ns.router ~dst in
+  let best_of candidates =
+    List.fold_left
+      (fun best k ->
+        let d = through ns ~dst ~cost_of:long_cost k in
+        match best with
+        | Some (_, bd) when bd <= d -> best
+        | _ -> if Float.is_finite d then Some (k, d) else best)
+      None candidates
+  in
+  let chosen =
+    match (s, sim.cfg.scheme) with
+    | [], _ -> []
+    | _ :: _, Mp -> s
+    | _ :: _, Sp -> (
+      (* Single path: the successor minimising D_jk + l_k. *)
+      match best_of s with Some (k, _) -> [ k ] | None -> [])
+    | _ :: _, Ecmp -> (
+      (* Equal-cost successors only, OSPF-style. *)
+      match best_of s with
+      | None -> []
+      | Some (_, bd) ->
+        List.filter
+          (fun k ->
+            through ns ~dst ~cost_of:long_cost k <= bd *. (1.0 +. 1e-9))
+          s)
+  in
+  if not (List.equal Int.equal chosen ns.succ_used.(dst)) then begin
+    ns.succ_used.(dst) <- chosen;
+    ns.forwarding.(dst) <-
+      match chosen with
+      | [] -> []
+      | [ k ] -> [ (k, 1.0) ]
+      | _ when sim.cfg.scheme = Ecmp ->
+        let even = 1.0 /. float_of_int (List.length chosen) in
+        List.map (fun k -> (k, even)) chosen
+      | _ ->
+        let entries =
+          List.filter_map
+            (fun k ->
+              let a = through ns ~dst ~cost_of:long_cost k in
+              if Float.is_finite a && a > 0.0 then Some (k, a) else None)
+            chosen
+        in
+        (match entries with
+        | [] -> []
+        | [ (k, _) ] -> [ (k, 1.0) ]
+        | _ -> Heuristics.initial entries)
+  end
+
+(* Called after every router event. The choice toward [dst] reads S_j,
+   D_jk and the long-term costs; the router reports the destinations
+   whose S_j or D_jk may have moved, and long-term costs move only at
+   [long_term_tick], which refreshes [~all] destinations. *)
+let refresh_forwarding ?(all = false) sim ns =
   let long_cost k =
     match ns.out.(k) with
     | Some ls -> ls.long_cost
     | None -> infinity
   in
-  for dst = 0 to n - 1 do
-    if dst <> ns.id then begin
-      let s = Router.successors ns.router ~dst in
-      let best_of candidates =
-        List.fold_left
-          (fun best k ->
-            let d = through ns ~dst ~cost_of:long_cost k in
-            match best with
-            | Some (_, bd) when bd <= d -> best
-            | _ -> if Float.is_finite d then Some (k, d) else best)
-          None candidates
-      in
-      let chosen =
-        match (s, sim.cfg.scheme) with
-        | [], _ -> []
-        | _ :: _, Mp -> s
-        | _ :: _, Sp -> (
-          (* Single path: the successor minimising D_jk + l_k. *)
-          match best_of s with Some (k, _) -> [ k ] | None -> [])
-        | _ :: _, Ecmp -> (
-          (* Equal-cost successors only, OSPF-style. *)
-          match best_of s with
-          | None -> []
-          | Some (_, bd) ->
-            List.filter
-              (fun k ->
-                through ns ~dst ~cost_of:long_cost k <= bd *. (1.0 +. 1e-9))
-              s)
-      in
-      if not (List.equal Int.equal chosen ns.succ_used.(dst)) then begin
-        ns.succ_used.(dst) <- chosen;
-        ns.forwarding.(dst) <-
-          match chosen with
-          | [] -> []
-          | [ k ] -> [ (k, 1.0) ]
-          | _ when sim.cfg.scheme = Ecmp ->
-            let even = 1.0 /. float_of_int (List.length chosen) in
-            List.map (fun k -> (k, even)) chosen
-          | _ ->
-            let entries =
-              List.filter_map
-                (fun k ->
-                  let a = through ns ~dst ~cost_of:long_cost k in
-                  if Float.is_finite a && a > 0.0 then Some (k, a) else None)
-                chosen
-            in
-            (match entries with
-            | [] -> []
-            | [ (k, _) ] -> [ (k, 1.0) ]
-            | _ -> Heuristics.initial entries)
-      end
-    end
-  done
+  let changed = Router.changed_successors ns.router in
+  let refresh dst = if dst <> ns.id then refresh_destination sim ns ~long_cost dst in
+  if all then
+    for dst = 0 to Graph.node_count sim.topo - 1 do
+      refresh dst
+    done
+  else List.iter refresh changed
 
 let adjust_forwarding sim ns =
   let short_cost k =
@@ -300,7 +311,7 @@ let long_term_tick sim ns =
   List.iter
     (fun (k, ls) ->
       let outputs = Router.handle_link_cost ns.router ~nbr:k ~cost:ls.long_cost in
-      refresh_forwarding sim ns;
+      refresh_forwarding ~all:true sim ns;
       dispatch sim ~from_:ns.id outputs)
     ns.adj
 

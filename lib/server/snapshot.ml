@@ -1,5 +1,5 @@
 let magic = "MDRS"
-let version = 5
+let version = 6
 
 let write_all fd s =
   let len = String.length s in

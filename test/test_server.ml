@@ -563,11 +563,11 @@ let test_old_snapshot_version_falls_back () =
       in
       let header v = Codec.header ~magic:"MDRS" ~version:v in
       let bytes = read_file snapshot in
-      check_str "written as v5" (header 5) (String.sub bytes 0 Codec.header_len);
-      let fp5, from5, c5 = restored ~now:20.0 in
-      check_str "v5 restores the writer's state" fp fp5;
-      check "v5 read from the snapshot" true from5;
-      check_int "v5 no fallback" 0 c5.Server.snapshot_fallbacks;
+      check_str "written as v6" (header 6) (String.sub bytes 0 Codec.header_len);
+      let fp6, from6, c6 = restored ~now:20.0 in
+      check_str "v6 restores the writer's state" fp fp6;
+      check "v6 read from the snapshot" true from6;
+      check_int "v6 no fallback" 0 c6.Server.snapshot_fallbacks;
       (* Older layouts are refused by their header and rebuilt from
          genesis + journal; each restore counts one fallback. *)
       List.iteri
@@ -580,7 +580,34 @@ let test_old_snapshot_version_falls_back () =
           check_str (what ^ " rebuilt to the writer's state") fp fp';
           check (what ^ " not read") false from';
           check_int (what ^ " fallback counted") 1 c'.Server.snapshot_fallbacks)
-        [ 4; 3; 2 ])
+        [ 5; 4; 3; 2 ])
+
+(* The same refusal when the journal no longer reaches back to seq 1
+   (a checkpoint reset it, then more updates arrived): genesis plus the
+   journal cannot rebuild the state, so restore raises Unreadable
+   rather than silently dropping the checkpointed updates. *)
+let test_old_snapshot_version_without_journal_unreadable () =
+  let topo = small_topo () in
+  with_dir (fun d ->
+      let snapshot = Filename.concat d "snapshot.bin" in
+      let s = Server.create ~dir:d ~topo ~cost () in
+      let updates = stream topo ~seed:32 ~updates:16 in
+      List.iteri
+        (fun i u ->
+          if i = 12 then Server.checkpoint s;
+          Server.apply s ~now:(float_of_int (i + 1)) u)
+        updates;
+      Server.close s;
+      let bytes = read_file snapshot in
+      let header v = Codec.header ~magic:"MDRS" ~version:v in
+      check_str "written as v6" (header 6) (String.sub bytes 0 Codec.header_len);
+      write_file snapshot
+        (header 5 ^ String.sub bytes Codec.header_len (String.length bytes - Codec.header_len));
+      match Server.restore ~now:30.0 ~dir:d ~topo ~cost () with
+      | s ->
+        Server.close s;
+        Alcotest.fail "a v5 snapshot with a reset journal restored"
+      | exception Server.Unreadable _ -> ())
 
 (* ---- audit ----------------------------------------------------------- *)
 
@@ -840,6 +867,8 @@ let suite =
       test_restore_unreadable;
     Alcotest.test_case "server: v2 snapshot refused, rebuilt from journal" `Quick
       test_old_snapshot_version_falls_back;
+    Alcotest.test_case "server: v5 snapshot past a journal reset is Unreadable" `Quick
+      test_old_snapshot_version_without_journal_unreadable;
     Alcotest.test_case "fencing: stale epoch rejected" `Quick
       test_fencing_stale_epoch_rejected;
     Alcotest.test_case "fencing: new epoch wins, re-claim idempotent" `Quick
