@@ -86,6 +86,28 @@ let bench_engine =
 (* Figure 11's packet workload: CAIRN at load 1.05. *)
 let cairn = Workload.cairn ~load:1.05
 
+(* One hop on CAIRN's first link (10 Mb/s, 1 ms): a 4096-bit packet
+   sent on the idle link until its arrival fires at the far end, so the
+   transmission's bookkeeping, its estimator updates and the one engine
+   event a hop takes. *)
+let bench_cairn_hop =
+  let module E = Mdr_eventsim.Engine in
+  let link = List.hd (Mdr_topology.Graph.links cairn.Workload.topo) in
+  let e = E.create () in
+  let l =
+    Mdr_netsim.Link.create ~engine:e ~link
+      ~estimator:(Mdr_costs.Estimator.busy_period ~prop_delay:link.prop_delay)
+      ~deliver:ignore ~drop:ignore ()
+  in
+  let p =
+    { Mdr_netsim.Packet.flow_id = 0; src = link.src; dst = link.dst; size = 4096.0;
+      created = 0.0; hops = 0 }
+  in
+  Test.make ~name:"netsim: one CAIRN hop, send to arrival"
+    (Staged.stage (fun () ->
+         Mdr_netsim.Link.send l p;
+         ignore (E.step e)))
+
 let bench_cairn_sim =
   let flows = Workload.sim_flows cairn in
   let cfg = { Mdr_netsim.Sim.default_config with sim_time = 5.0; warmup = 1.0 } in
@@ -224,6 +246,7 @@ let micro_benchmarks () =
       bench_ah_step;
       bench_packet_sim;
       bench_engine;
+      bench_cairn_hop;
       bench_cairn_sim;
       bench_incr_spf;
       bench_incr_spf_tree_edge;
