@@ -5,7 +5,13 @@
     does not lose any packets"); queues are unbounded and occupancy is
     tracked so experiments can report it. Transmission time is
     [size / capacity]; after transmission the packet propagates for the
-    link's fixed delay and is handed to [deliver]. *)
+    link's fixed delay and is handed to [deliver].
+
+    A packet's departure time is fixed when it is queued, so a hop is
+    one engine event, the arrival at the far end, scheduled as of the
+    departure ({!Mdr_eventsim.Engine.schedule_as_of}). Departures are
+    accounted lazily, with their own times, whenever the link is used
+    or read. *)
 
 type t
 
@@ -35,8 +41,9 @@ val send : t -> Packet.t -> unit
 val is_up : t -> bool
 
 val fail : t -> unit
-(** Take the link down: queued and in-service packets are lost (fed to
-    the [drop] callback); packets already propagating still arrive.
+(** Take the link down: queued packets are lost and fed to the [drop]
+    callback in queue order; the packet in service is lost without
+    being fed to it; packets already propagating still arrive.
     Idempotent. *)
 
 val restore : t -> unit
