@@ -338,19 +338,34 @@ let storm ?observer ~mode ~seed () =
 
 (* Every router, after every event of the storm — link up, down and
    cost changes, full-table and data LSUs, ACKs, deferred MTUs — must
-   match its from-scratch rebuild. *)
+   match its from-scratch rebuild. Its successor sets are then brought
+   up to date, so the next check compares every set the next event
+   leaves unmarked, and every set that moved since the last event must
+   be among the destinations [Router.changed_successors] reports. *)
 let prop_router_check_every_event =
   QCheck.Test.make ~name:"router: Router.check holds after every storm event" ~count:30
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let mode = if seed mod 3 = 0 then Router.Pda else Router.Mpda in
       let events = ref 0 in
+      let seen = ref [||] in
       let observer net =
         incr events;
-        for i = 0 to Graph.node_count (Network.topology net) - 1 do
-          match Router.check (Network.router net i) with
+        let n = Graph.node_count (Network.topology net) in
+        if Array.length !seen = 0 then seen := Array.make_matrix n n [];
+        for i = 0 to n - 1 do
+          let r = Network.router net i in
+          (match Router.check r with
           | Ok () -> ()
-          | Error m -> QCheck.Test.fail_reportf "seed %d, event %d: %s" seed !events m
+          | Error m -> QCheck.Test.fail_reportf "seed %d, event %d: %s" seed !events m);
+          let changed = Router.changed_successors r in
+          for j = 0 to n - 1 do
+            let s = Router.successors r ~dst:j in
+            if (not (List.equal Int.equal s !seen.(i).(j))) && not (List.mem j changed) then
+              QCheck.Test.fail_reportf "seed %d, event %d: router %d: S_%d moved, not reported"
+                seed !events i j;
+            !seen.(i).(j) <- s
+          done
         done
       in
       ignore (storm ~observer ~mode ~seed ());
@@ -826,11 +841,14 @@ let test_fifo_pump_oracles () =
   let check_all () =
     incr checks;
     unsent_changes ();
+    (* Successor sets are brought up to date after each check, so the
+       next one compares every set left unmarked since. *)
     Array.iter
       (fun r ->
-        match Router.check r with
+        (match Router.check r with
         | Ok () -> ()
-        | Error m -> Alcotest.failf "after %d messages: %s" !delivered m)
+        | Error m -> Alcotest.failf "after %d messages: %s" !delivered m);
+        ignore (Router.changed_successors r : int list))
       routers;
     for dst = 0 to n - 1 do
       if
