@@ -838,7 +838,7 @@ let scale_cmd =
         then equal := false
       done
     done;
-    let s = Incr_spf.stats iws in
+    let s = Incr_spf.stats st in
     (* Convergence bench: bring up a full MPDA network, pump to
        quiescence, check every router's distances exactly, then
        reconverge after one link-cost change. *)

@@ -61,6 +61,7 @@ type state = {
   n : int;
   root : int;
   mutable has_zero : bool;
+  stats : stats;
 }
 
 type outcome = Repaired of int | Recomputed
@@ -71,7 +72,23 @@ let create ~n ~root =
   if root < 0 || root >= n then invalid_arg "Incr_spf.create: root out of range";
   let dist = Array.make n infinity in
   dist.(root) <- 0.0;
-  { dist; parent = Array.make n (-1); n; root; has_zero = false }
+  {
+    dist;
+    parent = Array.make n (-1);
+    n;
+    root;
+    has_zero = false;
+    stats = { full_runs = 0; repairs = 0; fallbacks = 0; repaired_nodes = 0 };
+  }
+
+let copy st =
+  let { full_runs; repairs; fallbacks; repaired_nodes } = st.stats in
+  {
+    st with
+    dist = Array.copy st.dist;
+    parent = Array.copy st.parent;
+    stats = { full_runs; repairs; fallbacks; repaired_nodes };
+  }
 
 type ws = {
   dj : Dijkstra.workspace;
@@ -104,7 +121,6 @@ type ws = {
   (* Changed-node report, sorted ascending before emission. *)
   mutable changed : int array;
   mutable changed_len : int;
-  stats : stats;
 }
 
 let workspace () =
@@ -132,10 +148,9 @@ let workspace () =
     recheck_len = 0;
     changed = Array.make 16 0;
     changed_len = 0;
-    stats = { full_runs = 0; repairs = 0; fallbacks = 0; repaired_nodes = 0 };
   }
 
-let stats ws = ws.stats
+let stats st = st.stats
 
 let grow_int a needed =
   if Array.length a >= needed then a
@@ -292,7 +307,7 @@ let full ws st table =
     then zero := true
   done;
   st.has_zero <- !zero;
-  ws.stats.full_runs <- ws.stats.full_runs + 1
+  st.stats.full_runs <- st.stats.full_runs + 1
 
 exception Fallback
 
@@ -373,7 +388,7 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
     in
     if introduces_zero then st.has_zero <- true;
     if st.has_zero then begin
-      ws.stats.fallbacks <- ws.stats.fallbacks + 1;
+      st.stats.fallbacks <- st.stats.fallbacks + 1;
       full ws st table;
       Recomputed
     end
@@ -498,13 +513,13 @@ let update ?(max_dirty_frac = default_max_dirty_frac) ?on_changed ws st table
           for k = 0 to ws.changed_len - 1 do
             f ws.changed.(k)
           done);
-        ws.stats.repairs <- ws.stats.repairs + 1;
-        ws.stats.repaired_nodes <- ws.stats.repaired_nodes + ws.changed_len;
+        st.stats.repairs <- st.stats.repairs + 1;
+        st.stats.repaired_nodes <- st.stats.repaired_nodes + ws.changed_len;
         ws.changed_len
       with
       | count -> Repaired count
       | exception Fallback ->
-        ws.stats.fallbacks <- ws.stats.fallbacks + 1;
+        st.stats.fallbacks <- st.stats.fallbacks + 1;
         full ws st table;
         Recomputed
     end

@@ -26,9 +26,17 @@
     The repair walks the table's rows in place ({!Topo_table.out_links},
     {!Topo_table.in_links}) and allocates nothing per edge: all scratch
     lives in the reusable {!ws} (stamp-marked arrays, growable
-    vectors). A workspace
+    vectors). The workspace holds no state between calls, so one
+    workspace can serve any number of trees of any sizes in turn; it
     serves one domain at a time — parallel tasks own their own, as with
     {!Dijkstra.workspace}. *)
+
+type stats = {
+  mutable full_runs : int;  (** full Dijkstra runs ({!full} calls + fallbacks) *)
+  mutable repairs : int;  (** successful incremental repairs *)
+  mutable fallbacks : int;  (** updates that gave up and recomputed *)
+  mutable repaired_nodes : int;  (** total nodes reported changed by repairs *)
+}
 
 type state = {
   dist : float array;  (** length [n]; [dist.(j)] = cost root -> j, [infinity] if unreachable *)
@@ -38,18 +46,12 @@ type state = {
   mutable has_zero : bool;
       (** The last full run saw a zero-cost edge (or a change introduced
           one); forces full recomputation until a full run sees none. *)
+  stats : stats;  (** this tree's counters, live *)
 }
 
 type ws
 (** Reusable repair scratch plus a {!Dijkstra.workspace} for fallback
     full runs. *)
-
-type stats = {
-  mutable full_runs : int;  (** full Dijkstra runs ({!full} calls + fallbacks) *)
-  mutable repairs : int;  (** successful incremental repairs *)
-  mutable fallbacks : int;  (** updates that gave up and recomputed *)
-  mutable repaired_nodes : int;  (** total nodes reported changed by repairs *)
-}
 
 type outcome =
   | Repaired of int
@@ -66,11 +68,14 @@ val create : n:int -> root:int -> state
     with {!full}, or with {!update} passing every link of the table as
     a change. *)
 
+val copy : state -> state
+(** A deep copy: its own distances, parents and counters. *)
+
 val workspace : unit -> ws
 (** Empty workspace; grows to fit whatever [n] it is used with. *)
 
-val stats : ws -> stats
-(** Live counters for this workspace (shared by all states it serves). *)
+val stats : state -> stats
+(** Live counters of this tree's runs, whatever workspaces served them. *)
 
 val full : ws -> state -> Topo_table.t -> unit
 (** Unconditional full recompute; rescans for zero-cost edges. *)

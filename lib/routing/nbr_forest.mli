@@ -23,9 +23,10 @@ type t
 
 type ws
 (** Reusable scratch for {!apply}, {!load} and {!recompute}: stamp
-    marks, a stack and the region of nodes under recompute. Grows to
-    fit whatever [n] it is used with; one workspace serves one domain
-    at a time. *)
+    marks, a stack and the region of nodes under recompute. It holds
+    nothing between calls, so one workspace serves forests of any
+    sizes in turn, growing to fit the largest [n]; it serves one
+    domain at a time. *)
 
 val workspace : unit -> ws
 

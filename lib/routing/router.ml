@@ -15,14 +15,14 @@ type t = {
   mode : mode;
   id : int;
   n : int;
-  main : Topo_table.t;
+  tree_cost : float array;
+      (* the main table T_i, which is the shortest-path tree: the cost
+         of the tree link into each node, whose head is [parent_buf];
+         [infinity] for the root and the nodes the tree does not reach *)
   nbrs : (int, Nbr_forest.t) Hashtbl.t;
       (* T_k^i per neighbor k, kept after k goes down (then empty); its
          [dist] is D_jk, from k to each dst *)
-  fws : Nbr_forest.ws;  (* per-router neighbor-table scratch; never shared *)
-  iws : Incr_spf.ws;  (* per-router main-table SPF scratch; never shared *)
   parent_buf : int array;  (* main-table SPF parents, maintained in place *)
-  prev_parent : int array;  (* parents before the last repair, for tree deltas *)
   merged : Topo_table.t;
       (* the MTU's merged topology (steps 2-5), kept across events so an
          event only rewrites the rows whose preferred source moved *)
@@ -40,11 +40,13 @@ type t = {
   succ : int list array;  (* S_j; out of date where [stale] is set *)
   stale : bool array;
       (* destinations whose S_j may have moved since it was computed:
-         an FD change (D_j in PDA mode), a D_jk change for an up
-         neighbor k, or a link going up or down (all of them). A link
-         cost is not an input. Recomputed on the next read, so events
-         pay only the marking *)
+         an FD change (D_j in PDA mode) or a D_jk change for an up
+         neighbor k. A link cost is not an input. Recomputed on the
+         next read, so events pay only the marking *)
   mutable stale_list : int list;  (* the destinations set in [stale], unordered *)
+  mutable all_stale : bool;
+      (* every S_j may have moved (a link went up or down); [stale]
+         and [stale_list] then hold only what was marked before *)
   mutable active : bool;
   mutable active_phases : int;  (* PASSIVE -> ACTIVE transitions *)
   pending : (int, int) Hashtbl.t;  (* nbr -> seq awaited *)
@@ -61,6 +63,22 @@ type t = {
   mutable events : int;
 }
 
+(* Scratch of the neighbor-table and main-table updates, one per
+   domain: it holds nothing between events, so every router a domain
+   runs shares it whatever its [n]. Loops are bounded by the router's
+   [n], never by the scratch's length. *)
+type scratch = {
+  fws : Nbr_forest.ws;
+  iws : Incr_spf.ws;
+  mutable prev_parent : int array;  (* parents before the MTU's repair *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { fws = Nbr_forest.workspace (); iws = Incr_spf.workspace (); prev_parent = [||] })
+
+let scratch () = Domain.DLS.get scratch_key
+
 let create ~mode ~id ~n () =
   if id < 0 || id >= n then invalid_arg "Router.create: id out of range";
   let main_spf = Incr_spf.create ~n ~root:id in
@@ -68,12 +86,9 @@ let create ~mode ~id ~n () =
     mode;
     id;
     n;
-    main = Topo_table.create ();
+    tree_cost = Array.make n infinity;
     nbrs = Hashtbl.create 8;
-    fws = Nbr_forest.workspace ();
-    iws = Incr_spf.workspace ();
     parent_buf = main_spf.parent;
-    prev_parent = Array.make n (-1);
     merged = Topo_table.create ();
     dirty = Array.make n false;
     marked = [];
@@ -89,6 +104,7 @@ let create ~mode ~id ~n () =
     succ = Array.make n [];
     stale = Array.make n false;
     stale_list = [];
+    all_stale = false;
     active = false;
     active_phases = 0;
     pending = Hashtbl.create 8;
@@ -126,16 +142,15 @@ let remove_adjacent t nbr =
   Hashtbl.remove t.adjacent nbr;
   t.up <- List.filter (fun k -> k <> nbr) t.up
 
+let is_stale t j = t.all_stale || t.stale.(j)
+
 let mark_stale t j =
-  if not t.stale.(j) then begin
+  if not (is_stale t j) then begin
     t.stale.(j) <- true;
     t.stale_list <- j :: t.stale_list
   end
 
-let mark_all_stale t =
-  for j = 0 to t.n - 1 do
-    mark_stale t j
-  done
+let mark_all_stale t = t.all_stale <- true
 
 (* S_j from scratch: the up neighbors k with D_jk < FD_j (D_j in PDA
    mode), ascending. *)
@@ -147,7 +162,15 @@ let fresh_successors t j =
   end
 
 let force_successors t =
-  if t.stale_list <> [] then begin
+  if t.all_stale then begin
+    for j = 0 to t.n - 1 do
+      t.stale.(j) <- false;
+      t.succ.(j) <- fresh_successors t j
+    done;
+    t.stale_list <- [];
+    t.all_stale <- false
+  end
+  else if t.stale_list <> [] then begin
     List.iter
       (fun j ->
         t.stale.(j) <- false;
@@ -161,17 +184,36 @@ let successors t ~dst =
   t.succ.(dst)
 
 let changed_successors t =
-  let changed = t.stale_list in
+  let changed = if t.all_stale then List.init t.n Fun.id else t.stale_list in
   force_successors t;
   changed
 
 let best_successor t ~dst = if t.first_hop.(dst) < 0 then None else Some t.first_hop.(dst)
-let main_table t = Topo_table.copy t.main
+
+let entry_compare (a : Topo_table.entry) (b : Topo_table.entry) =
+  match Int.compare a.head b.head with
+  | 0 -> Int.compare a.tail b.tail
+  | c -> c
+
+(* The main table's links, sorted by (head, tail). *)
+let main_entries t =
+  let acc = ref [] in
+  for v = t.n - 1 downto 0 do
+    let c = t.tree_cost.(v) in
+    if Float.is_finite c then
+      acc := { Topo_table.head = t.parent_buf.(v); tail = v; cost = c } :: !acc
+  done;
+  List.sort entry_compare !acc
+
+let main_table t =
+  let table = Topo_table.create () in
+  List.iter (Topo_table.apply_entry table) (main_entries t);
+  table
 
 let stats_messages_sent t = t.sent
 let stats_events t = t.events
 let stats_active_phases t = t.active_phases
-let spf_stats t = Incr_spf.stats t.iws
+let spf_stats t = Incr_spf.stats t.main_spf
 
 (* --- NTU: neighbor-table maintenance ------------------------------- *)
 
@@ -201,7 +243,7 @@ let apply_lsu t ~from_ ~reset entries =
   try
     if reset then begin
       let old_dist = Array.copy (Nbr_forest.dist f) and old_links = Nbr_forest.entries f in
-      Nbr_forest.load t.fws f entries;
+      Nbr_forest.load (scratch ()).fws f entries;
       let dist = Nbr_forest.dist f in
       Array.iteri
         (fun j d ->
@@ -219,7 +261,7 @@ let apply_lsu t ~from_ ~reset entries =
            ~on_changed:(fun j ->
              mark t j;
              mark_stale t j)
-           t.fws f entries)
+           (scratch ()).fws f entries)
   with Invalid_argument m ->
     invalid_arg (Printf.sprintf "Router %d: LSU from neighbor %d: %s" t.id from_ m)
 
@@ -273,26 +315,6 @@ let preferred_for sources j =
       | _ -> if Float.is_finite d then Some (f, d) else best)
     None sources
 
-let entry_compare (a : Topo_table.entry) (b : Topo_table.entry) =
-  match Int.compare a.head b.head with
-  | 0 -> Int.compare a.tail b.tail
-  | c -> c
-
-(* Edits of [table] that record each actual change, as an LSU entry,
-   in [acc]. *)
-let set_logged acc table ~head ~tail ~cost =
-  match Topo_table.cost table ~head ~tail with
-  | Some old when Float.equal old cost -> ()
-  | Some _ | None ->
-    Topo_table.set table ~head ~tail ~cost;
-    acc := { Topo_table.head; tail; cost } :: !acc
-
-let remove_logged acc table ~head ~tail =
-  if Topo_table.cost table ~head ~tail <> None then begin
-    Topo_table.remove table ~head ~tail;
-    acc := { Topo_table.head; tail; cost = infinity } :: !acc
-  end
-
 (* Steps 2-5 for one row of the merged topology: this router's own row
    is its adjacency (step 5); any other row is the out-links of [j] in
    the preferred neighbor's table. *)
@@ -319,16 +341,20 @@ let repair_merged t =
 (* Steps 2-6: repair the merged rows, then the shortest-path tree over
    them, then the tree table and first hops over the nodes whose
    (distance, parent) moved — all [n] when the SPF fell back to a full
-   run. The net tree-table changes are the outgoing LSU. *)
+   run. Returns those nodes and the net tree-table changes, sorted by
+   (head, tail), which are the outgoing LSU. *)
 let mtu t =
   let merged_changes = repair_merged t in
-  if merged_changes = [] then []
+  if merged_changes = [] then ([], [])
   else begin
-    Array.blit t.parent_buf 0 t.prev_parent 0 t.n;
+    let s = scratch () in
+    if Array.length s.prev_parent < t.n then s.prev_parent <- Array.make t.n (-1);
+    let prev_parent = s.prev_parent in
+    Array.blit t.parent_buf 0 prev_parent 0 t.n;
     let changed = ref [] in
     let moved =
       match
-        Incr_spf.update t.iws t.main_spf t.merged ~changes:merged_changes
+        Incr_spf.update s.iws t.main_spf t.merged ~changes:merged_changes
           ~on_changed:(fun v -> changed := v :: !changed)
       with
       | Incr_spf.Recomputed -> List.init t.n Fun.id
@@ -336,16 +362,24 @@ let mtu t =
     in
     (* PDA bounds S_j by D_j, which moved only at these nodes. *)
     if t.mode = Pda then List.iter (mark_stale t) moved;
-    (* Per moved node, move its tree edge; per merged cost change,
-       refresh the edge cost if it is (still) a tree edge. *)
-    let acc = ref [] in
+    (* Per moved node, move its tree link: the old one's head is its
+       parent before the repair. Per merged cost change, refresh the
+       link cost if it is (still) a tree link. *)
+    let tree = t.tree_cost and acc = ref [] in
     List.iter
       (fun v ->
-        let po = t.prev_parent.(v) and pn = t.parent_buf.(v) in
-        if po >= 0 && po <> pn then remove_logged acc t.main ~head:po ~tail:v;
+        let po = prev_parent.(v) and pn = t.parent_buf.(v) in
+        if po >= 0 && po <> pn && Float.is_finite tree.(v) then begin
+          tree.(v) <- infinity;
+          acc := { Topo_table.head = po; tail = v; cost = infinity } :: !acc
+        end;
         if v <> t.id && pn >= 0 && Float.is_finite t.dist.(v) then begin
           match Topo_table.cost t.merged ~head:pn ~tail:v with
-          | Some c -> set_logged acc t.main ~head:pn ~tail:v ~cost:c
+          | Some c ->
+            if not (Float.equal tree.(v) c) then begin
+              tree.(v) <- c;
+              acc := { Topo_table.head = pn; tail = v; cost = c } :: !acc
+            end
           | None -> assert false
         end)
       moved;
@@ -356,10 +390,14 @@ let mtu t =
           && e.tail <> t.id
           && t.parent_buf.(e.tail) = e.head
           && Float.is_finite t.dist.(e.tail)
-        then set_logged acc t.main ~head:e.head ~tail:e.tail ~cost:e.cost)
+          && not (Float.equal tree.(e.tail) e.cost)
+        then begin
+          tree.(e.tail) <- e.cost;
+          acc := e :: !acc
+        end)
       merged_changes;
     refresh_first_hops t;
-    List.sort entry_compare !acc
+    (moved, List.sort entry_compare !acc)
   end
 
 (* --- Output composition --------------------------------------------- *)
@@ -385,7 +423,7 @@ let compose_outputs t ~changes ~ack_to =
   List.iter
     (fun k ->
       let is_full = List.mem k full_targets in
-      let entries = if is_full then Topo_table.entries t.main else changes in
+      let entries = if is_full then main_entries t else changes in
       if entries <> [] || is_full then begin
         let seq = match t.mode with Mpda -> Some (fresh_seq t) | Pda -> None in
         let ack_of =
@@ -426,19 +464,23 @@ let process t ~ack_to ~ack_received =
   let last_ack = t.active && Hashtbl.length t.pending = 0 in
   let changes =
     match t.mode with
-    | Pda -> mtu t
+    | Pda -> snd (mtu t)
     | Mpda ->
       if not t.active then begin
-        (* Lines 2a-2b: PASSIVE — update T and lower FD to D. *)
-        let changes = mtu t in
-        (* Each FD move marks S_j, which compares against it. The
+        (* Lines 2a-2b: PASSIVE — update T and lower FD to D. With
+           FD_j <= D_j on entry, FD_j can fall only where D_j moved.
+           Each FD move marks S_j, which compares against it. The
            loops compare in place: a float passed to a helper would
-           be boxed, n times per event. *)
-        for j = 0 to t.n - 1 do
-          let fd = Float.min t.fd.(j) t.dist.(j) in
-          if fd <> t.fd.(j) then mark_stale t j;
-          t.fd.(j) <- fd
-        done;
+           be boxed, once per node. *)
+        let moved, changes = mtu t in
+        List.iter
+          (fun j ->
+            let fd = Float.min t.fd.(j) t.dist.(j) in
+            if fd <> t.fd.(j) then begin
+              mark_stale t j;
+              t.fd.(j) <- fd
+            end)
+          moved;
         changes
       end
       else if last_ack then begin
@@ -448,7 +490,7 @@ let process t ~ack_to ~ack_received =
            until every unilateral teardown is confirmed bilateral. *)
         let temp = Array.copy t.dist in
         t.active <- false;
-        let changes = mtu t in
+        let _, changes = mtu t in
         if Hashtbl.length t.ghosts = 0 then
           for j = 0 to t.n - 1 do
             let fd = Float.min temp.(j) t.dist.(j) in
@@ -553,7 +595,7 @@ let check t =
   let fail fmt = Printf.ksprintf (fun m -> if !found = None then found := Some m) fmt in
   (* Neighbor distances: every forest against one walk down from its
      root, on a copy. *)
-  let fws = Nbr_forest.workspace () in
+  let fws = (scratch ()).fws in
   Sorted_tbl.iter
     (fun k f ->
       let g = Nbr_forest.copy f in
@@ -588,18 +630,29 @@ let check t =
     Dijkstra.tree_of_result ~n:t.n ~root:t.id res ~cost:(fun ~head ~tail ->
         Option.get (Topo_table.cost t.merged ~head ~tail))
   in
-  if not (Topo_table.equal t.main tree) then fail "main table is not the shortest-path tree";
+  let entry_bits (a : Topo_table.entry) (b : Topo_table.entry) =
+    a.head = b.head && a.tail = b.tail && bits a.cost b.cost
+  in
+  if not (List.equal entry_bits (main_entries t) (Topo_table.entries tree)) then
+    fail "main table is not the shortest-path tree";
   let rec first_hop v = if res.parent.(v) = t.id then v else first_hop res.parent.(v) in
   for j = 0 to t.n - 1 do
     let expect = if j = t.id || not (Float.is_finite res.dist.(j)) then -1 else first_hop j in
     if t.first_hop.(j) <> expect then
       fail "first hop to %d: %d, expected %d" j t.first_hop.(j) expect
   done;
+  (* Feasible distances never exceed distances: the PASSIVE update
+     lowers FD only where D moved, which rests on this. *)
+  if t.mode = Mpda then
+    for j = 0 to t.n - 1 do
+      if not (t.fd.(j) <= t.dist.(j)) then
+        fail "FD_%d = %h exceeds D_%d = %h" j t.fd.(j) j t.dist.(j)
+    done;
   (* Successor sets: every destination not marked stale holds its set
      from scratch, and the marked list is exactly the marked flags. *)
   let show s = String.concat "," (List.map string_of_int s) in
   for j = 0 to t.n - 1 do
-    if (not t.stale.(j)) && not (List.equal Int.equal t.succ.(j) (fresh_successors t j)) then
+    if (not (is_stale t j)) && not (List.equal Int.equal t.succ.(j) (fresh_successors t j)) then
       fail "S_%d = {%s} is unmarked but from scratch is {%s}" j (show t.succ.(j))
         (show (fresh_successors t j))
   done;
@@ -622,17 +675,12 @@ let copy t =
     Sorted_tbl.iter (fun k v -> Hashtbl.replace fresh k (copy_v v)) src;
     fresh
   in
-  let main_spf =
-    { t.main_spf with dist = Array.copy t.dist; parent = Array.copy t.parent_buf }
-  in
+  let main_spf = Incr_spf.copy t.main_spf in
   {
     t with
-    main = Topo_table.copy t.main;
+    tree_cost = Array.copy t.tree_cost;
     nbrs = copy_tbl Nbr_forest.copy t.nbrs;
-    fws = Nbr_forest.workspace ();
-    iws = Incr_spf.workspace ();
     parent_buf = main_spf.parent;
-    prev_parent = Array.copy t.prev_parent;
     merged = Topo_table.copy t.merged;
     dirty = Array.copy t.dirty;
     main_spf;
@@ -657,12 +705,7 @@ let snapshot t =
   force_successors t;
   Marshal.to_string t []
 
-let restore s =
-  let t : t = (Marshal.from_string s 0 : t) in
-  (* The marshalled scratch is valid but may be stale-sized; a fresh
-     workspace keeps restore independent of how big the writer's last
-     runs were. *)
-  { t with fws = Nbr_forest.workspace (); iws = Incr_spf.workspace () }
+let restore s = (Marshal.from_string s 0 : t)
 
 let fingerprint t =
   force_successors t;
@@ -681,7 +724,7 @@ let fingerprint t =
   int t.id;
   Buffer.add_string b (match t.mode with Mpda -> "M" | Pda -> "P");
   Buffer.add_string b (if t.active then "A|" else "p|");
-  table (Topo_table.entries t.main);
+  table (main_entries t);
   Sorted_tbl.iter
     (fun k f ->
       int k;

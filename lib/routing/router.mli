@@ -30,6 +30,14 @@
     updated over the nodes that moved. {!check} compares all of it
     against a from-scratch rebuild.
 
+    The main table is the shortest-path tree itself, so a router keeps
+    it as one link cost per node, the head being the node's parent in
+    the tree; {!main_table}, full-table LSUs and {!fingerprint} list
+    its links on demand. The scratch of the neighbor-table and
+    main-table updates holds nothing between events and is one per
+    domain, shared by every router that domain runs: a router is safe
+    to use from any one domain at a time.
+
     The machine is pure with respect to I/O: every handler returns the
     messages to transmit, and the embedding (control-plane harness or
     packet simulator) delivers them with whatever latency it models. *)
@@ -123,7 +131,7 @@ val link_cost : t -> nbr:int -> float
 val up_neighbors : t -> int list
 
 val main_table : t -> Topo_table.t
-(** The router's current shortest-path tree (read-only copy). *)
+(** The router's current shortest-path tree, as a fresh table. *)
 
 val stats_messages_sent : t -> int
 val stats_events : t -> int
@@ -133,9 +141,10 @@ val stats_active_phases : t -> int
     computation holding the FD frozen until all neighbors ACK. *)
 
 val spf_stats : t -> Incr_spf.stats
-(** Live counters of the router's main-table SPF engine: full runs vs
-    incremental repairs vs fallbacks, and total repaired nodes.
-    Neighbor tables run no SPF and are not counted. *)
+(** Live counters of the router's main-table SPF tree: full runs vs
+    incremental repairs vs fallbacks, and total repaired nodes. They
+    count this router's runs only, though the scratch the runs use is
+    shared. Neighbor tables run no SPF and are not counted. *)
 
 val check : t -> (unit, string) result
 (** Compare the router's incremental state bit for bit against a
@@ -144,7 +153,9 @@ val check : t -> (unit, string) result
     against its derivation from the neighbor tables and the adjacency;
     distances and parents against a full Dijkstra over the stored
     merged topology; the main table against that shortest-path tree;
-    the first hops; and every successor set not marked for
+    the first hops; in [Mpda] mode FD_j <= D_j for every [j], which
+    lets an event lower FD only where D moved; and every successor set
+    not marked for
     recomputation against [{k up : D_jk < FD_j}] ([< D_j] in [Pda]
     mode). [Error] names the router and the first
     mismatch. Costs about one from-scratch rebuild; meant for tests and
@@ -176,5 +187,4 @@ val snapshot : t -> string
 val restore : string -> t
 (** Inverse of {!snapshot}. The input must come from {!snapshot} of
     the same binary; corrupt input raises [Failure]. The restored
-    router owns fresh scratch buffers and shares no state with any
-    other router. *)
+    router shares no state with any other router. *)

@@ -225,7 +225,7 @@ let test_zero_cost_falls_back () =
   (match mismatch ws_full sd sp st table with
   | Some m -> Alcotest.fail m
   | None -> ());
-  check "fallback counted" true ((Incr_spf.stats ws).Incr_spf.fallbacks >= 1)
+  check "fallback counted" true ((Incr_spf.stats st).Incr_spf.fallbacks >= 1)
 
 let test_large_orphan_region_falls_back () =
   (* A pure path: cutting the first edge orphans everything downstream,
@@ -271,7 +271,7 @@ let test_single_change_is_repaired () =
   (match mismatch ws_full sd sp st table with
   | Some m -> Alcotest.fail m
   | None -> ());
-  let s = Incr_spf.stats ws in
+  let s = Incr_spf.stats st in
   check_int "repairs counted" !repaired s.Incr_spf.repairs
 
 let test_tree_of_result_agrees () =
@@ -933,6 +933,109 @@ let test_fifo_pump_oracles () =
     done
   done
 
+(* --- One update scratch per domain ----------------------------------- *)
+
+(* A pump that steps one event at a time: a message off its FIFO
+   queue, or, once the queue is empty, the next scripted phase of link
+   events. Each event's router must pass Router.check right after it. *)
+type ext = Up of int * int * float | Cost of int * int * float | Down of int * int
+
+type pump = {
+  name : string;
+  routers : Router.t array;
+  q : (int * int * Router.msg) Queue.t;
+  mutable phases : ext list list;
+  mutable events : int;
+}
+
+let pump_of ~name ~seed ~n =
+  let rng = Rng.create ~seed in
+  let topo = Generators.barabasi_albert ~rng ~n ~m:2 () in
+  let links = Array.of_list (Graph.links topo) in
+  let cost = Hashtbl.create 256 in
+  Array.iter (fun (l : Graph.link) -> Hashtbl.replace cost (l.src, l.dst) (dyadic rng)) links;
+  let pick () = links.(Rng.int rng ~bound:(Array.length links)) in
+  let changes =
+    List.init 8 (fun _ ->
+        List.init (1 + Rng.int rng ~bound:3) (fun _ ->
+            let l = pick () in
+            Cost (l.src, l.dst, dyadic rng)))
+  in
+  let l = pick () in
+  let a = l.src and b = l.dst in
+  let up (l : Graph.link) = Up (l.src, l.dst, Hashtbl.find cost (l.src, l.dst)) in
+  {
+    name;
+    routers = Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ());
+    q = Queue.create ();
+    phases =
+      ((Array.to_list (Array.map up links) :: changes)
+      @ [ [ Down (a, b); Down (b, a) ]; [ up l; Up (b, a, Hashtbl.find cost (b, a)) ] ]);
+    events = 0;
+  }
+
+let pump_event p i f =
+  let outputs = f p.routers.(i) in
+  p.events <- p.events + 1;
+  (match Router.check p.routers.(i) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s, event %d: %s" p.name p.events m);
+  List.iter (fun (o : Router.output) -> Queue.add (i, o.dst, o.msg) p.q) outputs
+
+(* One event; false once the queue and the script are both spent. *)
+let pump_step p =
+  if not (Queue.is_empty p.q) then begin
+    let from_, dst, msg = Queue.pop p.q in
+    pump_event p dst (fun r -> Router.handle_msg r ~from_ msg);
+    true
+  end
+  else
+    match p.phases with
+    | [] -> false
+    | phase :: rest ->
+      p.phases <- rest;
+      List.iter
+        (function
+          | Up (a, b, c) -> pump_event p a (fun r -> Router.handle_link_up r ~nbr:b ~cost:c)
+          | Cost (a, b, c) -> pump_event p a (fun r -> Router.handle_link_cost r ~nbr:b ~cost:c)
+          | Down (a, b) -> pump_event p a (fun r -> Router.handle_link_down r ~nbr:b))
+        phase;
+      true
+
+(* Routers of any size share their domain's update scratch. Two BA
+   networks of different sizes, their events interleaved in one
+   domain, must end exactly where each ends run alone. *)
+let test_scratch_shared_across_networks () =
+  let small () = pump_of ~name:"BA-40" ~seed:41 ~n:40
+  and big () = pump_of ~name:"BA-120" ~seed:42 ~n:120 in
+  let fingerprints p = Array.map Router.fingerprint p.routers in
+  let alone p =
+    while pump_step p do
+      ()
+    done;
+    (fingerprints p, p.events)
+  in
+  let small_fp, small_events = alone (small ()) in
+  let big_fp, big_events = alone (big ()) in
+  let a = small () and b = big () in
+  (* Uneven turns, so the two sizes alternate at every kind of event. *)
+  let rng = Rng.create ~seed:43 in
+  let more_a = ref true and more_b = ref true in
+  while !more_a || !more_b do
+    for _ = 0 to Rng.int rng ~bound:3 do
+      if !more_a then more_a := pump_step a
+    done;
+    for _ = 0 to Rng.int rng ~bound:3 do
+      if !more_b then more_b := pump_step b
+    done
+  done;
+  check_int "BA-40 events" small_events a.events;
+  check_int "BA-120 events" big_events b.events;
+  check "BA-40 fingerprints" true (fingerprints a = small_fp);
+  check "BA-120 fingerprints" true (fingerprints b = big_fp);
+  check "converged" true
+    (Array.for_all Router.is_passive a.routers && Array.for_all Router.is_passive b.routers)
+
 let suite =
   [
     Alcotest.test_case "incr_spf: empty changes noop" `Quick test_empty_changes_noop;
@@ -961,5 +1064,7 @@ let suite =
       test_router_two_parent_lsu_raises;
     Alcotest.test_case "router: FIFO pump, Router.check and LFI every 1000 messages" `Slow
       test_fifo_pump_oracles;
+    Alcotest.test_case "router: two network sizes share one scratch" `Quick
+      test_scratch_shared_across_networks;
     QCheck_alcotest.to_alcotest prop_nbr_forest_matches_dijkstra;
   ]
