@@ -58,12 +58,29 @@ let duplex_links =
     ("ucl", "isi-e", 5.0, 8.0);
   ]
 
+(* The links by node id, capacity in bit/s and delay in s, resolved
+   once: a set-up then adds them without looking names up. *)
+let duplex_ids =
+  let id name =
+    let rec find i =
+      if i = Array.length names then invalid_arg ("Cairn: unknown router " ^ name)
+      else if names.(i) = name then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  Array.of_list
+    (List.map
+       (fun (a, b, cap_mb, delay_ms) -> (id a, id b, cap_mb *. mb, delay_ms /. 1000.0))
+       duplex_links)
+
 let topology () =
   let g = Graph.create ~names in
-  let add (a, b, cap_mb, delay_ms) =
-    Graph.add_duplex g a b ~capacity:(cap_mb *. mb) ~prop_delay:(delay_ms /. 1000.0)
-  in
-  List.iter add duplex_links;
+  Array.iter
+    (fun (a, b, capacity, prop_delay) ->
+      Graph.add_link g ~src:a ~dst:b ~capacity ~prop_delay;
+      Graph.add_link g ~src:b ~dst:a ~capacity ~prop_delay)
+    duplex_ids;
   g
 
 let flow_pair_names =
