@@ -49,9 +49,9 @@ let busy_period ~prop_delay = make Busy_period ~prop_delay ~initial:prop_delay
 
 let measured_sojourn ~prop_delay = make Measured_sojourn ~prop_delay ~initial:prop_delay
 
-let on_arrival t ~now:_ = t.arrivals <- t.arrivals + 1
+let on_arrival t = t.arrivals <- t.arrivals + 1
 
-let on_departure t ~now:_ ~sojourn ~service ~busy =
+let on_departure t ~sojourn ~service ~busy =
   t.departures <- t.departures + 1;
   t.sums.sojourn_sum <- t.sums.sojourn_sum +. sojourn;
   t.sums.service_sum <- t.sums.service_sum +. service;

@@ -47,10 +47,10 @@ val busy_period : prop_delay:float -> t
 
 val measured_sojourn : prop_delay:float -> t
 
-val on_arrival : t -> now:float -> unit
+val on_arrival : t -> unit
 (** A packet joined the link (queue or server). *)
 
-val on_departure : t -> now:float -> sojourn:float -> service:float -> busy:bool -> unit
+val on_departure : t -> sojourn:float -> service:float -> busy:bool -> unit
 (** A packet finished transmission after spending [sojourn] seconds on
     the link, with transmission time [service]; [busy] says whether the
     server stays busy after this departure. *)

@@ -2,10 +2,10 @@ module Engine = Mdr_eventsim.Engine
 module Estimator = Mdr_costs.Estimator
 
 (* The time integral of a piecewise-constant quantity since time 0:
-   queue occupancy, transmitter busy. [Stats.Timed] computes the same,
-   but a call into another library boxes the floats it passes; this
-   all-float record is updated by an inlined function, so a hop's
-   updates box no float. *)
+   queue occupancy, transmitter busy. It is kept here rather than in a
+   utility library because a call into another library boxes the
+   floats it passes; this all-float record is updated by an inlined
+   function, so a hop's updates box no float. *)
 type integral = { mutable last_time : float; mutable last_value : float; mutable area : float }
 
 let[@inline] set_value i ~now ~value =
@@ -117,7 +117,7 @@ let retire t =
     t.sent <- t.sent + 1;
     set_value t.occupancy ~now:dep ~value:(float_of_int t.count);
     let waiting = t.count > 0 in
-    Estimator.on_departure t.estimator ~now:dep ~sojourn:(dep -. t.arrived.(i))
+    Estimator.on_departure t.estimator ~sojourn:(dep -. t.arrived.(i))
       ~service:t.services.(i) ~busy:waiting;
     set_value t.busy_time ~now:dep ~value:(if waiting then 1.0 else 0.0)
   done
@@ -151,7 +151,7 @@ let send t packet =
   else begin
     let now = t.clock.now in
     set_value t.occupancy ~now ~value:(float_of_int (t.count + 1));
-    Estimator.on_arrival t.estimator ~now;
+    Estimator.on_arrival t.estimator;
     let service = packet.Packet.size /. t.capacity in
     let start =
       if t.count = 0 then begin

@@ -14,7 +14,7 @@ let test_mm1_estimator_tracks_rate () =
   let e = Estimator.mm1 ~capacity:1000.0 ~prop_delay:0.001 in
   (* 500 arrivals over 1 second -> arrival rate 500. *)
   for _ = 1 to 500 do
-    Estimator.on_arrival e ~now:0.5
+    Estimator.on_arrival e
   done;
   let s = Estimator.sample e ~now:1.0 in
   check_float "rate" 500.0 s.arrival_rate;
@@ -29,7 +29,7 @@ let test_mm1_estimator_empty_window () =
 let test_window_resets () =
   let e = Estimator.mm1 ~capacity:1000.0 ~prop_delay:0.0 in
   for _ = 1 to 100 do
-    Estimator.on_arrival e ~now:0.5
+    Estimator.on_arrival e
   done;
   ignore (Estimator.sample e ~now:1.0);
   let s = Estimator.sample e ~now:2.0 in
@@ -37,15 +37,15 @@ let test_window_resets () =
 
 let test_sojourn_estimator () =
   let e = Estimator.measured_sojourn ~prop_delay:0.001 in
-  Estimator.on_departure e ~now:0.1 ~sojourn:0.004 ~service:0.001 ~busy:false;
-  Estimator.on_departure e ~now:0.2 ~sojourn:0.006 ~service:0.001 ~busy:false;
+  Estimator.on_departure e ~sojourn:0.004 ~service:0.001 ~busy:false;
+  Estimator.on_departure e ~sojourn:0.006 ~service:0.001 ~busy:false;
   let s = Estimator.sample e ~now:1.0 in
   check_float "mean sojourn" 0.005 s.mean_sojourn;
   check_float "marginal = sojourn + prop" 0.006 s.marginal
 
 let test_sojourn_estimator_keeps_last () =
   let e = Estimator.measured_sojourn ~prop_delay:0.001 in
-  Estimator.on_departure e ~now:0.1 ~sojourn:0.004 ~service:0.001 ~busy:false;
+  Estimator.on_departure e ~sojourn:0.004 ~service:0.001 ~busy:false;
   ignore (Estimator.sample e ~now:1.0);
   let s = Estimator.sample e ~now:2.0 in
   check_float "keeps previous estimate" 0.005 s.marginal
@@ -67,7 +67,7 @@ let run_mm1_queue ~rng ~lambda ~mu ~horizon estimator =
   while !t < horizon do
     if !next_arrival <= !departure then begin
       t := !next_arrival;
-      Estimator.on_arrival estimator ~now:!t;
+      Estimator.on_arrival estimator;
       Queue.add !t queue;
       if Queue.length queue = 1 then current_service := schedule_service !t;
       next_arrival := !t +. Rng.exponential rng ~rate:lambda
@@ -76,7 +76,7 @@ let run_mm1_queue ~rng ~lambda ~mu ~horizon estimator =
       t := !departure;
       let arrived = Queue.pop queue in
       let busy = not (Queue.is_empty queue) in
-      Estimator.on_departure estimator ~now:!t ~sojourn:(!t -. arrived)
+      Estimator.on_departure estimator ~sojourn:(!t -. arrived)
         ~service:!current_service ~busy;
       if busy then current_service := schedule_service !t else departure := infinity
     end
@@ -112,8 +112,8 @@ let test_busy_period_estimator_heavy_load () =
 
 let test_busy_period_includes_prop_delay () =
   let e = Estimator.busy_period ~prop_delay:0.5 in
-  Estimator.on_arrival e ~now:0.0;
-  Estimator.on_departure e ~now:0.1 ~sojourn:0.1 ~service:0.1 ~busy:false;
+  Estimator.on_arrival e;
+  Estimator.on_departure e ~sojourn:0.1 ~service:0.1 ~busy:false;
   let s = Estimator.sample e ~now:1.0 in
   check "prop delay added" true (s.marginal >= 0.5)
 
