@@ -37,36 +37,6 @@ module Welford = struct
     t.max <- neg_infinity
 end
 
-module Timed = struct
-  type t = {
-    mutable window_start : float;
-    mutable last_time : float;
-    mutable last_value : float;
-    mutable integral : float;
-  }
-
-  let create ?(start = 0.0) () =
-    { window_start = start; last_time = start; last_value = 0.0; integral = 0.0 }
-
-  let update t ~now ~value =
-    if now < t.last_time then invalid_arg "Stats.Timed.update: time went backwards";
-    t.integral <- t.integral +. (t.last_value *. (now -. t.last_time));
-    t.last_time <- now;
-    t.last_value <- value
-
-  let average t ~now =
-    let span = now -. t.window_start in
-    if span <= 0.0 then t.last_value
-    else
-      let integral = t.integral +. (t.last_value *. (now -. t.last_time)) in
-      integral /. span
-
-  let reset t ~now =
-    t.window_start <- now;
-    t.last_time <- now;
-    t.integral <- 0.0
-end
-
 let mean_of_list xs =
   match xs with
   | [] -> 0.0

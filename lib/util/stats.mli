@@ -1,10 +1,7 @@
 (** Online statistics.
 
-    [Welford] accumulates mean and variance in one pass; [Timed]
-    accumulates time-weighted averages (e.g. queue occupancy over
-    simulated time); [Window] keeps a sliding accumulation that can be
-    sampled and reset at measurement-interval boundaries, as the
-    protocol does every [T_l] / [T_s] seconds. *)
+    [Welford] accumulates mean and variance in one pass; the functions
+    below summarize a finished list or array of samples. *)
 
 module Welford : sig
   type t
@@ -22,23 +19,6 @@ module Welford : sig
   val min : t -> float
   val max : t -> float
   val reset : t -> unit
-end
-
-module Timed : sig
-  type t
-
-  val create : ?start:float -> unit -> t
-
-  val update : t -> now:float -> value:float -> unit
-  (** Record that the tracked quantity has held its previous value up
-      to [now] and takes [value] from [now] on. [now] must be
-      non-decreasing. *)
-
-  val average : t -> now:float -> float
-  (** Time-weighted average over [start, now]. *)
-
-  val reset : t -> now:float -> unit
-  (** Restart the averaging window at [now], keeping the current value. *)
 end
 
 val mean_of_list : float list -> float

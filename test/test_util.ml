@@ -101,27 +101,6 @@ let test_welford_reset () =
   Stats.Welford.add w 2.0;
   check_float "mean after reset" 2.0 (Stats.Welford.mean w)
 
-let test_timed_average () =
-  let t = Stats.Timed.create () in
-  Stats.Timed.update t ~now:0.0 ~value:2.0;
-  Stats.Timed.update t ~now:5.0 ~value:4.0;
-  (* 2.0 for 5 s then 4.0 for 5 s -> average 3.0 at t = 10. *)
-  check_float "time-weighted avg" 3.0 (Stats.Timed.average t ~now:10.0)
-
-let test_timed_reset () =
-  let t = Stats.Timed.create () in
-  Stats.Timed.update t ~now:0.0 ~value:10.0;
-  Stats.Timed.reset t ~now:4.0;
-  Stats.Timed.update t ~now:4.0 ~value:6.0;
-  check_float "after reset" 6.0 (Stats.Timed.average t ~now:8.0)
-
-let test_timed_backwards_raises () =
-  let t = Stats.Timed.create () in
-  Stats.Timed.update t ~now:5.0 ~value:1.0;
-  Alcotest.check_raises "backwards"
-    (Invalid_argument "Stats.Timed.update: time went backwards") (fun () ->
-      Stats.Timed.update t ~now:4.0 ~value:1.0)
-
 let test_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
   check_float "p50" 50.0 (Stats.percentile xs ~p:50.0);
@@ -205,9 +184,6 @@ let suite =
     Alcotest.test_case "welford: known values" `Quick test_welford_basic;
     Alcotest.test_case "welford: empty" `Quick test_welford_empty;
     Alcotest.test_case "welford: reset" `Quick test_welford_reset;
-    Alcotest.test_case "timed: average" `Quick test_timed_average;
-    Alcotest.test_case "timed: reset" `Quick test_timed_reset;
-    Alcotest.test_case "timed: rejects time reversal" `Quick test_timed_backwards_raises;
     Alcotest.test_case "percentile: nearest rank" `Quick test_percentile;
     Alcotest.test_case "mean_of_list" `Quick test_mean_of_list;
     Alcotest.test_case "tab: render aligns" `Quick test_tab_render;
