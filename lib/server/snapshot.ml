@@ -1,5 +1,5 @@
 let magic = "MDRS"
-let version = 6
+let version = 7
 
 let write_all fd s =
   let len = String.length s in

@@ -563,11 +563,11 @@ let test_old_snapshot_version_falls_back () =
       in
       let header v = Codec.header ~magic:"MDRS" ~version:v in
       let bytes = read_file snapshot in
-      check_str "written as v6" (header 6) (String.sub bytes 0 Codec.header_len);
-      let fp6, from6, c6 = restored ~now:20.0 in
-      check_str "v6 restores the writer's state" fp fp6;
-      check "v6 read from the snapshot" true from6;
-      check_int "v6 no fallback" 0 c6.Server.snapshot_fallbacks;
+      check_str "written as v7" (header 7) (String.sub bytes 0 Codec.header_len);
+      let fp7, from7, c7 = restored ~now:20.0 in
+      check_str "v7 restores the writer's state" fp fp7;
+      check "v7 read from the snapshot" true from7;
+      check_int "v7 no fallback" 0 c7.Server.snapshot_fallbacks;
       (* Older layouts are refused by their header and rebuilt from
          genesis + journal; each restore counts one fallback. *)
       List.iteri
@@ -580,7 +580,7 @@ let test_old_snapshot_version_falls_back () =
           check_str (what ^ " rebuilt to the writer's state") fp fp';
           check (what ^ " not read") false from';
           check_int (what ^ " fallback counted") 1 c'.Server.snapshot_fallbacks)
-        [ 5; 4; 3; 2 ])
+        [ 6; 5; 4; 3; 2 ])
 
 (* The same refusal when the journal no longer reaches back to seq 1
    (a checkpoint reset it, then more updates arrived): genesis plus the
@@ -600,7 +600,7 @@ let test_old_snapshot_version_without_journal_unreadable () =
       Server.close s;
       let bytes = read_file snapshot in
       let header v = Codec.header ~magic:"MDRS" ~version:v in
-      check_str "written as v6" (header 6) (String.sub bytes 0 Codec.header_len);
+      check_str "written as v7" (header 7) (String.sub bytes 0 Codec.header_len);
       write_file snapshot
         (header 5 ^ String.sub bytes Codec.header_len (String.length bytes - Codec.header_len));
       match Server.restore ~now:30.0 ~dir:d ~topo ~cost () with
