@@ -1,5 +1,8 @@
 let magic = "MDRJ"
-let version = 2
+let version = 3
+
+(* The v3 header: magic, version, then the base seq as an i64. *)
+let header_len = Codec.header_len + 8
 
 type t = {
   fd : Unix.file_descr;
@@ -15,10 +18,13 @@ let write_all fd s =
     off := !off + Unix.single_write_substring fd s !off (len - !off)
   done
 
-let create ?(fsync = false) ~path () =
+let create ?(fsync = false) ?(base = 0) ~path () =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  write_all fd (Codec.header ~magic ~version);
+  let b = Buffer.create header_len in
+  Buffer.add_string b (Codec.header ~magic ~version);
+  Buffer.add_int64_be b (Int64.of_int base);
+  write_all fd (Buffer.contents b);
   if fsync then Unix.fsync fd;
   Unix.close fd;
   Sys.rename tmp path;
@@ -52,7 +58,7 @@ let close t =
     Unix.close t.fd
   end
 
-type replay = { entries : (int * string) list; torn : bool; clean_bytes : int }
+type replay = { base : int; entries : (int * string) list; torn : bool; clean_bytes : int }
 
 let replay ~path =
   let ic =
@@ -62,21 +68,23 @@ let replay ~path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let hdr =
-        try really_input_string ic Codec.header_len
-        with End_of_file -> failwith (Printf.sprintf "Journal.replay: %s: truncated header" path)
-      in
+      let truncated () = failwith (Printf.sprintf "Journal.replay: %s: truncated header" path) in
+      let hdr = try really_input_string ic Codec.header_len with End_of_file -> truncated () in
       (match Codec.check_header hdr ~magic with
       | Ok v when v = version -> ()
       | Ok v -> failwith (Printf.sprintf "Journal.replay: %s: unsupported version %d" path v)
       | Error reason -> failwith (Printf.sprintf "Journal.replay: %s: %s" path reason));
+      let base =
+        try Int64.to_int (String.get_int64_be (really_input_string ic 8) 0)
+        with End_of_file -> truncated ()
+      in
       let rec loop acc clean =
         match Codec.read_record ic with
-        | Codec.Eof -> { entries = List.rev acc; torn = false; clean_bytes = clean }
+        | Codec.Eof -> { base; entries = List.rev acc; torn = false; clean_bytes = clean }
         | Codec.Torn reason ->
             Printf.eprintf "journal %s: skipping torn trailing record (%s)\n%!" path
               reason;
-            { entries = List.rev acc; torn = true; clean_bytes = clean }
+            { base; entries = List.rev acc; torn = true; clean_bytes = clean }
         | Codec.Record r ->
             if String.length r < 8 then
               failwith (Printf.sprintf "Journal.replay: %s: malformed record" path);
@@ -84,7 +92,7 @@ let replay ~path =
             let payload = String.sub r 8 (String.length r - 8) in
             loop ((seq, payload) :: acc) (pos_in ic)
       in
-      loop [] Codec.header_len)
+      loop [] header_len)
 
 let open_append ?(fsync = false) ~path () =
   let r = replay ~path in

@@ -1,9 +1,14 @@
 (** The write-ahead journal: an append-only file of {!Codec} records,
     one per accepted update, written and flushed {e before} the update
-    is applied in memory. Each record's payload is the update's
-    sequence number (big-endian i64) followed by its {!Update}
-    encoding, so replay can skip records a snapshot already covers and
-    detect gaps.
+    is applied in memory. The header after {!Codec}'s magic and
+    version holds the journal's base: the sequence number (big-endian
+    i64) of the state its first record follows, which is the seq of
+    the snapshot taken when the journal was reset. Each record's
+    payload is the update's sequence number (big-endian i64) followed
+    by its {!Update} encoding, so replay can skip records a snapshot
+    already covers and detect gaps, and a restore can tell from the
+    base alone that a state older than it cannot be brought forward,
+    even when no record follows.
 
     Crash discipline:
     - A fresh journal is created atomically (written to a temp file,
@@ -18,8 +23,9 @@
 
 type t
 
-val create : ?fsync:bool -> path:string -> unit -> t
-(** Create (or overwrite) an empty journal at [path] and open it for
+val create : ?fsync:bool -> ?base:int -> path:string -> unit -> t
+(** Create (or overwrite) an empty journal at [path] whose records
+    follow the state at seq [base] (default 0), and open it for
     appending. [fsync] (default false) additionally [fsync]s after
     every append — survival of an OS crash rather than just a process
     kill. *)
@@ -36,6 +42,7 @@ val records : t -> int
 val close : t -> unit
 
 type replay = {
+  base : int;  (** the seq the journal's first record follows *)
   entries : (int * string) list;  (** (seq, update payload), journal order *)
   torn : bool;  (** a torn trailing record was skipped *)
   clean_bytes : int;  (** file prefix covered by clean records *)

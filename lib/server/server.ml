@@ -308,12 +308,16 @@ let decode_snapshot ~topo payload =
   if n <> Graph.node_count topo then
     raise (Unreadable "snapshot router count does not match topology");
   let routers =
-    Array.init n (fun _ ->
+    Array.init n (fun i ->
         let len = read_u32 () in
         need len;
         let blob = String.sub payload !pos len in
         pos := !pos + len;
-        Router.restore blob)
+        match Router.restore ~n blob with
+        | r when Router.id r = i -> r
+        | r -> raise (Unreadable (Printf.sprintf "router %d: bytes of router %d" i (Router.id r)))
+        | exception Router.Corrupt reason ->
+          raise (Unreadable (Printf.sprintf "router %d: %s" i reason)))
   in
   let n_links = read_u32 () in
   let link_state = Hashtbl.create (max 16 (2 * n_links)) in
@@ -454,7 +458,7 @@ let checkpoint ?torn_after t =
          journal. A crash in between is safe: records whose seq the
          snapshot already covers are skipped at replay. *)
       Journal.close t.journal;
-      t.journal <- Journal.create ~fsync:t.config.fsync ~path:(journal_path t.dir) ()
+      t.journal <- Journal.create ~fsync:t.config.fsync ~base:t.seq ~path:(journal_path t.dir) ()
 
 (* Replaying an entry against memory: the routing side effect plus the
    writer-table side effect. Used identically on the accept path and at
@@ -588,10 +592,11 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
     | `Missing -> None
     | `Corrupt reason ->
         incr snapshot_fallbacks;
-        (* A snapshot that fails its checksum is treated as absent: the
-           state it held is recomputed from genesis + the journal. If the
-           journal alone cannot reach it, replay detects the gap below
-           and refuses, rather than silently losing accepted updates. *)
+        (* A snapshot that fails its checksum or has another format
+           version is treated as absent: the state it held is recomputed
+           from genesis + the journal. Once a checkpoint has reset the
+           journal, its base is past genesis and the check below
+           refuses, rather than silently losing accepted updates. *)
         Printf.eprintf "snapshot %s: unreadable (%s); falling back to genesis\n%!"
           (snapshot_path dir) reason;
         None
@@ -606,14 +611,20 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
         (0, routers, link_state, Hashtbl.create 16, Hashtbl.create 16,
          Hashtbl.create 32, 0)
   in
+  if not (Sys.file_exists (journal_path dir)) then
+    Journal.close (Journal.create ~fsync:config.fsync ~base:base_seq ~path:(journal_path dir) ());
   let journal, replay =
-    if Sys.file_exists (journal_path dir) then
-      try Journal.open_append ~fsync:config.fsync ~path:(journal_path dir) ()
-      with Failure reason -> raise (Unreadable reason)
-    else
-      ( Journal.create ~fsync:config.fsync ~path:(journal_path dir) (),
-        { Journal.entries = []; torn = false; clean_bytes = Codec.header_len } )
+    try Journal.open_append ~fsync:config.fsync ~path:(journal_path dir) ()
+    with Failure reason -> raise (Unreadable reason)
   in
+  let refuse reason =
+    Journal.close journal;
+    raise (Unreadable reason)
+  in
+  if base_seq < replay.Journal.base then
+    refuse
+      (Printf.sprintf "state at seq %d predates the journal, which follows seq %d" base_seq
+         replay.Journal.base);
   let tmp =
     make ~marks ~grants ~claim_tbl ~epoch ~config ~dir ~topo ~routers
       ~link_state ~journal ~seq:base_seq ~snap_seq:base_seq ~now
@@ -624,14 +635,11 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
     (fun (rec_seq, payload) ->
       if rec_seq > tmp.seq then begin
         if rec_seq <> tmp.seq + 1 then
-          raise
-            (Unreadable
-               (Printf.sprintf "journal gap (have seq %d, next record is %d)"
-                  tmp.seq rec_seq));
+          refuse
+            (Printf.sprintf "journal gap (have seq %d, next record is %d)" tmp.seq rec_seq);
         let e =
           try Update.decode_entry payload
-          with Update.Corrupt reason ->
-            raise (Unreadable ("corrupt journal payload: " ^ reason))
+          with Update.Corrupt reason -> refuse ("corrupt journal payload: " ^ reason)
         in
         apply_entry_mem tmp e;
         tmp.seq <- rec_seq;

@@ -64,8 +64,10 @@ val create :
 
 exception Unreadable of string
 (** {!restore} cannot rebuild from the state it found: a journal with a
-    bad header, a sequence gap or an undecodable entry, or a snapshot
-    that does not decode against [topo]. The message names the fault. *)
+    bad header, a sequence gap or an undecodable entry, a snapshot
+    that does not decode against [topo], or a base state (the snapshot,
+    or genesis when it was refused) older than the journal's base. The
+    message names the fault. *)
 
 val restore :
   ?config:config ->

@@ -1,5 +1,5 @@
 let magic = "MDRS"
-let version = 7
+let version = 8
 
 let write_all fd s =
   let len = String.length s in

@@ -181,6 +181,7 @@ let test_journal_roundtrip () =
       check_int "records" 5 (Journal.records j);
       Journal.close j;
       let r = Journal.replay ~path in
+      check_int "base defaults to genesis" 0 r.Journal.base;
       check "not torn" false r.Journal.torn;
       check_int "entries" 5 (List.length r.Journal.entries);
       List.iteri
@@ -528,13 +529,11 @@ let test_corruption_counters_snapshot_fallback () =
       check_str "still the same state" fp (Server.fingerprint s2);
       Server.close s2)
 
-(* Snapshot payloads hold Router.snapshot's Marshal bytes, which only a
-   build with the same router layout can read. A snapshot file of the
-   previous format version must be refused on its header alone and the
-   state rebuilt from genesis + journal, never unmarshalled. The
-   directory is the one a kill between the snapshot rename and the
-   journal reset leaves: a snapshot plus a journal holding every
-   record. *)
+(* A snapshot file of another format version (v2-v7 held the routers'
+   Marshal images) must be refused on its header alone and the state
+   rebuilt from genesis + journal. The directory is the one a kill
+   between the snapshot rename and the journal reset leaves: a
+   snapshot plus a journal holding every record from genesis. *)
 let test_old_snapshot_version_falls_back () =
   let topo = small_topo () in
   with_dir (fun d ->
@@ -563,11 +562,11 @@ let test_old_snapshot_version_falls_back () =
       in
       let header v = Codec.header ~magic:"MDRS" ~version:v in
       let bytes = read_file snapshot in
-      check_str "written as v7" (header 7) (String.sub bytes 0 Codec.header_len);
-      let fp7, from7, c7 = restored ~now:20.0 in
-      check_str "v7 restores the writer's state" fp fp7;
-      check "v7 read from the snapshot" true from7;
-      check_int "v7 no fallback" 0 c7.Server.snapshot_fallbacks;
+      check_str "written as v8" (header 8) (String.sub bytes 0 Codec.header_len);
+      let fp8, from8, c8 = restored ~now:20.0 in
+      check_str "v8 restores the writer's state" fp fp8;
+      check "v8 read from the snapshot" true from8;
+      check_int "v8 no fallback" 0 c8.Server.snapshot_fallbacks;
       (* Older layouts are refused by their header and rebuilt from
          genesis + journal; each restore counts one fallback. *)
       List.iteri
@@ -580,7 +579,7 @@ let test_old_snapshot_version_falls_back () =
           check_str (what ^ " rebuilt to the writer's state") fp fp';
           check (what ^ " not read") false from';
           check_int (what ^ " fallback counted") 1 c'.Server.snapshot_fallbacks)
-        [ 6; 5; 4; 3; 2 ])
+        [ 7; 6; 5; 4; 3; 2 ])
 
 (* The same refusal when the journal no longer reaches back to seq 1
    (a checkpoint reset it, then more updates arrived): genesis plus the
@@ -600,13 +599,56 @@ let test_old_snapshot_version_without_journal_unreadable () =
       Server.close s;
       let bytes = read_file snapshot in
       let header v = Codec.header ~magic:"MDRS" ~version:v in
-      check_str "written as v7" (header 7) (String.sub bytes 0 Codec.header_len);
+      check_str "written as v8" (header 8) (String.sub bytes 0 Codec.header_len);
       write_file snapshot
         (header 5 ^ String.sub bytes Codec.header_len (String.length bytes - Codec.header_len));
       match Server.restore ~now:30.0 ~dir:d ~topo ~cost () with
       | s ->
         Server.close s;
         Alcotest.fail "a v5 snapshot with a reset journal restored"
+      | exception Server.Unreadable _ -> ())
+
+(* The refusal holds with no record after the checkpoint: the journal
+   is empty, so only the base seq in its header shows that genesis
+   cannot reach the checkpointed state. *)
+let test_old_snapshot_version_empty_journal_unreadable () =
+  let topo = small_topo () in
+  with_dir (fun d ->
+      let snapshot = Filename.concat d "snapshot.bin" in
+      let s = Server.create ~dir:d ~topo ~cost () in
+      List.iteri
+        (fun i u -> Server.apply s ~now:(float_of_int (i + 1)) u)
+        (stream topo ~seed:33 ~updates:12);
+      Server.checkpoint s;
+      Server.close s;
+      check_int "journal follows the checkpoint" 12
+        (Journal.replay ~path:(Filename.concat d "journal.bin")).Journal.base;
+      let bytes = read_file snapshot in
+      write_file snapshot
+        (Codec.header ~magic:"MDRS" ~version:6
+        ^ String.sub bytes Codec.header_len (String.length bytes - Codec.header_len));
+      match Server.restore ~now:30.0 ~dir:d ~topo ~cost () with
+      | s ->
+        Server.close s;
+        Alcotest.fail "a v6 snapshot with an empty reset journal restored"
+      | exception Server.Unreadable _ -> ())
+
+(* A state directory written before the router codec (snapshot v7,
+   journal v2; net1, 6 updates) is refused as a whole. *)
+let test_v7_state_dir_unreadable () =
+  let fixture =
+    List.find Sys.file_exists [ "fixtures/state_v7"; "test/fixtures/state_v7" ]
+  in
+  with_dir (fun d ->
+      Array.iter
+        (fun f -> write_file (Filename.concat d f) (read_file (Filename.concat fixture f)))
+        (Sys.readdir fixture);
+      match
+        Server.restore ~now:1.0 ~dir:d ~topo:(Mdr_topology.Net1.topology ()) ~cost ()
+      with
+      | s ->
+        Server.close s;
+        Alcotest.fail "a v7 state directory restored"
       | exception Server.Unreadable _ -> ())
 
 (* ---- audit ----------------------------------------------------------- *)
@@ -734,6 +776,10 @@ let test_restore_unreadable () =
   let u = Update.Set_cost { src = 0; dst = 1; cost = 2.0 } in
   unreadable "v1 journal header" (fun d ->
       write_file (journal d) (Codec.header ~magic:"MDRJ" ~version:1));
+  unreadable "v2 journal header" (fun d ->
+      write_file (journal d) (Codec.header ~magic:"MDRJ" ~version:2));
+  unreadable "v3 journal header without its base" (fun d ->
+      write_file (journal d) (Codec.header ~magic:"MDRJ" ~version:3));
   unreadable "journal gap" (fun d ->
       let j = Journal.create ~path:(journal d) () in
       Journal.append j ~seq:2 ~payload:(entry u);
@@ -869,6 +915,10 @@ let suite =
       test_old_snapshot_version_falls_back;
     Alcotest.test_case "server: v5 snapshot past a journal reset is Unreadable" `Quick
       test_old_snapshot_version_without_journal_unreadable;
+    Alcotest.test_case "server: v6 snapshot past an empty reset journal is Unreadable" `Quick
+      test_old_snapshot_version_empty_journal_unreadable;
+    Alcotest.test_case "server: v7 state directory is Unreadable" `Quick
+      test_v7_state_dir_unreadable;
     Alcotest.test_case "fencing: stale epoch rejected" `Quick
       test_fencing_stale_epoch_rejected;
     Alcotest.test_case "fencing: new epoch wins, re-claim idempotent" `Quick
