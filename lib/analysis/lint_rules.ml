@@ -254,7 +254,6 @@ let to_report r =
       List.map (fun ru -> { Report.rule_id = ru.name; about = ru.what }) rules;
   }
 
-let render_violation = Report.render_finding
 let render r = Report.render (to_report r)
 let to_json r = Report.to_json (to_report r)
 let to_sarif r = Report.to_sarif (to_report r)

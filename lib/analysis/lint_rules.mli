@@ -64,9 +64,6 @@ val to_report : report -> Report.t
 (** The shared-report view ([tool = "lint"]), for SARIF emission and
     uniform rendering. *)
 
-val render_violation : violation -> string
-(** [file:line:col: [rule] message] — one line, greppable. *)
-
 val render : report -> string
 val to_json : report -> string
 val to_sarif : report -> string

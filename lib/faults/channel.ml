@@ -42,7 +42,6 @@ let blackout ~from_ ~until_ =
   if not (from_ <= until_) then invalid_arg "Channel.blackout: from_ > until_";
   [ Blackout (from_, until_) ]
 
-let compose a b = a @ b
 let all models = List.concat models
 
 let active until_ now =
@@ -74,14 +73,6 @@ let decide t ~rng ~now =
   List.fold_left (apply_layer ~rng ~now) [ 0.0 ] t
 
 let to_channel t ~rng ~src:_ ~dst:_ ~now = decide t ~rng ~now
-
-let per_link ~default ~overrides ~rng ~src ~dst ~now =
-  let model =
-    match List.assoc_opt (src, dst) overrides with
-    | Some m -> m
-    | None -> default
-  in
-  decide model ~rng ~now
 
 (* Last instant the channel's behavior changes: a blackout's end or a
    bounded layer's expiry. Permanent layers are stationary — they

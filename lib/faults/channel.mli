@@ -8,8 +8,8 @@
     and every random choice is drawn from an explicit {!Mdr_util.Rng}
     stream, so fault sequences are reproducible from a seed.
 
-    Models plug into the routing harness through {!to_channel} /
-    {!per_link} (see {!Mdr_routing.Harness.channel}); installing one
+    Models plug into the routing harness through {!to_channel} (see
+    {!Mdr_routing.Harness.channel}); installing one
     engages the harness's reliable transport so the protocols above
     still see in-order, eventually-delivered messages. *)
 
@@ -38,9 +38,6 @@ val blackout : from_:float -> until_:float -> t
 (** Hard outage window: every frame transmitted at simulated time
     [from_ <= now < until_] is lost. Requires [from_ <= until_]. *)
 
-val compose : t -> t -> t
-(** [compose a b] applies [a]'s layers, then [b]'s. *)
-
 val all : t list -> t
 
 val decide : t -> rng:Mdr_util.Rng.t -> now:float -> float list
@@ -52,13 +49,6 @@ val to_channel :
 (** The same model on every link, ready for
     [Harness.Make.set_channel]. All links share [rng]; draws happen in
     deterministic event order. *)
-
-val per_link :
-  default:t ->
-  overrides:((int * int) * t) list ->
-  rng:Mdr_util.Rng.t ->
-  src:int -> dst:int -> now:float -> float list
-(** Like {!to_channel} with per-directed-link overrides. *)
 
 val quiet_after : t -> float
 (** Last instant the model's behavior changes: the latest blackout end

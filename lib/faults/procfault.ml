@@ -143,27 +143,6 @@ let random_kills ~rng ~updates ~kills =
   done;
   List.rev !out
 
-let of_campaign ?(base_cost = default_base_cost) ~topo (plan : Campaign.plan) =
-  let base ~src ~dst = base_cost (Graph.link_exn topo ~src ~dst) in
-  let events =
-    List.concat_map
-      (fun (f : Campaign.fault) ->
-        match f with
-        | Campaign.Flap { a; b; at; restore_at } ->
-            [
-              (at, Fail { a; b });
-              (restore_at, Restore { a; b; cost = base ~src:a ~dst:b });
-            ]
-        | Campaign.Cost_surge { a; b; at; factor } ->
-            [
-              (at, Cost_change { src = a; dst = b; cost = base ~src:a ~dst:b *. factor });
-              (at, Cost_change { src = b; dst = a; cost = base ~src:b ~dst:a *. factor });
-            ]
-        | Campaign.Demand_surge _ | Campaign.Crash _ | Campaign.Partition _ -> [])
-      plan.Campaign.faults
-  in
-  List.stable_sort (fun (t1, _) (t2, _) -> Float.compare t1 t2) events
-
 let describe topo u =
   let name = Graph.name topo in
   match u with
@@ -172,13 +151,3 @@ let describe topo u =
   | Fail { a; b } -> Printf.sprintf "fail %s<->%s" (name a) (name b)
   | Restore { a; b; cost } ->
       Printf.sprintf "restore %s<->%s at %.3f" (name a) (name b) cost
-
-let describe_kill k =
-  let where =
-    match k.where with
-    | Between -> "between updates"
-    | Mid_journal -> "mid-journal-append"
-    | Mid_snapshot -> "mid-snapshot"
-  in
-  Printf.sprintf "kill %s after update %d (torn at byte %d)" where k.after
-    k.torn_at

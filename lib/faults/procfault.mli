@@ -100,17 +100,4 @@ val random_kills :
     [kills >= 3] exercises all three, and each torn write gets a fresh
     random byte offset. Requires [updates >= kills + 2]. *)
 
-val of_campaign :
-  ?base_cost:(Mdr_topology.Graph.link -> float) ->
-  topo:Mdr_topology.Graph.t ->
-  Campaign.plan ->
-  (float * update) list
-(** Lower a network chaos plan into the route-server's input language,
-    time-stamped and sorted: [Flap] becomes [Fail] then [Restore] (at
-    base cost), [Cost_surge] becomes a [Cost_change] per direction.
-    Faults with no single-process meaning ([Crash], [Partition],
-    [Demand_surge]) are dropped — the server {e is} the process that
-    campaign-level crashes kill. *)
-
 val describe : Mdr_topology.Graph.t -> update -> string
-val describe_kill : kill -> string

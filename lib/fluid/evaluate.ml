@@ -67,13 +67,6 @@ let costs_finite m flows =
       && Delay.cost d f >= 0.0
       && Delay.marginal d f > 0.0)
 
-let link_costs m flows =
-  let table = Hashtbl.create (Graph.link_count m.topo) in
-  Graph.fold_links m.topo ~init:() ~f:(fun () l ->
-      Hashtbl.replace table (l.src, l.dst)
-        (link_cost m flows ~src:l.src ~dst:l.dst));
-  table
-
 (* Shared downstream recursion for both expected delays (per-packet
    sojourn) and marginal distances (marginal link cost): values are
    computed in reverse topological order of SG_dst, so each router's

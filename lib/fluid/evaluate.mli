@@ -27,9 +27,6 @@ val average_delay : model -> Flows.t -> Traffic.t -> float
 val link_cost : model -> Flows.t -> src:int -> dst:int -> float
 (** Marginal delay D'_ik(f_ik) — the link cost l_ik. *)
 
-val link_costs : model -> Flows.t -> (int * int, float) Hashtbl.t
-(** Marginal delay of every link of the topology. *)
-
 val saturated_links : model -> Flows.t -> (int * int) list
 (** Directed links whose flow lies beyond their delay model's knee
     ([Delay.saturated]): costs are the convex extension there, and the

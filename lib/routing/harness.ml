@@ -129,10 +129,6 @@ module Make (R : ROUTER) = struct
   let cost_updates_offered t = t.cost_updates_offered
   let cost_updates_applied t = t.cost_updates_applied
 
-  let cost_suppressed t ~src ~dst =
-    match Hashtbl.find_opt t.triggers (src, dst) with
-    | Some tr -> Cost_trigger.suppressed tr
-    | None -> false
   let trace t = List.rev t.trace_rev
   let record t ev = t.trace_rev <- (Engine.now t.engine, ev) :: t.trace_rev
 

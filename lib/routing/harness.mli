@@ -156,10 +156,6 @@ module Make (R : ROUTER) : sig
   (** Cost changes the routing processes actually saw. Equal to
       {!cost_updates_offered} without damping. *)
 
-  val cost_suppressed : t -> src:int -> dst:int -> bool
-  (** Whether cost-flap damping currently suppresses updates of this
-      directed link. *)
-
   val schedule_link_cost : t -> at:float -> src:int -> dst:int -> cost:float -> unit
   (** Change one directed link's cost at simulated time [at]. Under
       hello detection the routing process only hears about it once the

@@ -39,12 +39,6 @@ let validate p =
 
 type state = Down | Init | TwoWay | Full
 
-let state_name = function
-  | Down -> "Down"
-  | Init -> "Init"
-  | TwoWay -> "TwoWay"
-  | Full -> "Full"
-
 type down_cause = [ `Dead | `One_way | `Peer_reset ]
 
 type action =

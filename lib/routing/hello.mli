@@ -63,8 +63,6 @@ val validate : params -> unit
 
 type state = Down | Init | TwoWay | Full
 
-val state_name : state -> string
-
 type down_cause = [ `Dead | `One_way | `Peer_reset ]
 (** Why an established adjacency was torn down: dead-interval expiry,
     the neighbor stopped hearing us, or the neighbor reset its side of

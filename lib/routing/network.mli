@@ -48,7 +48,6 @@ val set_cost_damping : t -> Cost_trigger.params -> unit
 
 val cost_updates_offered : t -> int
 val cost_updates_applied : t -> int
-val cost_suppressed : t -> src:int -> dst:int -> bool
 
 val schedule_link_cost : t -> at:float -> src:int -> dst:int -> cost:float -> unit
 (** Change one directed link's cost at simulated time [at]. *)

@@ -151,7 +151,6 @@ let drain ?max t ~now =
 
 let depth t = Queue.length t.q
 let pending_timers t = List.length t.armed
-let next_deadline t = match t.armed with [] -> None | (d, _) :: _ -> Some d
 
 let status t ~now =
   if Queue.length t.q >= t.capacity || now -. t.last_shed < t.degraded_hold then

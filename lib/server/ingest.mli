@@ -62,9 +62,6 @@ val pending_timers : t -> int
 (** Armed hold-down timers not yet due — work {!drain} will release
     later; a quiescence check must count them. *)
 
-val next_deadline : t -> float option
-(** Earliest armed hold-down expiry, if any. *)
-
 val status : t -> now:float -> [ `Ok | `Degraded ]
 
 val stats : t -> stats

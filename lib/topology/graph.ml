@@ -160,6 +160,3 @@ let in_csr t =
 let is_symmetric t =
   List.for_all (fun l -> link t ~src:l.dst ~dst:l.src <> None) (links t)
 
-let pp_summary ppf t =
-  Format.fprintf ppf "topology: %d routers, %d directed links" (node_count t)
-    (link_count t)

@@ -70,5 +70,3 @@ val in_csr : t -> csr
 
 val is_symmetric : t -> bool
 (** Every directed link has a reverse link (attributes may differ). *)
-
-val pp_summary : Format.formatter -> t -> unit

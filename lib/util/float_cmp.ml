@@ -14,8 +14,3 @@ let default_eps = 1e-9
 let approx ?(eps = default_eps) a b =
   if Float.equal a b then true (* covers infinities and shared nan payloads *)
   else Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-let is_zero ?(eps = default_eps) a = Float.abs a <= eps
-
-let compare_eps ?(eps = default_eps) a b =
-  if approx ~eps a b then 0 else Float.compare a b

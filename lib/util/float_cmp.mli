@@ -13,9 +13,3 @@ val approx : ?eps:float -> float -> float -> bool
     [eps * max 1 (max |a| |b|)] (relative for large magnitudes,
     absolute near zero). Equal infinities and identical nans compare
     true. *)
-
-val is_zero : ?eps:float -> float -> bool
-(** [is_zero a] is [|a| <= eps]. *)
-
-val compare_eps : ?eps:float -> float -> float -> int
-(** Total order that treats [approx]-equal values as equal. *)

@@ -56,11 +56,6 @@ let exponential t ~rate =
   let u = 1.0 -. float t in
   -.log u /. rate
 
-let pareto t ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then invalid_arg "Rng.pareto: bad parameters";
-  let u = 1.0 -. float t in
-  scale /. (u ** (1.0 /. shape))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t ~bound:(i + 1) in

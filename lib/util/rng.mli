@@ -34,9 +34,5 @@ val exponential : t -> rate:float -> float
 (** Exponential variate with the given [rate] (mean [1/rate]).
     Requires [rate > 0]. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto variate, for heavy-tailed burst lengths. Requires
-    [shape > 0] and [scale > 0]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

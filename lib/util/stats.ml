@@ -23,8 +23,6 @@ module Welford = struct
 
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 
-  let stddev t = sqrt (variance t)
-
   let min t = t.min
 
   let max t = t.max

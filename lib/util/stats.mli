@@ -15,7 +15,6 @@ module Welford : sig
   val variance : t -> float
   (** Sample variance; 0 with fewer than two observations. *)
 
-  val stddev : t -> float
   val min : t -> float
   val max : t -> float
   val reset : t -> unit
