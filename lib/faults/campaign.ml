@@ -147,6 +147,7 @@ type metrics = {
   events : int;
   loop_violations : int;
   lfi_violations : int;
+  check_failures : int;
   messages : int;
   retransmissions : int;
   transport_acks : int;
@@ -202,6 +203,9 @@ module type NET = sig
   val successor_sets : t -> dst:int -> int -> int list
   val check_loop_free : t -> bool
   val check_lfi : t -> bool
+
+  val check_routers : t -> bool
+  (** Every router matches its from-scratch rebuild. *)
 end
 
 module Mpda_net = struct
@@ -209,6 +213,12 @@ module Mpda_net = struct
 
   let create ?detection ?seed ?observer ~topo ~cost () =
     Mdr_routing.Network.create ?detection ?seed ?observer ~topo ~cost ()
+
+  let check_routers net =
+    let rec ok i =
+      i < 0 || (Result.is_ok (Mdr_routing.Router.check (router net i)) && ok (i - 1))
+    in
+    ok (Graph.node_count (topology net) - 1)
 end
 
 module Dv_net = struct
@@ -216,6 +226,8 @@ module Dv_net = struct
 
   let create ?detection ?seed ?observer ~topo ~cost () =
     Mdr_routing.Harness.Dv_network.create ?detection ?seed ?observer ~topo ~cost ()
+
+  let check_routers _ = true
 end
 
 (* Costs large enough that DV's RIP-style counting bound (horizon) is
@@ -284,8 +296,8 @@ let quiet_time plan =
     plan.faults
 
 let drive (type a) (module N : NET with type t = a) ~protocol ~detection ~cost
-    ~settle_grace ~topo ~seed plan =
-  let events = ref 0 and loopv = ref 0 and lfiv = ref 0 in
+    ~settle_grace ~check_routers ~topo ~seed plan =
+  let events = ref 0 and loopv = ref 0 and lfiv = ref 0 and checkf = ref 0 in
   (* Blackhole time is audited from the first injected fault onward —
      the initial cold-start flood (routers legitimately have no routes
      yet) is not an outage. *)
@@ -297,6 +309,7 @@ let drive (type a) (module N : NET with type t = a) ~protocol ~detection ~cost
     incr events;
     if not (N.check_loop_free net) then incr loopv;
     if not (N.check_lfi net) then incr lfiv;
+    if check_routers && not (N.check_routers net) then incr checkf;
     let now = Engine.now (N.engine net) in
     if now >= first_fault then
       Recovery.observe tracker ~now
@@ -331,6 +344,7 @@ let drive (type a) (module N : NET with type t = a) ~protocol ~detection ~cost
     events = !events;
     loop_violations = !loopv;
     lfi_violations = !lfiv;
+    check_failures = !checkf;
     messages = N.total_messages net;
     retransmissions = N.retransmissions net;
     transport_acks = N.transport_acks net;
@@ -346,13 +360,14 @@ let drive (type a) (module N : NET with type t = a) ~protocol ~detection ~cost
   }
 
 let run_mpda ?(detection = Mdr_routing.Harness.Oracle) ?(cost = default_cost)
-    ?(settle_grace = 600.0) ~topo ~seed plan =
-  drive (module Mpda_net) ~protocol:"MPDA" ~detection ~cost ~settle_grace ~topo ~seed
-    plan
+    ?(settle_grace = 600.0) ?(check_routers = false) ~topo ~seed plan =
+  drive (module Mpda_net) ~protocol:"MPDA" ~detection ~cost ~settle_grace ~check_routers
+    ~topo ~seed plan
 
 let run_dv ?(detection = Mdr_routing.Harness.Oracle) ?(cost = default_cost)
     ?(settle_grace = 600.0) ~topo ~seed plan =
-  drive (module Dv_net) ~protocol:"DV" ~detection ~cost ~settle_grace ~topo ~seed plan
+  drive (module Dv_net) ~protocol:"DV" ~detection ~cost ~settle_grace ~check_routers:false
+    ~topo ~seed plan
 
 (* Scenario fan-out. Each index is a closed world — its own rng stream
    (seeded seed + i, so randomness depends only on the index, never on

@@ -73,6 +73,11 @@ type metrics = {
   events : int;  (** router events processed (audits performed) *)
   loop_violations : int;  (** successor-graph cycles observed — must be 0 *)
   lfi_violations : int;  (** LFI (Eq. 16) failures observed — must be 0 *)
+  check_failures : int;
+      (** events after which some MPDA router failed its from-scratch
+          rebuild check ({!Mdr_routing.Router.check}) — must be 0;
+          counted only under [~check_routers:true], so always 0 for
+          DV *)
   messages : int;  (** router messages + retransmissions *)
   retransmissions : int;
   transport_acks : int;
@@ -105,6 +110,7 @@ val run_mpda :
   ?detection:Mdr_routing.Harness.detection ->
   ?cost:(Mdr_topology.Graph.link -> float) ->
   ?settle_grace:float ->
+  ?check_routers:bool ->
   topo:Mdr_topology.Graph.t ->
   seed:int ->
   plan ->
@@ -114,7 +120,11 @@ val run_mpda :
     inference; [cost] defaults to [1 + 1000 * prop_delay];
     [settle_grace] (default 600 s) bounds how long past the last fault
     the run may take to quiesce. [seed] feeds both the channel fault
-    model's random stream and the harness's hello/RTO jitter. *)
+    model's random stream and the harness's hello/RTO jitter. After
+    every event the run audits loop-freedom and the LFI conditions;
+    with [check_routers] (default [false]) it also runs every router's
+    rebuild check. That is off by default because it costs more than
+    the run it audits, and [perfbench] times the campaign itself. *)
 
 val run_dv :
   ?detection:Mdr_routing.Harness.detection ->

@@ -78,6 +78,8 @@ let children f j =
   in
   walk f.first_child.(j) []
 
+let is_leaf f j = f.first_child.(j) < 0
+
 let entries f =
   let acc = ref [] in
   for head = f.n - 1 downto 0 do

@@ -84,5 +84,8 @@ val children : t -> int -> (int * float) list
 (** [(tail, cost)] of the links headed at [j], ascending by tail: the
     same list {!Topo_table.out_links} gives for an equal table. *)
 
+val is_leaf : t -> int -> bool
+(** No link is headed at [j]: {!children} is empty. *)
+
 val entries : t -> Topo_table.entry list
 (** Every link, sorted by (head, tail), as {!Topo_table.entries}. *)

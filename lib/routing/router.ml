@@ -26,6 +26,12 @@ type t = {
   merged : Topo_table.t;
       (* the MTU's merged topology (steps 2-5), kept across events so an
          event only rewrites the rows whose preferred source moved *)
+  pref : int array;
+      (* per row j other than this router's own: the up neighbor k
+         minimizing D_jk + l_k, the lowest id on ties, -1 when none
+         reaches j (and for the own row). Kept current at every event;
+         row j of [merged] is j's children in T_pref(j) *)
+  pref_sum : float array;  (* D_jk + l_k for k = pref.(j); infinity at -1 *)
   dirty : bool array;
       (* rows of [merged] that may differ from their derivation and are
          re-derived at the next MTU; every other row is current.
@@ -89,6 +95,8 @@ let create ~mode ~id ~n () =
     nbrs = Hashtbl.create 8;
     parent_buf = main_spf.parent;
     merged = Topo_table.create ();
+    pref = Array.make n (-1);
+    pref_sum = Array.make n infinity;
     dirty = Array.make n false;
     marked = [];
     main_spf;
@@ -228,46 +236,93 @@ let mark t j =
     t.marked <- j :: t.marked
   end
 
-(* A data LSU updates only the subtrees it moved, marking the nodes
-   whose D_k changed and the heads of the changed links (the merged
-   rows that may copy from this neighbor). A full-table LSU marks the
-   same for the whole table: the nodes whose D_k changed and the heads
-   of the old and new links. The nodes whose D_k changed are also the
-   destinations whose successor sets may move. *)
+(* D_jk + l_k for up neighbor [k]; infinity for -1. *)
+let sum_via t k j =
+  if k < 0 then infinity else (Nbr_forest.dist (Hashtbl.find t.nbrs k)).(j) +. link_cost t ~nbr:k
+
+(* The preferred neighbor of row [j] from scratch: the first up
+   neighbor, in id order, minimizing D_jk + l_k; -1 when none reaches
+   [j], and for this router's own row. *)
+let scan_pref t j =
+  if j = t.id then -1
+  else begin
+    let rec scan best bd = function
+      | [] -> best
+      | k :: rest ->
+        let d = sum_via t k j in
+        if d < bd then scan k d rest else scan best bd rest
+    in
+    scan (-1) infinity t.up
+  end
+
+let set_pref t j k =
+  t.pref.(j) <- k;
+  t.pref_sum.(j) <- sum_via t k j
+
+(* Row [j]'s preferred neighbor moved to [q]: the row is marked unless
+   it is empty and [j] heads no link in T_q either. *)
+let repointed t j q =
+  if not t.dirty.(j) then
+    match Topo_table.out_links t.merged ~head:j with
+    | [] when q < 0 || Nbr_forest.is_leaf (Hashtbl.find t.nbrs q) j -> ()
+    | _ -> mark t j
+
+(* Row [j]'s sum through neighbor [k] is now [s], and no other sum of
+   row [j] moved. A rise of the preferred neighbor's own sum rescans
+   the row; any other move compares [s] with the preferred sum alone. *)
+let repref t j ~k ~s =
+  let p = t.pref.(j) in
+  if p = k then begin
+    if s > t.pref_sum.(j) then begin
+      let q = scan_pref t j in
+      set_pref t j q;
+      if q <> k then repointed t j q
+    end
+    else t.pref_sum.(j) <- s
+  end
+  else if s < t.pref_sum.(j) || (s = t.pref_sum.(j) && k < p) then begin
+    t.pref.(j) <- k;
+    t.pref_sum.(j) <- s;
+    repointed t j k
+  end
+
+(* A data LSU updates only the subtrees it moved; a full-table LSU
+   reloads the table. Either way each node j whose D_jk changed moves
+   its sum through [from_], may move its preferred neighbor, and may
+   move its successor set. A changed link headed at j moves merged row
+   j only when [from_] is j's preferred neighbor once the LSU is in;
+   a row whose preferred neighbor moved is marked already. *)
 let apply_lsu t ~from_ ~reset entries =
   let f = nbr_forest t ~nbr:from_ in
-  let mark_heads = List.iter (fun (e : Topo_table.entry) -> mark t e.head) in
+  let d = Nbr_forest.dist f and l = link_cost t ~nbr:from_ in
+  let moved j =
+    if j <> t.id then repref t j ~k:from_ ~s:(d.(j) +. l);
+    mark_stale t j
+  in
+  let mark_heads =
+    List.iter (fun (e : Topo_table.entry) -> if t.pref.(e.head) = from_ then mark t e.head)
+  in
   try
     if reset then begin
-      let old_dist = Array.copy (Nbr_forest.dist f) and old_links = Nbr_forest.entries f in
+      let old_dist = Array.copy d and old_links = Nbr_forest.entries f in
       Nbr_forest.load (scratch ()).fws f entries;
-      let dist = Nbr_forest.dist f in
-      Array.iteri
-        (fun j d ->
-          if not (Float.equal d dist.(j)) then begin
-            mark t j;
-            mark_stale t j
-          end)
-        old_dist;
+      Array.iteri (fun j old -> if not (Float.equal old d.(j)) then moved j) old_dist;
       mark_heads old_links;
       mark_heads (Nbr_forest.entries f)
     end
-    else
-      mark_heads
-        (Nbr_forest.apply
-           ~on_changed:(fun j ->
-             mark t j;
-             mark_stale t j)
-           (scratch ()).fws f entries)
+    else mark_heads (Nbr_forest.apply ~on_changed:moved (scratch ()).fws f entries)
   with Invalid_argument m ->
     invalid_arg (Printf.sprintf "Router %d: LSU from neighbor %d: %s" t.id from_ m)
 
-(* A change of l_k, or k's table going with its link, moves D_jk + l_k
-   for every node j that k reaches: those rows may change source, and
-   this router's own row lists the adjacency. Called before the change
-   takes effect. *)
-let mark_reach t ~nbr =
-  Array.iteri (fun j d -> if Float.is_finite d then mark t j) (Nbr_forest.dist (nbr_forest t ~nbr));
+(* l_k moved (to infinity when the link went down): every row k
+   reaches moves its sum through k. Called after the adjacency change
+   and before a down neighbor's table is cleared. The own row lists
+   the adjacency. *)
+let relink t ~nbr =
+  let d = Nbr_forest.dist (nbr_forest t ~nbr) and l = link_cost t ~nbr in
+  for j = 0 to t.n - 1 do
+    if j <> t.id && Float.is_finite d.(j) then repref t j ~k:nbr ~s:(d.(j) +. l)
+  done;
   mark t t.id
 
 (* --- MTU: repair the main table -------------------------------------- *)
@@ -297,42 +352,23 @@ let refresh_first_hops t =
     ignore (resolve j)
   done
 
-(* The tables of the up neighbors [nbrs] with their link costs, looked
-   up once per MTU rather than twice per neighbor per row. *)
-let sources t nbrs = List.map (fun k -> (Hashtbl.find t.nbrs k, link_cost t ~nbr:k)) nbrs
-
-(* The table of the neighbor minimizing D_jk + l_k, the first in id
-   order on ties; None when no neighbor reaches j. *)
-let preferred_for sources j =
-  List.fold_left
-    (fun best (f, l) ->
-      let d = (Nbr_forest.dist f).(j) +. l in
-      match best with
-      | Some (_, bd) when bd <= d -> best
-      | _ -> if Float.is_finite d then Some (f, d) else best)
-    None sources
-
 (* Steps 2-5 for one row of the merged topology: this router's own row
    is its adjacency (step 5); any other row is the out-links of [j] in
-   the preferred neighbor's table. *)
-let derive_row t ~nbrs ~sources j =
-  if j = t.id then List.map (fun k -> (k, link_cost t ~nbr:k)) nbrs
-  else
-    match preferred_for sources j with
-    | None -> []
-    | Some (f, _) -> Nbr_forest.children f j
+   the table of [j]'s preferred neighbor [k]. *)
+let derive_row t ~k j =
+  if j = t.id then List.map (fun k -> (k, link_cost t ~nbr:k)) t.up
+  else if k < 0 then []
+  else Nbr_forest.children (Hashtbl.find t.nbrs k) j
 
 (* Re-derive the dirty rows in place and return the net merged changes
    sorted by (head, tail), the input the SPF repair requires: rows in
    ascending order, each row's changes ascending by tail. *)
 let repair_merged t =
-  let nbrs = up_neighbors t in
-  let sources = sources t nbrs in
   let dirty = List.sort Int.compare t.marked in
   List.iter (fun j -> t.dirty.(j) <- false) dirty;
   t.marked <- [];
   List.concat_map
-    (fun j -> Topo_table.set_row t.merged ~head:j (derive_row t ~nbrs ~sources j))
+    (fun j -> Topo_table.set_row t.merged ~head:j (derive_row t ~k:t.pref.(j) j))
     dirty
 
 (* Steps 2-6: repair the merged rows, then the shortest-path tree over
@@ -361,11 +397,14 @@ let mtu t =
     if t.mode = Pda then List.iter (mark_stale t) moved;
     (* Per moved node, move its tree link: the old one's head is its
        parent before the repair. Per merged cost change, refresh the
-       link cost if it is (still) a tree link. *)
-    let tree = t.tree_cost and acc = ref [] in
+       link cost if it is (still) a tree link. First hops follow the
+       parents alone (a node the tree loses gets parent -1), so they
+       move only if some parent did. *)
+    let tree = t.tree_cost and acc = ref [] and reparented = ref false in
     List.iter
       (fun v ->
         let po = prev_parent.(v) and pn = t.parent_buf.(v) in
+        if po <> pn then reparented := true;
         if po >= 0 && po <> pn && Float.is_finite tree.(v) then begin
           tree.(v) <- infinity;
           acc := { Topo_table.head = po; tail = v; cost = infinity } :: !acc
@@ -393,7 +432,7 @@ let mtu t =
           acc := e :: !acc
         end)
       merged_changes;
-    refresh_first_hops t;
+    if !reparented then refresh_first_hops t;
     (moved, List.sort entry_compare !acc)
   end
 
@@ -407,32 +446,37 @@ let fresh_seq t =
 let compose_outputs t ~changes ~ack_to =
   (* [ack_to]: Some (k, seq) when the event was a data LSU from k whose
      [seq] must be acknowledged. Full tables go to neighbors that just
-     came up. *)
+     came up, the changes to every other up neighbor; [full] is an
+     ordered sublist of the up neighbors. *)
   let nbrs = up_neighbors t in
-  let full_targets = List.filter (fun k -> List.mem k t.needs_full) nbrs in
+  let full = if t.needs_full = [] then [] else List.filter (fun k -> List.mem k t.needs_full) nbrs in
   t.needs_full <- [];
-  let data_targets =
-    if changes = [] then full_targets
-    else List.sort_uniq Int.compare (full_targets @ nbrs)
-  in
   let outputs = ref [] in
   let ack_consumed = ref false in
-  List.iter
-    (fun k ->
-      let is_full = List.mem k full_targets in
-      let entries = if is_full then main_entries t else changes in
-      if entries <> [] || is_full then begin
-        let seq = match t.mode with Mpda -> Some (fresh_seq t) | Pda -> None in
-        let ack_of =
-          match ack_to with Some (k', s) when k' = k -> Some s | Some _ | None -> None
-        in
-        if ack_of <> None then ack_consumed := true;
-        (match (t.mode, seq) with
-        | Mpda, Some s -> Hashtbl.replace t.pending k s
-        | Mpda, None | Pda, _ -> ());
-        outputs := { dst = k; msg = { entries; reset = is_full; seq; ack_of } } :: !outputs
-      end)
-    data_targets;
+  let send k ~is_full =
+    let entries = if is_full then main_entries t else changes in
+    let seq = match t.mode with Mpda -> Some (fresh_seq t) | Pda -> None in
+    let ack_of =
+      match ack_to with Some (k', s) when k' = k -> Some s | Some _ | None -> None
+    in
+    if ack_of <> None then ack_consumed := true;
+    (match (t.mode, seq) with
+    | Mpda, Some s -> Hashtbl.replace t.pending k s
+    | Mpda, None | Pda, _ -> ());
+    outputs := { dst = k; msg = { entries; reset = is_full; seq; ack_of } } :: !outputs
+  in
+  let rec walk full = function
+    | [] -> ()
+    | k :: rest -> (
+      match full with
+      | k' :: full' when k' = k ->
+        send k ~is_full:true;
+        walk full' rest
+      | _ ->
+        if changes <> [] then send k ~is_full:false;
+        walk full rest)
+  in
+  walk full nbrs;
   (* Pure ACK when the triggering LSU got no piggybacked reply. *)
   (match ack_to with
   | Some (k, s) when (not !ack_consumed) && Hashtbl.mem t.adjacent k ->
@@ -510,17 +554,17 @@ let process t ~ack_to ~ack_received =
 let handle_link_up t ~nbr ~cost =
   if not (Float.is_finite cost) || cost < 0.0 then
     invalid_arg "Router.handle_link_up: bad cost";
-  mark_reach t ~nbr;
   mark_all_stale t;
   set_adjacent t nbr cost;
+  relink t ~nbr;
   if not (List.mem nbr t.needs_full) then t.needs_full <- nbr :: t.needs_full;
   process t ~ack_to:None ~ack_received:None
 
 let handle_link_down ?(unconfirmed = false) t ~nbr =
   if Hashtbl.mem t.adjacent nbr then begin
-    mark_reach t ~nbr;
     mark_all_stale t;
     remove_adjacent t nbr;
+    relink t ~nbr;
     (* A bilateral (oracle-announced) failure means the peer forgot us
        in the same instant; an inferred one means the peer may still
        hold — and route on — its old view of us, so it keeps a claim on
@@ -569,8 +613,8 @@ let confirm_link_down t ~nbr =
 let handle_link_cost t ~nbr ~cost =
   if not (Hashtbl.mem t.adjacent nbr) then []
   else begin
-    mark_reach t ~nbr;
     Hashtbl.replace t.adjacent nbr cost;
+    relink t ~nbr;
     process t ~ack_to:None ~ack_received:None
   end
 
@@ -602,15 +646,19 @@ let check t =
             fail "D_%d via neighbor %d: %h, recomputed %h" j k d (Nbr_forest.dist g).(j))
         (Nbr_forest.dist f))
     t.nbrs;
-  (* Merged topology: every row not awaiting the next MTU equals its
-     derivation from the forests and the adjacency. *)
-  let nbrs = up_neighbors t in
-  let sources = sources t nbrs in
+  (* Preferred neighbors and their sums, kept current at every event,
+     against a scan of every up neighbor; merged topology: every row
+     not awaiting the next MTU equals its derivation from the scan's
+     choice. *)
   let row_bits = List.equal (fun (t1, c1) (t2, c2) -> t1 = t2 && bits c1 c2) in
   for j = 0 to t.n - 1 do
+    let k = scan_pref t j in
+    if t.pref.(j) <> k then fail "preferred neighbor of %d: %d, from scratch %d" j t.pref.(j) k
+    else if not (bits t.pref_sum.(j) (sum_via t k j)) then
+      fail "preferred sum of %d: %h, from scratch %h" j t.pref_sum.(j) (sum_via t k j);
     if
       (not t.dirty.(j))
-      && not (row_bits (Topo_table.out_links t.merged ~head:j) (derive_row t ~nbrs ~sources j))
+      && not (row_bits (Topo_table.out_links t.merged ~head:j) (derive_row t ~k j))
     then fail "merged row %d differs from its derivation" j
   done;
   (* Distances, parents, tree table and first hops against a full
@@ -781,10 +829,9 @@ let restore ~n:expected s =
       dirty := (j, List.rev !row) :: !dirty);
   (* Every merged row from its derivation, then the rows awaiting the
      next MTU as the writer stored them. *)
-  let nbrs = up_neighbors t in
-  let sources = sources t nbrs in
   for j = 0 to n - 1 do
-    ignore (Topo_table.set_row t.merged ~head:j (derive_row t ~nbrs ~sources j))
+    set_pref t j (scan_pref t j);
+    ignore (Topo_table.set_row t.merged ~head:j (derive_row t ~k:t.pref.(j) j))
   done;
   List.iter
     (fun (j, links) ->
@@ -830,6 +877,8 @@ let copy t =
     nbrs = copy_tbl Nbr_forest.copy t.nbrs;
     parent_buf = main_spf.parent;
     merged = Topo_table.copy t.merged;
+    pref = Array.copy t.pref;
+    pref_sum = Array.copy t.pref_sum;
     dirty = Array.copy t.dirty;
     main_spf;
     adjacent = copy_tbl Fun.id t.adjacent;

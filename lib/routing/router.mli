@@ -23,12 +23,15 @@
     parents, or a link into the neighbor itself, raises
     [Invalid_argument] naming this router, the neighbor and the node.
 
-    The main-table update (MTU, steps 2-6) is incremental: each event
-    marks the rows of the merged topology that may move, the MTU
-    re-derives only those, {!Incr_spf} repairs the shortest-path tree
-    over the changed links, and the tree table and first hops are
-    updated over the nodes that moved. {!check} compares all of it
-    against a from-scratch rebuild.
+    The main-table update (MTU, steps 2-6) is incremental. Each row of
+    the merged topology keeps its preferred neighbor (the one offering
+    the shortest path to that node), kept current at every event; an
+    event marks only the rows whose preferred neighbor or child list
+    in that neighbor's table moved, the MTU re-derives only those,
+    {!Incr_spf} repairs the shortest-path tree over the changed links,
+    and the tree table and first hops are updated over the nodes that
+    moved. {!check} compares all of it against a from-scratch
+    rebuild.
 
     The main table is the shortest-path tree itself, so a router keeps
     it as one link cost per node, the head being the node's parent in
@@ -148,8 +151,9 @@ val spf_stats : t -> Incr_spf.stats
 val check : t -> (unit, string) result
 (** Compare the router's incremental state bit for bit against a
     from-scratch rebuild: each neighbor table's distances against a
-    recompute; every merged-topology row not awaiting the next MTU
-    against its derivation from the neighbor tables and the adjacency;
+    recompute; each row's preferred neighbor and its sum against a scan
+    of every up neighbor; every merged-topology row not awaiting the
+    next MTU against its derivation from that scan and the adjacency;
     distances and parents against a full Dijkstra over the stored
     merged topology; the main table against that shortest-path tree;
     the first hops; in [Mpda] mode FD_j <= D_j for every [j], which

@@ -603,10 +603,12 @@ let test_self_scan_clean_and_allowlists_minimal () =
   (* The repo must pass its own analyzers, and every allowlist entry
      must still be earning its keep (no stale waivers, no .allow file
      for a rule that does not exist). *)
+  (* The first ancestor holding a dune-project that is not dune's copy
+     of the tree under _build/<context>. *)
   let rec find_source_root dir =
     if
       Sys.file_exists (Filename.concat dir "dune-project")
-      && Sys.file_exists (Filename.concat dir ".git")
+      && Filename.basename (Filename.dirname dir) <> "_build"
     then Some dir
     else
       let parent = Filename.dirname dir in

@@ -419,8 +419,9 @@ let churn_profile =
 let test_chaos_property () =
   (* 100 seeds x {MPDA, DV} = 200 scenarios of interleaved cost
      surges, flaps, crashes, partitions and lossy channels; the
-     invariants must hold after every processed event and both
-     protocols must reconverge. *)
+     invariants must hold after every processed event, every MPDA
+     router must match its from-scratch rebuild after every event, and
+     both protocols must reconverge. *)
   for seed = 1 to 100 do
     let rng = Rng.create ~seed in
     let topo = scenario_topo rng in
@@ -429,11 +430,12 @@ let test_chaos_property () =
       let tag what = Printf.sprintf "seed %d %s: %s" seed m.protocol what in
       Alcotest.(check int) (tag "loop violations") 0 m.loop_violations;
       Alcotest.(check int) (tag "lfi violations") 0 m.lfi_violations;
+      Alcotest.(check int) (tag "router check failures") 0 m.check_failures;
       check (tag "converged") true m.converged;
       check (tag "bounded reconvergence") true
         (Float.is_finite m.reconvergence && m.reconvergence < 600.0)
     in
-    audit (Campaign.run_mpda ~topo ~seed plan);
+    audit (Campaign.run_mpda ~check_routers:true ~topo ~seed plan);
     audit (Campaign.run_dv ~topo ~seed plan)
   done
 
@@ -449,10 +451,11 @@ let test_hello_chaos_property () =
         { Campaign.default_profile with duration = 10.0 }
     in
     let detection = Harness.Hello Hello.default_params in
-    let m = Campaign.run_mpda ~detection ~topo ~seed plan in
+    let m = Campaign.run_mpda ~detection ~check_routers:true ~topo ~seed plan in
     let tag what = Printf.sprintf "hello seed %d MPDA: %s" seed what in
     Alcotest.(check int) (tag "loop violations") 0 m.loop_violations;
     Alcotest.(check int) (tag "lfi violations") 0 m.lfi_violations;
+    Alcotest.(check int) (tag "router check failures") 0 m.check_failures;
     check (tag "converged") true m.converged;
     check (tag "no permanent blackhole") false m.permanent_blackhole;
     check (tag "detection produced latencies or absorbed flaps") true

@@ -843,6 +843,65 @@ let test_router_two_parent_lsu_raises () =
     (Invalid_argument "Router 0: LSU from neighbor 1: Nbr_forest: node 2 would have two parents")
     (fun () -> ignore (Router.handle_msg r ~from_:1 (lsu [ e 3 2 ])))
 
+(* Router 0's preferred neighbor for row 3 is 1 (sum 2 against 6 via
+   2). Inside one ACTIVE phase, 1 goes down and comes back up, and its
+   full-table reload leaves 3 a leaf: row 3 prefers 1 again, but its
+   stored content (3 -> 4) came from the table 1 had before. Only the
+   mark taken when the link went down sends the row to the next MTU.
+   Router.check runs after every event, and the MTU that ends the
+   phase must route 4 over 1 -> 4 (distance 4), not over the stale
+   1 -> 3 -> 4 (distance 3). *)
+let test_router_pref_returns_within_active_phase () =
+  let r = Router.create ~mode:Router.Mpda ~id:0 ~n:5 () in
+  let awaited = Hashtbl.create 4 in
+  let step what outputs =
+    List.iter
+      (fun (o : Router.output) ->
+        Option.iter (fun s -> Hashtbl.replace awaited o.dst s) o.msg.seq)
+      outputs;
+    match Router.check r with Ok () -> () | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  let msg ?seq ?ack_of ?(reset = false) entries = { Router.entries; reset; seq; ack_of } in
+  let e head tail cost = { Topo_table.head; tail; cost } in
+  let ack k =
+    match Hashtbl.find_opt awaited k with
+    | None -> ()
+    | Some s ->
+      Hashtbl.remove awaited k;
+      step (Printf.sprintf "ACK from %d" k) (Router.handle_msg r ~from_:k (msg ~ack_of:s []))
+  in
+  let settle () =
+    while Hashtbl.length awaited > 0 do
+      List.iter ack (List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) awaited []))
+    done
+  in
+  step "link 1 up" (Router.handle_link_up r ~nbr:1 ~cost:1.0);
+  step "link 2 up" (Router.handle_link_up r ~nbr:2 ~cost:5.0);
+  step "table of 1"
+    (Router.handle_msg r ~from_:1 (msg ~seq:0 ~reset:true [ e 1 3 1.0; e 3 4 1.0 ]));
+  step "table of 2"
+    (Router.handle_msg r ~from_:2 (msg ~seq:0 ~reset:true [ e 2 3 1.0; e 3 4 1.0 ]));
+  settle ();
+  check "passive after the cold start" true (Router.is_passive r);
+  check "D_4 over 1 -> 3 -> 4" true (Float.equal (Router.distance r ~dst:4) 3.0);
+  step "cost of 2" (Router.handle_link_cost r ~nbr:2 ~cost:6.0);
+  check "active" false (Router.is_passive r);
+  let phases = Router.stats_active_phases r in
+  (* 2's ACK stays outstanding, so the phase outlives 1's flap. *)
+  step "link 1 down" (Router.handle_link_down r ~nbr:1);
+  Hashtbl.remove awaited 1;
+  step "link 1 up again" (Router.handle_link_up r ~nbr:1 ~cost:1.0);
+  step "reload of 1"
+    (Router.handle_msg r ~from_:1 (msg ~seq:1 ~reset:true [ e 1 3 1.0; e 1 4 3.0 ]));
+  check "still active" false (Router.is_passive r);
+  check_int "one ACTIVE phase" phases (Router.stats_active_phases r);
+  check "D_4 deferred" true (Float.equal (Router.distance r ~dst:4) 3.0);
+  ack 1;
+  ack 2;
+  check_int "the phase ended" phases (Router.stats_active_phases r - 1);
+  check "D_4 over 1 -> 4" true (Float.equal (Router.distance r ~dst:4) 4.0);
+  check "first hop to 4" true (Router.best_successor r ~dst:4 = Some 1)
+
 module Lfi = Mdr_routing.Lfi
 
 (* A FIFO pump like Syncnet's, kept here so it can watch every event:
@@ -1168,6 +1227,8 @@ let suite =
       test_nbr_forest_rejects_non_forest;
     Alcotest.test_case "router: two-parent LSU raises a named error" `Quick
       test_router_two_parent_lsu_raises;
+    Alcotest.test_case "router: preferred neighbor returns within an ACTIVE phase" `Quick
+      test_router_pref_returns_within_active_phase;
     Alcotest.test_case "router: FIFO pump, Router.check and LFI every 1000 messages" `Slow
       test_fifo_pump_oracles;
     Alcotest.test_case "router: two network sizes share one scratch" `Quick
