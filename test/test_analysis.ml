@@ -104,7 +104,21 @@ let test_interleave_corpus () =
         (st.Interleave.violation = None))
     stats;
   let total = List.fold_left (fun acc st -> acc + st.Interleave.states) 0 stats in
-  check "corpus explores >= 10k states" true (total >= 10_000)
+  check "corpus explores >= 10k states" true (total >= 10_000);
+  (* The explored space itself is pinned: a copy that aliased router
+     state between sibling states would visit other states. *)
+  Alcotest.(check (list string))
+    "explored space"
+    [
+      "triangle-3                       1903 states      6204 transitions  depth  24  exhaustive  ok";
+      "line-3+cost-change               1062 states      2912 transitions  depth  24  exhaustive  ok";
+      "triangle-3+cost-change+loss      2000 states      6862 transitions  depth   6  bounded  ok";
+      "diamond-4                        2000 states      8204 transitions  depth  10  bounded  ok";
+      "diamond-4+cost-change            2000 states      7801 transitions  depth   7  bounded  ok";
+      "ring-4+loss                      2000 states      6572 transitions  depth   6  bounded  ok";
+      "ring-5                           2000 states      7773 transitions  depth   6  bounded  ok";
+    ]
+    (List.map Interleave.render_stats stats)
 
 let test_interleave_router_check () =
   (* Every explored state of the bundled corpus, every router: the

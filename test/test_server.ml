@@ -651,6 +651,30 @@ let test_v7_state_dir_unreadable () =
         Alcotest.fail "a v7 state directory restored"
       | exception Server.Unreadable _ -> ())
 
+(* A v8 state directory (net1, `serve --updates 6 --snapshot-every 4`,
+   ending in the shutdown checkpoint) restores, and a checkpoint of
+   the restored server writes the fixture's bytes again: the snapshot
+   and journal formats are pinned byte for byte. *)
+let test_v8_state_dir_rewrites_its_bytes () =
+  let fixture =
+    List.find Sys.file_exists [ "fixtures/state_v8"; "test/fixtures/state_v8" ]
+  in
+  let files = [ "snapshot.bin"; "journal.bin" ] in
+  with_dir (fun d ->
+      List.iter
+        (fun f -> write_file (Filename.concat d f) (read_file (Filename.concat fixture f)))
+        files;
+      let s = Server.restore ~now:1.0 ~dir:d ~topo:(Mdr_topology.Net1.topology ()) ~cost () in
+      check_int "restored at the checkpoint" 6 (Server.seq s);
+      Server.checkpoint s;
+      Server.close s;
+      List.iter
+        (fun f ->
+          check (f ^ " rewritten byte for byte") true
+            (String.equal (read_file (Filename.concat d f))
+               (read_file (Filename.concat fixture f))))
+        files)
+
 (* ---- audit ----------------------------------------------------------- *)
 
 let test_audit_small () =
@@ -919,6 +943,8 @@ let suite =
       test_old_snapshot_version_empty_journal_unreadable;
     Alcotest.test_case "server: v7 state directory is Unreadable" `Quick
       test_v7_state_dir_unreadable;
+    Alcotest.test_case "server: v8 state directory checkpoints to its own bytes" `Quick
+      test_v8_state_dir_rewrites_its_bytes;
     Alcotest.test_case "fencing: stale epoch rejected" `Quick
       test_fencing_stale_epoch_rejected;
     Alcotest.test_case "fencing: new epoch wins, re-claim idempotent" `Quick
