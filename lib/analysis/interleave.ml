@@ -24,7 +24,12 @@
 
    Exploration is breadth-first with replay: the frontier stores only
    action traces, and states are reconstructed by replaying the trace
-   from the initial state. Visited states are deduplicated by a digest
+   from the initial state. States are copy-on-write: a successor shares
+   every router with its parent except the one its action reaches,
+   which it copies through the router's codec
+   ([Router.restore ~n (Router.snapshot r)]) before changing it. The
+   shared routers' fingerprints are shared too, so each successor
+   fingerprints one router. Visited states are deduplicated by a digest
    of the canonical state serialization ([Router.fingerprint] plus
    queue contents), so the search is exhaustive over distinct states,
    not distinct traces. Because the search is breadth-first, the first
@@ -124,7 +129,9 @@ let broken_feasibility_invariant =
 (* --- Model state ------------------------------------------------------- *)
 
 type state = {
-  routers : Router.t array;
+  routers : Router.t array;  (* shared with the state copied from, except where owned *)
+  owned : bool array;  (* the routers this state copied and may change *)
+  fingerprints : string array;  (* [""] where a router changed since its last one *)
   queues : Router.msg Queue.t array array;  (* queues.(src).(dst) *)
   mutable changes_left : (int * int * float) list;
   mutable losses_left : int;
@@ -132,11 +139,29 @@ type state = {
 
 let copy_state st =
   {
-    routers = Array.map Router.copy st.routers;
+    routers = Array.copy st.routers;
+    owned = Array.make (Array.length st.routers) false;
+    fingerprints = Array.copy st.fingerprints;
     queues = Array.map (Array.map Queue.copy) st.queues;
     changes_left = st.changes_left;
     losses_left = st.losses_left;
   }
+
+(* Router [i], about to change: copied through its codec first unless
+   this state already owns it, so the states sharing it never see the
+   change. *)
+let changing st i =
+  if not st.owned.(i) then begin
+    st.routers.(i) <- Router.restore ~n:(Array.length st.routers) (Router.snapshot st.routers.(i));
+    st.owned.(i) <- true
+  end;
+  st.fingerprints.(i) <- "";
+  st.routers.(i)
+
+let fill_fingerprints st =
+  Array.iteri
+    (fun i fp -> if String.equal fp "" then st.fingerprints.(i) <- Router.fingerprint st.routers.(i))
+    st.fingerprints
 
 let enqueue_outputs st ~from_ outputs =
   List.iter
@@ -148,6 +173,8 @@ let initial_state scenario =
   let st =
     {
       routers = Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ());
+      owned = Array.make n true;
+      fingerprints = Array.make n "";
       queues = Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ()));
       changes_left =
         (match scenario.change with
@@ -189,14 +216,14 @@ let apply st action =
   match action with
   | Deliver { src; dst } ->
     let msg = Queue.pop st.queues.(src).(dst) in
-    enqueue_outputs st ~from_:dst (Router.handle_msg st.routers.(dst) ~from_:src msg)
+    enqueue_outputs st ~from_:dst (Router.handle_msg (changing st dst) ~from_:src msg)
   | Lose { src; dst } ->
     ignore (Queue.pop st.queues.(src).(dst));
     st.losses_left <- st.losses_left - 1
   | Change_cost { src; dst; cost } ->
     st.changes_left <-
       List.filter (fun (a, b, _) -> not (a = src && b = dst)) st.changes_left;
-    enqueue_outputs st ~from_:src (Router.handle_link_cost st.routers.(src) ~nbr:dst ~cost)
+    enqueue_outputs st ~from_:src (Router.handle_link_cost (changing st src) ~nbr:dst ~cost)
 
 (* --- Canonical digest -------------------------------------------------- *)
 
@@ -215,8 +242,9 @@ let msg_fp (b : Buffer.t) (m : Router.msg) =
   Buffer.add_char b '.'
 
 let digest st =
+  fill_fingerprints st;
   let b = Buffer.create 1024 in
-  Array.iter (fun r -> Buffer.add_string b (Router.fingerprint r)) st.routers;
+  Array.iter (Buffer.add_string b) st.fingerprints;
   Array.iteri
     (fun src row ->
       Array.iteri
@@ -280,6 +308,7 @@ let explore ?(invariants = standard_invariants) scenario =
     do
       let rev_trace = Queue.pop frontier in
       let st = replay rev_trace in
+      fill_fingerprints st;
       let depth = List.length rev_trace in
       List.iter
         (fun action ->

@@ -81,15 +81,6 @@ let create ~n ~root =
     stats = { full_runs = 0; repairs = 0; fallbacks = 0; repaired_nodes = 0 };
   }
 
-let copy st =
-  let { full_runs; repairs; fallbacks; repaired_nodes } = st.stats in
-  {
-    st with
-    dist = Array.copy st.dist;
-    parent = Array.copy st.parent;
-    stats = { full_runs; repairs; fallbacks; repaired_nodes };
-  }
-
 type ws = {
   dj : Dijkstra.workspace;
   (* Flat binary heap ordered by (distance, id), as in Dijkstra. *)

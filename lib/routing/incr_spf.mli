@@ -68,9 +68,6 @@ val create : n:int -> root:int -> state
     with {!full}, or with {!update} passing every link of the table as
     a change. *)
 
-val copy : state -> state
-(** A deep copy: its own distances, parents and counters. *)
-
 val workspace : unit -> ws
 (** Empty workspace; grows to fit whatever [n] it is used with. *)
 

@@ -1,3 +1,4 @@
+module Bin = Mdr_util.Bin
 module Sorted_tbl = Mdr_util.Sorted_tbl
 
 type mode = Pda | Mpda
@@ -716,64 +717,48 @@ let check t =
    table (down neighbors' empty ones too) as its sorted links; the
    adjacency; FD; pending ACKs, ghosts, owed full tables; each merged
    row still marked for the next MTU, with its stored content; the
-   main SPF's counters. Tables ascend by key; integers are u32 (ids,
-   lengths) or i64, floats their bits, all big-endian. The marked rows
-   are the one derived state that may differ from its derivation:
-   while an ACTIVE phase defers the MTU they keep the content D and
-   the tree came from, which the next MTU diffs against. *)
+   main SPF's counters. Tables ascend by key; ids and lengths are
+   {!Mdr_util.Bin} u32, counters u64, floats f64. The marked rows are
+   the one derived state that may differ from its derivation: while an
+   ACTIVE phase defers the MTU they keep the content D and the tree
+   came from, which the next MTU diffs against. *)
 let snapshot t =
   force_successors t;
-  let b = Buffer.create 256 in
-  let u32 v = Buffer.add_int32_be b (Int32.of_int v) in
-  let i64 v = Buffer.add_int64_be b (Int64.of_int v) in
-  let f64 v = Buffer.add_int64_be b (Int64.bits_of_float v) in
-  let flag v = Buffer.add_char b (if v then '\001' else '\000') in
-  let table write bindings =
-    u32 (List.length bindings);
-    List.iter (fun (k, v) -> u32 k; write v) bindings
-  in
-  u32 t.n;
-  u32 t.id;
-  flag (t.mode = Mpda);
-  flag t.active;
-  List.iter i64 [ t.active_phases; t.next_seq; t.sent ];
-  table
-    (fun f ->
-      let links = Nbr_forest.entries f in
-      u32 (List.length links);
-      List.iter (fun (e : Topo_table.entry) -> u32 e.head; u32 e.tail; f64 e.cost) links)
-    (Sorted_tbl.bindings t.nbrs);
-  table f64 (List.map (fun k -> (k, link_cost t ~nbr:k)) t.up);
-  Array.iter f64 t.fd;
-  table i64 (Sorted_tbl.bindings t.pending);
-  table ignore (Sorted_tbl.bindings t.ghosts);
-  table ignore (List.map (fun k -> (k, ())) (List.sort Int.compare t.needs_full));
-  let marked = List.sort Int.compare t.marked in
-  table (table f64) (List.map (fun j -> (j, Topo_table.out_links t.merged ~head:j)) marked);
-  let spf = Incr_spf.stats t.main_spf in
-  List.iter i64 [ spf.full_runs; spf.repairs; spf.fallbacks; spf.repaired_nodes ];
-  Buffer.contents b
+  Bin.encode 256 (fun b ->
+      let u32 = Bin.add_u32 b and u64 = Bin.add_u64 b and f64 = Bin.add_f64 b in
+      let flag v = Bin.add_u8 b (Bool.to_int v) in
+      let list write l = Bin.add_list b (fun _ -> write) l in
+      let table write bindings = list (fun (k, v) -> u32 k; write v) bindings in
+      u32 t.n;
+      u32 t.id;
+      flag (t.mode = Mpda);
+      flag t.active;
+      List.iter u64 [ t.active_phases; t.next_seq; t.sent ];
+      table
+        (list (fun (e : Topo_table.entry) -> u32 e.head; u32 e.tail; f64 e.cost))
+        (List.map (fun (k, f) -> (k, Nbr_forest.entries f)) (Sorted_tbl.bindings t.nbrs));
+      table f64 (List.map (fun k -> (k, link_cost t ~nbr:k)) t.up);
+      Array.iter f64 t.fd;
+      table u64 (Sorted_tbl.bindings t.pending);
+      table ignore (Sorted_tbl.bindings t.ghosts);
+      table ignore (List.map (fun k -> (k, ())) (List.sort Int.compare t.needs_full));
+      let marked = List.sort Int.compare t.marked in
+      table (table f64) (List.map (fun j -> (j, Topo_table.out_links t.merged ~head:j)) marked);
+      let spf = Incr_spf.stats t.main_spf in
+      List.iter u64 [ spf.full_runs; spf.repairs; spf.fallbacks; spf.repaired_nodes ])
 
 exception Corrupt of string
 
-let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
-
-let restore ~n:expected s =
-  let pos = ref 0 in
-  let take k =
-    if !pos + k > String.length s then corrupt "truncated at byte %d" !pos;
-    pos := !pos + k;
-    !pos - k
-  in
-  let u32 () = Int32.to_int (String.get_int32_be s (take 4)) land 0xFFFF_FFFF in
-  let i64 () = Int64.to_int (String.get_int64_be s (take 8)) in
-  let f64 () = Int64.float_of_bits (String.get_int64_be s (take 8)) in
-  let flag () = match s.[take 1] with '\000' -> false | '\001' -> true | c -> corrupt "flag %C" c in
+(* [restore], raising [Bin.Malformed]. *)
+let read_router ~expected s =
+  let r = Bin.reader s in
+  let corrupt = Bin.malformed in
+  let u32 () = Bin.get_u32 r and u64 () = Bin.get_u64 r and f64 () = Bin.get_f64 r in
+  let flag () = match Bin.get_u8 r with 0 -> false | 1 -> true | c -> corrupt "flag %d" c in
   (* FD alone takes 8 bytes per node, which bounds [n] before anything
      of that size is allocated. *)
   let n = u32 () in
-  if n = 0 || n > String.length s / 8 || n <> expected then
-    corrupt "n = %d" n;
+  if n = 0 || n > String.length s / 8 || n <> expected then corrupt "n = %d" n;
   let node () =
     let v = u32 () in
     if v >= n then corrupt "node id %d outside [0, %d)" v n;
@@ -798,9 +783,9 @@ let restore ~n:expected s =
   let id = node () in
   let t = create ~mode:(if flag () then Mpda else Pda) ~id ~n () in
   t.active <- flag ();
-  t.active_phases <- i64 ();
-  t.next_seq <- i64 ();
-  t.sent <- i64 ();
+  t.active_phases <- u64 ();
+  t.next_seq <- u64 ();
+  t.sent <- u64 ();
   table (fun k ->
       let links = ref [] in
       repeat (u32 ()) (fun () ->
@@ -819,7 +804,7 @@ let restore ~n:expected s =
   for j = 0 to n - 1 do
     t.fd.(j) <- f64 ()
   done;
-  table (fun k -> Hashtbl.replace t.pending k (i64 ()));
+  table (fun k -> Hashtbl.replace t.pending k (u64 ()));
   table (fun k -> Hashtbl.replace t.ghosts k ());
   table (fun k -> t.needs_full <- k :: t.needs_full);
   let dirty = ref [] in
@@ -852,44 +837,15 @@ let restore ~n:expected s =
   force_successors t;
   (* The counters last, so the full run above is not counted. *)
   let spf = Incr_spf.stats t.main_spf in
-  spf.full_runs <- i64 ();
-  spf.repairs <- i64 ();
-  spf.fallbacks <- i64 ();
-  spf.repaired_nodes <- i64 ();
-  if !pos <> String.length s then corrupt "%d trailing bytes" (String.length s - !pos);
+  spf.full_runs <- u64 ();
+  spf.repairs <- u64 ();
+  spf.fallbacks <- u64 ();
+  spf.repaired_nodes <- u64 ();
+  Bin.finish r;
   t
 
-(* Kept beside the codec for the model checker, which copies every
-   router of every state it explores: [restore (snapshot t)] rebuilds
-   the merged table, the tree and the successor sets, about four
-   times the cost of these array copies. *)
-let copy t =
-  force_successors t;
-  let copy_tbl copy_v src =
-    let fresh = Hashtbl.create (Hashtbl.length src) in
-    Sorted_tbl.iter (fun k v -> Hashtbl.replace fresh k (copy_v v)) src;
-    fresh
-  in
-  let main_spf = Incr_spf.copy t.main_spf in
-  {
-    t with
-    tree_cost = Array.copy t.tree_cost;
-    nbrs = copy_tbl Nbr_forest.copy t.nbrs;
-    parent_buf = main_spf.parent;
-    merged = Topo_table.copy t.merged;
-    pref = Array.copy t.pref;
-    pref_sum = Array.copy t.pref_sum;
-    dirty = Array.copy t.dirty;
-    main_spf;
-    adjacent = copy_tbl Fun.id t.adjacent;
-    dist = main_spf.dist;
-    first_hop = Array.copy t.first_hop;
-    fd = Array.copy t.fd;
-    succ = Array.copy t.succ;
-    stale = Array.copy t.stale;
-    pending = copy_tbl Fun.id t.pending;
-    ghosts = copy_tbl Fun.id t.ghosts;
-  }
+let restore ~n s =
+  try read_router ~expected:n s with Bin.Malformed m -> raise (Corrupt m)
 
 let fingerprint t =
   force_successors t;

@@ -117,7 +117,7 @@ val changed_successors : t -> int list
 (** Recompute the marked successor sets and return their destinations,
     in no particular order: every destination whose set may differ
     from the one it had when successor sets were last brought up to
-    date (by this function, {!successors}, {!copy}, {!fingerprint} or
+    date (by this function, {!successors}, {!fingerprint} or
     {!snapshot}). An embedding that calls it after each event and reads
     successors only after it learns of every change. *)
 
@@ -164,12 +164,6 @@ val check : t -> (unit, string) result
     mismatch. Costs about one from-scratch rebuild; meant for tests and
     model checking, after any event. Leaves the router unchanged. *)
 
-val copy : t -> t
-(** Deep copy: the clone shares no mutable state with the original.
-    Used by the interleaving model checker to branch executions; the
-    result has [t]'s {!snapshot} bytes, as [restore (snapshot t)] has,
-    at a fraction of its cost. *)
-
 val fingerprint : t -> string
 (** Canonical serialization of the router's complete protocol state
     (tables, distances, FD, successors, pending ACKs, sequence
@@ -182,9 +176,10 @@ val snapshot : t -> string
 (** The router's protocol state as bytes: the neighbor tables, the
     adjacency, FD, the ACTIVE flag, pending ACKs, ghosts, owed full
     tables, the counters, and the merged rows an ACTIVE phase left
-    awaiting the next MTU. The rest is derived from these, so the bytes
-    do not follow the record's layout; equal states give equal bytes.
-    Brings the successor sets up to date first. *)
+    awaiting the next MTU, in {!Mdr_util.Bin} fields. The rest is
+    derived from these, so the bytes do not follow the record's layout;
+    equal states give equal bytes. Brings the successor sets up to date
+    first. *)
 
 exception Corrupt of string
 
@@ -192,6 +187,9 @@ val restore : n:int -> string -> t
 (** Inverse of {!snapshot}: the merged topology from the neighbor
     tables and the stored rows, then one full SPF run and the views
     derived from it. The result has the writer's fingerprint, counters
-    and behaviour on all future inputs. Raises {!Corrupt} on bytes it
-    cannot read (truncated or trailing bytes, an id outside [[0, n)], a
-    neighbor table that is not an in-forest) or an [n] other than [~n]. *)
+    and behaviour on all future inputs, and shares no mutable state
+    with anything: [restore ~n (snapshot t)] is also how a router is
+    copied. Raises {!Corrupt} on bytes it cannot read (truncated or
+    trailing bytes, a field outside its codec range, an id outside
+    [[0, n)], a neighbor table that is not an in-forest) or an [n]
+    other than [~n]. *)

@@ -1,5 +1,7 @@
 (* Length-prefixed, CRC-guarded record framing shared by the journal
-   and snapshot files. *)
+   and snapshot files and the wire. *)
+
+module Bin = Mdr_util.Bin
 
 let crc_table =
   lazy
@@ -23,37 +25,49 @@ let crc32 s =
       in
       c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
     s;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFF_FFFF
 
 let header_len = 8
 
 let header ~magic ~version =
   if String.length magic <> 4 then invalid_arg "Codec.header: magic must be 4 bytes";
-  if version < 0 then invalid_arg "Codec.header: negative version";
-  let b = Buffer.create header_len in
-  Buffer.add_string b magic;
-  Buffer.add_int32_be b (Int32.of_int version);
-  Buffer.contents b
+  Bin.encode header_len (fun b ->
+      Buffer.add_string b magic;
+      Bin.add_u32 b version)
 
 let check_header s ~magic =
   if String.length s < header_len then Error "short header"
   else if not (String.equal (String.sub s 0 4) magic) then
-    Error
-      (Printf.sprintf "bad magic %S (expected %S)" (String.sub s 0 4) magic)
-  else Ok (Int32.to_int (String.get_int32_be s 4))
+    Error (Printf.sprintf "bad magic %S (expected %S)" (String.sub s 0 4) magic)
+  else
+    match Bin.decode (String.sub s 4 4) Bin.get_u32 with
+    | v -> Ok v
+    | exception Bin.Malformed _ -> Error "version word out of range"
 
 let frame payload =
   let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
-  Buffer.add_int32_be b (crc32 payload);
+  Bin.add_u32 b (String.length payload);
+  Bin.add_word32 b (crc32 payload);
   Buffer.add_string b payload;
   Buffer.contents b
 
 type read = Record of string | Torn of string | Eof
 
+let unframe ~what ~min_len ~max_len head payload =
+  let r = Bin.reader head in
+  let len = Bin.get_word32 r in
+  let crc = Bin.get_word32 r in
+  if len < min_len || len > max_len then
+    Torn (Printf.sprintf "%s length %d outside [%d, %d]" what len min_len max_len)
+  else
+    match payload head len with
+    | None -> Eof
+    | Some p when crc32 p = crc -> Record p
+    | Some _ -> Torn (what ^ " checksum mismatch")
+
 (* Records are bounded well below this in practice; an implausible
    length means we are reading garbage (e.g. a torn length word). *)
-let max_record_len = 1 lsl 30
+let max_record_len = Bin.max_u32
 
 let really_read ic n =
   let b = Bytes.create n in
@@ -69,20 +83,21 @@ let read_record ic =
   let start = pos_in ic in
   match really_read ic 8 with
   | None -> if pos_in ic = start then Eof else Torn "short record header"
-  | Some hdr -> (
-      let len = Int32.to_int (String.get_int32_be hdr 0) in
-      let crc = String.get_int32_be hdr 4 in
+  | Some head -> (
       (* A hostile or torn length word must not drive Bytes.create: cap
          it both absolutely and by the bytes actually left in the file,
          so a flipped high bit costs a Torn, not a giant allocation. *)
       let remaining = in_channel_length ic - pos_in ic in
-      if len < 0 || len > max_record_len then
-        Torn (Printf.sprintf "implausible record length %d" len)
-      else if len > remaining then
-        Torn (Printf.sprintf "record length %d exceeds remaining %d bytes" len remaining)
-      else
-        match really_read ic len with
-        | None -> Torn "short record payload"
-        | Some payload ->
-            if Int32.equal (crc32 payload) crc then Record payload
-            else Torn "checksum mismatch")
+      match
+        unframe ~what:"record" ~min_len:0 ~max_len:(min max_record_len remaining) head
+          (fun _ -> really_read ic)
+      with
+      | Eof -> Torn "short record payload"
+      | read -> read)
+
+let write_all fd s =
+  let len = String.length s in
+  let off = ref 0 in
+  while !off < len do
+    off := !off + Unix.single_write_substring fd s !off (len - !off)
+  done

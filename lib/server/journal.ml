@@ -1,3 +1,5 @@
+module Bin = Mdr_util.Bin
+
 let magic = "MDRJ"
 let version = 3
 
@@ -11,20 +13,13 @@ type t = {
   mutable dead : bool;
 }
 
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.single_write_substring fd s !off (len - !off)
-  done
-
 let create ?(fsync = false) ?(base = 0) ~path () =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let b = Buffer.create header_len in
-  Buffer.add_string b (Codec.header ~magic ~version);
-  Buffer.add_int64_be b (Int64.of_int base);
-  write_all fd (Buffer.contents b);
+  Codec.write_all fd
+    (Bin.encode header_len (fun b ->
+         Buffer.add_string b (Codec.header ~magic ~version);
+         Bin.add_u64 b base));
   if fsync then Unix.fsync fd;
   Unix.close fd;
   Sys.rename tmp path;
@@ -33,20 +28,22 @@ let create ?(fsync = false) ?(base = 0) ~path () =
 
 let append ?torn_after t ~seq ~payload =
   if t.dead then invalid_arg "Journal.append: journal is closed";
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int64_be b (Int64.of_int seq);
-  Buffer.add_string b payload;
-  let record = Codec.frame (Buffer.contents b) in
+  let record =
+    Codec.frame
+      (Bin.encode (String.length payload + 8) (fun b ->
+           Bin.add_u64 b seq;
+           Buffer.add_string b payload))
+  in
   match torn_after with
   | None ->
-      write_all t.fd record;
+      Codec.write_all t.fd record;
       if t.fsync then Unix.fsync t.fd;
       t.count <- t.count + 1
   | Some k ->
       (* Simulated kill mid-append: a strict prefix of the record hits
          the disk, and the process that would have finished it is gone. *)
       let k = max 1 (min k (String.length record - 1)) in
-      write_all t.fd (String.sub record 0 k);
+      Codec.write_all t.fd (String.sub record 0 k);
       t.dead <- true;
       Unix.close t.fd
 
@@ -74,9 +71,14 @@ let replay ~path =
       | Ok v when v = version -> ()
       | Ok v -> failwith (Printf.sprintf "Journal.replay: %s: unsupported version %d" path v)
       | Error reason -> failwith (Printf.sprintf "Journal.replay: %s: %s" path reason));
+      let malformed what reason =
+        failwith (Printf.sprintf "Journal.replay: %s: malformed %s (%s)" path what reason)
+      in
       let base =
-        try Int64.to_int (String.get_int64_be (really_input_string ic 8) 0)
-        with End_of_file -> truncated ()
+        match Bin.decode (really_input_string ic 8) Bin.get_u64 with
+        | base -> base
+        | exception End_of_file -> truncated ()
+        | exception Bin.Malformed reason -> malformed "header" reason
       in
       let rec loop acc clean =
         match Codec.read_record ic with
@@ -86,11 +88,14 @@ let replay ~path =
               reason;
             { base; entries = List.rev acc; torn = true; clean_bytes = clean }
         | Codec.Record r ->
-            if String.length r < 8 then
-              failwith (Printf.sprintf "Journal.replay: %s: malformed record" path);
-            let seq = Int64.to_int (String.get_int64_be r 0) in
-            let payload = String.sub r 8 (String.length r - 8) in
-            loop ((seq, payload) :: acc) (pos_in ic)
+            let entry =
+              try
+                let r = Bin.reader r in
+                let seq = Bin.get_u64 r in
+                (seq, Bin.get_rest r)
+              with Bin.Malformed reason -> malformed "record" reason
+            in
+            loop (entry :: acc) (pos_in ic)
       in
       loop [] header_len)
 

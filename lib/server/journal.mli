@@ -1,10 +1,10 @@
 (** The write-ahead journal: an append-only file of {!Codec} records,
     one per accepted update, written and flushed {e before} the update
     is applied in memory. The header after {!Codec}'s magic and
-    version holds the journal's base: the sequence number (big-endian
-    i64) of the state its first record follows, which is the seq of
-    the snapshot taken when the journal was reset. Each record's
-    payload is the update's sequence number (big-endian i64) followed
+    version holds the journal's base: the sequence number (a
+    {!Mdr_util.Bin} u64) of the state its first record follows, which
+    is the seq of the snapshot taken when the journal was reset. Each
+    record's payload is the update's sequence number (u64) followed
     by its {!Update} encoding, so replay can skip records a snapshot
     already covers and detect gaps, and a restore can tell from the
     base alone that a state older than it cannot be brought forward,

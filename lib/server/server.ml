@@ -1,3 +1,4 @@
+module Bin = Mdr_util.Bin
 module Graph = Mdr_topology.Graph
 module Router = Mdr_routing.Router
 module Lfi = Mdr_routing.Lfi
@@ -220,140 +221,53 @@ let topo_digest topo =
 let sorted_links t = (Mdr_util.Sorted_tbl.bindings t.link_state : ((int * int) * float) list)
 
 let snapshot_payload t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (topo_digest t.topo);
-  Buffer.add_int64_be buf (Int64.of_int t.seq);
-  Buffer.add_int32_be buf (Int32.of_int (Array.length t.routers));
-  Array.iter
-    (fun r ->
-      let blob = Router.snapshot r in
-      Buffer.add_int32_be buf (Int32.of_int (String.length blob));
-      Buffer.add_string buf blob)
-    t.routers;
-  let links = sorted_links t in
-  Buffer.add_int32_be buf (Int32.of_int (List.length links));
-  List.iter
-    (fun ((src, dst), cost) ->
-      Buffer.add_int32_be buf (Int32.of_int src);
-      Buffer.add_int32_be buf (Int32.of_int dst);
-      Buffer.add_int64_be buf (Int64.bits_of_float cost))
-    links;
-  (* v2: the writer tables, sorted so the payload is canonical. *)
-  let mks = marks t in
-  Buffer.add_int32_be buf (Int32.of_int (List.length mks));
-  List.iter
-    (fun (client, s) ->
-      Buffer.add_int32_be buf (Int32.of_int client);
-      Buffer.add_int64_be buf (Int64.of_int s))
-    mks;
-  let gts = (Mdr_util.Sorted_tbl.bindings t.grants : (int * int) list) in
-  Buffer.add_int32_be buf (Int32.of_int (List.length gts));
-  List.iter
-    (fun (client, e) ->
-      Buffer.add_int32_be buf (Int32.of_int client);
-      Buffer.add_int32_be buf (Int32.of_int e))
-    gts;
-  let cls = claims t in
-  Buffer.add_int32_be buf (Int32.of_int (List.length cls));
-  List.iter
-    (fun ((a, b), (owner, e)) ->
-      Buffer.add_int32_be buf (Int32.of_int a);
-      Buffer.add_int32_be buf (Int32.of_int b);
-      Buffer.add_int32_be buf (Int32.of_int owner);
-      Buffer.add_int32_be buf (Int32.of_int e))
-    cls;
-  Buffer.add_int32_be buf (Int32.of_int t.epoch);
-  Buffer.contents buf
+  Bin.encode 4096 (fun b ->
+      let u32 = Bin.add_u32 b in
+      let list add l = Bin.add_list b (fun _ x -> add x) l in
+      Buffer.add_string b (topo_digest t.topo);
+      Bin.add_u64 b t.seq;
+      list
+        (fun r ->
+          let blob = Router.snapshot r in
+          u32 (String.length blob);
+          Buffer.add_string b blob)
+        (Array.to_list t.routers);
+      list (fun ((src, dst), cost) -> u32 src; u32 dst; Bin.add_f64 b cost) (sorted_links t);
+      (* v2: the writer tables, sorted so the payload is canonical. *)
+      list (fun (client, s) -> u32 client; Bin.add_u64 b s) (marks t);
+      list (fun (client, e) -> u32 client; u32 e) (Mdr_util.Sorted_tbl.bindings t.grants);
+      list (fun ((x, y), (owner, e)) -> u32 x; u32 y; u32 owner; u32 e) (claims t);
+      u32 t.epoch)
 
 exception Unreadable of string
 
 let decode_snapshot ~topo payload =
-  let pos = ref 0 in
-  let need n =
-    if !pos + n > String.length payload then
-      raise (Unreadable "snapshot payload truncated")
+  let n = Graph.node_count topo in
+  let read r =
+    let u32 () = Bin.get_u32 r in
+    let pair () = let x = u32 () in (x, u32 ()) in
+    let table read = Hashtbl.of_seq (List.to_seq (Bin.get_list r (fun _ -> read ()))) in
+    if not (String.equal (Bin.get_bytes r 16) (topo_digest topo)) then
+      raise (Unreadable "snapshot was taken for a different topology (digest mismatch)");
+    let snap_seq = Bin.get_u64 r in
+    if u32 () <> n then raise (Unreadable "snapshot router count does not match topology");
+    let routers =
+      Array.init n (fun i ->
+          match Router.restore ~n (Bin.get_bytes r (u32 ())) with
+          | r when Router.id r = i -> r
+          | r ->
+            raise (Unreadable (Printf.sprintf "router %d: bytes of router %d" i (Router.id r)))
+          | exception Router.Corrupt reason ->
+            raise (Unreadable (Printf.sprintf "router %d: %s" i reason)))
+    in
+    let link_state = table (fun () -> let link = pair () in (link, Bin.get_f64 r)) in
+    let marks = table (fun () -> let client = u32 () in (client, Bin.get_u64 r)) in
+    let grants = table pair in
+    let claim_tbl = table (fun () -> let link = pair () in (link, pair ())) in
+    (snap_seq, routers, link_state, marks, grants, claim_tbl, u32 ())
   in
-  let read_digest () =
-    need 16;
-    let d = String.sub payload !pos 16 in
-    pos := !pos + 16;
-    d
-  in
-  let read_i64 () =
-    need 8;
-    let v = Int64.to_int (String.get_int64_be payload !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let read_u32 () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_be payload !pos) in
-    pos := !pos + 4;
-    if v < 0 then raise (Unreadable "negative length field");
-    v
-  in
-  let read_f64 () =
-    need 8;
-    let v = Int64.float_of_bits (String.get_int64_be payload !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let digest = read_digest () in
-  if not (String.equal digest (topo_digest topo)) then
-    raise
-      (Unreadable
-         "snapshot was taken for a different topology (digest mismatch)");
-  let snap_seq = read_i64 () in
-  let n = read_u32 () in
-  if n <> Graph.node_count topo then
-    raise (Unreadable "snapshot router count does not match topology");
-  let routers =
-    Array.init n (fun i ->
-        let len = read_u32 () in
-        need len;
-        let blob = String.sub payload !pos len in
-        pos := !pos + len;
-        match Router.restore ~n blob with
-        | r when Router.id r = i -> r
-        | r -> raise (Unreadable (Printf.sprintf "router %d: bytes of router %d" i (Router.id r)))
-        | exception Router.Corrupt reason ->
-          raise (Unreadable (Printf.sprintf "router %d: %s" i reason)))
-  in
-  let n_links = read_u32 () in
-  let link_state = Hashtbl.create (max 16 (2 * n_links)) in
-  for _ = 1 to n_links do
-    let src = read_u32 () in
-    let dst = read_u32 () in
-    let cost = read_f64 () in
-    Hashtbl.replace link_state (src, dst) cost
-  done;
-  let marks = Hashtbl.create 16 in
-  let n_marks = read_u32 () in
-  for _ = 1 to n_marks do
-    let client = read_u32 () in
-    let s = read_i64 () in
-    Hashtbl.replace marks client s
-  done;
-  let grants = Hashtbl.create 16 in
-  let n_grants = read_u32 () in
-  for _ = 1 to n_grants do
-    let client = read_u32 () in
-    let e = read_u32 () in
-    Hashtbl.replace grants client e
-  done;
-  let claim_tbl = Hashtbl.create 32 in
-  let n_claims = read_u32 () in
-  for _ = 1 to n_claims do
-    let a = read_u32 () in
-    let b = read_u32 () in
-    let owner = read_u32 () in
-    let e = read_u32 () in
-    Hashtbl.replace claim_tbl (a, b) (owner, e)
-  done;
-  let epoch = read_u32 () in
-  if !pos <> String.length payload then
-    raise (Unreadable "trailing bytes in snapshot payload");
-  (snap_seq, routers, link_state, marks, grants, claim_tbl, epoch)
+  try Bin.decode payload read
+  with Bin.Malformed reason -> raise (Unreadable ("snapshot payload: " ^ reason))
 
 (* ---- construction ---------------------------------------------------- *)
 

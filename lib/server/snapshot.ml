@@ -1,13 +1,6 @@
 let magic = "MDRS"
 let version = 8
 
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.single_write_substring fd s !off (len - !off)
-  done
-
 let write ?torn_after ~path payload =
   let whole = Codec.header ~magic ~version ^ Codec.frame payload in
   let tmp = path ^ ".tmp" in
@@ -16,11 +9,11 @@ let write ?torn_after ~path payload =
   | Some k ->
       (* Simulated kill: a strict prefix of the temp file, no rename. *)
       let k = max 0 (min k (String.length whole - 1)) in
-      write_all fd (String.sub whole 0 k);
+      Codec.write_all fd (String.sub whole 0 k);
       Unix.close fd;
       `Torn
   | None ->
-      write_all fd whole;
+      Codec.write_all fd whole;
       Unix.fsync fd;
       Unix.close fd;
       Sys.rename tmp path;

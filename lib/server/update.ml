@@ -1,3 +1,4 @@
+module Bin = Mdr_util.Bin
 module Graph = Mdr_topology.Graph
 
 type t =
@@ -12,50 +13,31 @@ let of_procfault = function
   | Mdr_faults.Procfault.Fail { a; b } -> Link_down { a; b }
   | Mdr_faults.Procfault.Restore { a; b; cost } -> Link_up { a; b; cost }
 
-let encode u =
-  let b = Buffer.create 17 in
-  let node v = Buffer.add_int32_be b (Int32.of_int v) in
-  let cost c = Buffer.add_int64_be b (Int64.bits_of_float c) in
-  (match u with
-  | Set_cost { src; dst; cost = c } ->
-      Buffer.add_char b '\000';
-      node src;
-      node dst;
-      cost c
-  | Link_down { a; b = b' } ->
-      Buffer.add_char b '\001';
-      node a;
-      node b'
-  | Link_up { a; b = b'; cost = c } ->
-      Buffer.add_char b '\002';
-      node a;
-      node b';
-      cost c);
-  Buffer.contents b
+(* A u8 tag, the two node ids (u32) and, for the two costed kinds, the
+   cost (f64). *)
+let add b u =
+  match u with
+  | Set_cost { src; dst; cost } ->
+      Bin.add_u8 b 0; Bin.add_u32 b src; Bin.add_u32 b dst; Bin.add_f64 b cost
+  | Link_down { a; b = b' } -> Bin.add_u8 b 1; Bin.add_u32 b a; Bin.add_u32 b b'
+  | Link_up { a; b = b'; cost } ->
+      Bin.add_u8 b 2; Bin.add_u32 b a; Bin.add_u32 b b'; Bin.add_f64 b cost
 
-let decode s =
-  (* Exact-length per tag: trailing garbage is as much a framing error
-     as a short payload, and a flipped byte must never decode to a
-     different-but-plausible update silently. *)
-  let exactly n =
-    if String.length s <> n then
-      raise
-        (Corrupt (Printf.sprintf "update payload is %d bytes (expected %d)" (String.length s) n))
-  in
-  if String.length s = 0 then raise (Corrupt "empty update payload");
-  let node off = Int32.to_int (String.get_int32_be s off) in
-  let cost off = Int64.float_of_bits (String.get_int64_be s off) in
-  match s.[0] with
-  | '\000' ->
-      exactly 17;
-      Set_cost { src = node 1; dst = node 5; cost = cost 9 }
-  | '\001' ->
-      exactly 9;
-      Link_down { a = node 1; b = node 5 }
-  | '\002' ->
-      exactly 17;
-      Link_up { a = node 1; b = node 5; cost = cost 9 }
-  | c -> raise (Corrupt (Printf.sprintf "unknown update tag %d" (Char.code c)))
+let get r =
+  let tag = Bin.get_u8 r in
+  let a = Bin.get_u32 r in
+  let b = Bin.get_u32 r in
+  match tag with
+  | 0 -> Set_cost { src = a; dst = b; cost = Bin.get_f64 r }
+  | 1 -> Link_down { a; b }
+  | 2 -> Link_up { a; b; cost = Bin.get_f64 r }
+  | c -> Bin.malformed "unknown update tag %d" c
+
+(* Exact length: trailing garbage is as much a framing error as a short
+   payload. *)
+let decoding s read = try Bin.decode s read with Bin.Malformed m -> raise (Corrupt m)
+let encode u = Bin.encode 17 (fun b -> add b u)
+let decode s = decoding s get
 
 type entry =
   | Apply of { client : int; seq : int; epoch : int; update : t }
@@ -65,52 +47,34 @@ let touched = function
   | Set_cost { src; dst; _ } -> (min src dst, max src dst)
   | Link_down { a; b } | Link_up { a; b; _ } -> (min a b, max a b)
 
+let add_pair b (x, y) =
+  Bin.add_u32 b x;
+  Bin.add_u32 b y
+
 let encode_entry e =
-  let b = Buffer.create 32 in
-  let u32 v = Buffer.add_int32_be b (Int32.of_int v) in
-  (match e with
-  | Apply { client; seq; epoch; update } ->
-      Buffer.add_char b '\x10';
-      u32 client;
-      Buffer.add_int64_be b (Int64.of_int seq);
-      u32 epoch;
-      Buffer.add_string b (encode update)
-  | Claim { client; epoch; pairs } ->
-      Buffer.add_char b '\x11';
-      u32 client;
-      u32 epoch;
-      u32 (List.length pairs);
-      List.iter
-        (fun (x, y) ->
-          u32 x;
-          u32 y)
-        pairs);
-  Buffer.contents b
+  Bin.encode 32 (fun b ->
+      match e with
+      | Apply { client; seq; epoch; update } ->
+          Bin.add_u8 b 0x10; Bin.add_u32 b client; Bin.add_u64 b seq; Bin.add_u32 b epoch;
+          add b update
+      | Claim { client; epoch; pairs } ->
+          Bin.add_u8 b 0x11; Bin.add_u32 b client; Bin.add_u32 b epoch;
+          Bin.add_list b add_pair pairs)
 
 let decode_entry s =
-  let len = String.length s in
-  if len = 0 then raise (Corrupt "empty entry payload");
-  let u32 off = Int32.to_int (String.get_int32_be s off) in
-  match s.[0] with
-  | '\x10' ->
-      if len < 18 then raise (Corrupt "short Apply entry");
-      let client = u32 1 in
-      let seq = Int64.to_int (String.get_int64_be s 5) in
-      let epoch = u32 13 in
-      let update = decode (String.sub s 17 (len - 17)) in
-      Apply { client; seq; epoch; update }
-  | '\x11' ->
-      if len < 13 then raise (Corrupt "short Claim entry");
-      let client = u32 1 in
-      let epoch = u32 5 in
-      let n = u32 9 in
-      if n < 0 || len <> 13 + (8 * n) then
-        raise
-          (Corrupt
-             (Printf.sprintf "Claim entry is %d bytes (expected %d pairs)" len n));
-      let pairs = List.init n (fun i -> (u32 (13 + (8 * i)), u32 (17 + (8 * i)))) in
-      Claim { client; epoch; pairs }
-  | c -> raise (Corrupt (Printf.sprintf "unknown entry tag %d" (Char.code c)))
+  decoding s (fun r ->
+      let tag = Bin.get_u8 r in
+      let client = Bin.get_u32 r in
+      match tag with
+      | 0x10 ->
+          let seq = Bin.get_u64 r in
+          let epoch = Bin.get_u32 r in
+          Apply { client; seq; epoch; update = get r }
+      | 0x11 ->
+          let epoch = Bin.get_u32 r in
+          let pair r = let x = Bin.get_u32 r in (x, Bin.get_u32 r) in
+          Claim { client; epoch; pairs = Bin.get_list r pair }
+      | c -> Bin.malformed "unknown entry tag %d" c)
 
 let check_cost what c =
   if not (Float.is_finite c) || c <= 0.0 then

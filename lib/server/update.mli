@@ -1,8 +1,8 @@
 (** The route-server's incremental input language: the three topology
     mutations a deployed router ingests continuously. Updates are what
-    the write-ahead journal records, so their encoding is a versioned,
-    hand-rolled binary format (tag byte + fixed-width big-endian
-    fields) rather than [Marshal] — a journal must stay readable across
+    the write-ahead journal records, so their encoding is a versioned
+    {!Mdr_util.Bin} format (a u8 tag, u32 node ids, an f64 cost)
+    rather than [Marshal] — a journal must stay readable across
     builds. *)
 
 type t =
@@ -22,7 +22,14 @@ val of_procfault : Mdr_faults.Procfault.update -> t
 val encode : t -> string
 
 val decode : string -> t
-(** @raise Corrupt on an unknown tag or a short payload. *)
+(** @raise Corrupt on an unknown tag, a node id outside the u32 range,
+    or a payload that is not exactly one update. *)
+
+val add : Buffer.t -> t -> unit
+(** {!encode} into a buffer, for formats that embed an update. *)
+
+val get : Mdr_util.Bin.reader -> t
+(** Read one embedded update. @raise Mdr_util.Bin.Malformed *)
 
 val validate : Mdr_topology.Graph.t -> t -> unit
 (** Updates must name links the topology actually has (both directions

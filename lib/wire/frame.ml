@@ -30,6 +30,10 @@ let fail d reason =
   d.acc <- "";
   `Corrupt reason
 
+(* The payload after the 8-byte head at the start of [acc], once all
+   [len] bytes of it have arrived. *)
+let payload acc len = if String.length acc < 8 + len then None else Some (String.sub acc 8 len)
+
 let rec next d =
   match d.failure with
   | Some reason -> `Corrupt reason
@@ -47,20 +51,13 @@ let rec next d =
               next d
         end
       else if String.length d.acc < 8 then `Need_more
-      else begin
-        (* Cap the declared length before trusting it with any
+      else
+        (* The declared length is capped before it drives any
            allocation or buffering decision. *)
-        let len = Int32.to_int (String.get_int32_be d.acc 0) in
-        let crc = String.get_int32_be d.acc 4 in
-        if len <= 0 || len > max_payload then
-          fail d (Printf.sprintf "implausible frame length %d" len)
-        else if String.length d.acc < 8 + len then `Need_more
-        else begin
-          let payload = String.sub d.acc 8 len in
-          if not (Int32.equal (Codec.crc32 payload) crc) then fail d "frame checksum mismatch"
-          else begin
-            d.acc <- String.sub d.acc (8 + len) (String.length d.acc - 8 - len);
-            `Frame payload
-          end
-        end
-      end
+        match Codec.unframe ~what:"frame" ~min_len:1 ~max_len:max_payload d.acc payload with
+        | Codec.Record p ->
+            let used = 8 + String.length p in
+            d.acc <- String.sub d.acc used (String.length d.acc - used);
+            `Frame p
+        | Codec.Torn reason -> fail d reason
+        | Codec.Eof -> `Need_more

@@ -2,7 +2,7 @@
 
     The stream starts with an 8-byte greeting ({!Codec.header}: magic
     ["MDRW"], version) and then carries {!Codec.frame} records:
-    [len:u32be crc:u32be payload] — the exact on-disk journal framing,
+    [len:u32 crc:word32 payload] — the exact on-disk journal framing,
     reused on the wire so one codec is hardened once.
 
     {!decoder} is incremental and hostile-input safe: chunk boundaries

@@ -1,3 +1,4 @@
+module Bin = Mdr_util.Bin
 module Update = Mdr_server.Update
 
 exception Corrupt of string
@@ -24,259 +25,129 @@ type server_msg =
   | Pong of { nonce : int }
   | Fingerprint of string
 
-let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
+(* The rules a field's codec range does not cover. Both directions
+   check them, so decoding accepts exactly the messages encoding
+   writes. *)
+let require ok what = if not ok then invalid_arg ("Proto: " ^ what)
+let is_delay v = Float.is_finite v && v >= 0.0
 
-let check_u31 what v =
-  if v < 0 || v > 0x3FFFFFFF then invalid_arg (Printf.sprintf "Proto: %s out of range" what)
+let check_client = function
+  | Hello { client; _ } -> require (client >= 1) "Hello.client ids start at 1"
+  | Claim { scope = Pairs [] } -> require false "Claim with empty pair list"
+  | Submit { seq; _ } -> require (seq >= 1) "Submit.seq out of range"
+  | Claim _ | Ping _ | Get_fingerprint | Bye -> ()
 
-let check_str what s =
-  if String.length s > 0xFFFF then invalid_arg (Printf.sprintf "Proto: %s too long" what)
-
-let check_delay what v =
-  if not (Float.is_finite v) || v < 0.0 then
-    invalid_arg (Printf.sprintf "Proto: %s must be finite and >= 0" what)
-
-let with_buf n f =
-  let b = Buffer.create n in
-  f b;
-  Buffer.contents b
-
-let add_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-let add_u64 b v = Buffer.add_int64_be b (Int64.of_int v)
-let add_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-let add_str b s =
-  Buffer.add_uint16_be b (String.length s);
-  Buffer.add_string b s
-
-let encode_client = function
-  | Hello { client; last_acked } ->
-      check_u31 "Hello.client" client;
-      if client < 1 then invalid_arg "Proto: Hello.client ids start at 1";
-      if last_acked < 0 then invalid_arg "Proto: Hello.last_acked out of range";
-      with_buf 13 (fun b ->
-          Buffer.add_char b '\x01';
-          add_u32 b client;
-          add_u64 b last_acked)
-  | Claim { scope } ->
-      with_buf 16 (fun b ->
-          Buffer.add_char b '\x06';
-          match scope with
-          | All -> Buffer.add_char b '\x00'
-          | Pairs l ->
-              let n = List.length l in
-              if n = 0 then invalid_arg "Proto: Claim with empty pair list";
-              if n > 0xFFFF then invalid_arg "Proto: Claim pair list too long";
-              Buffer.add_char b '\x01';
-              Buffer.add_uint16_be b n;
-              List.iter
-                (fun (x, y) ->
-                  check_u31 "Claim.pair" x;
-                  check_u31 "Claim.pair" y;
-                  add_u32 b x;
-                  add_u32 b y)
-                l)
-  | Submit { seq; epoch; update } ->
-      if seq < 1 then invalid_arg "Proto: Submit.seq out of range";
-      check_u31 "Submit.epoch" epoch;
-      with_buf 30 (fun b ->
-          Buffer.add_char b '\x02';
-          add_u64 b seq;
-          add_u32 b epoch;
-          Buffer.add_string b (Update.encode update))
-  | Ping { nonce } ->
-      check_u31 "Ping.nonce" nonce;
-      with_buf 5 (fun b ->
-          Buffer.add_char b '\x03';
-          add_u32 b nonce)
-  | Get_fingerprint -> "\x04"
-  | Bye -> "\x05"
-
-let encode_server = function
-  | Welcome { session; client; seq; epoch } ->
-      check_u31 "Welcome.session" session;
-      check_u31 "Welcome.client" client;
-      check_u31 "Welcome.epoch" epoch;
-      if seq < 0 then invalid_arg "Proto: Welcome.seq out of range";
-      with_buf 21 (fun b ->
-          Buffer.add_char b '\x41';
-          add_u32 b session;
-          add_u32 b client;
-          add_u64 b seq;
-          add_u32 b epoch)
-  | Granted { epoch } ->
-      check_u31 "Granted.epoch" epoch;
-      with_buf 5 (fun b ->
-          Buffer.add_char b '\x46';
-          add_u32 b epoch)
-  | Ack { client; seq } ->
-      check_u31 "Ack.client" client;
-      if seq < 1 then invalid_arg "Proto: Ack.seq out of range";
-      with_buf 13 (fun b ->
-          Buffer.add_char b '\x42';
-          add_u32 b client;
-          add_u64 b seq)
-  | Reject { seq; reason } ->
-      if seq < 0 then invalid_arg "Proto: Reject.seq out of range";
-      check_str "Reject.reason" reason;
-      with_buf (11 + String.length reason) (fun b ->
-          Buffer.add_char b '\x43';
-          add_u64 b seq;
-          add_str b reason)
-  | Fenced { seq; held; current } ->
-      if seq < 1 then invalid_arg "Proto: Fenced.seq out of range";
-      check_u31 "Fenced.held" held;
-      check_u31 "Fenced.current" current;
-      with_buf 17 (fun b ->
-          Buffer.add_char b '\x47';
-          add_u64 b seq;
-          add_u32 b held;
-          add_u32 b current)
+let check_server = function
+  | Granted { epoch } -> require (epoch >= 1) "Granted.epoch out of range"
+  | Ack { seq; _ } | Fenced { seq; _ } -> require (seq >= 1) "seq out of range"
   | Throttled { seq; retry_after } ->
-      if seq < 1 then invalid_arg "Proto: Throttled.seq out of range";
-      check_delay "Throttled.retry_after" retry_after;
-      with_buf 17 (fun b ->
-          Buffer.add_char b '\x48';
-          add_u64 b seq;
-          add_f64 b retry_after)
-  | Busy { retry_after; reason } ->
-      check_delay "Busy.retry_after" retry_after;
-      check_str "Busy.reason" reason;
-      with_buf (11 + String.length reason) (fun b ->
-          Buffer.add_char b '\x49';
-          add_f64 b retry_after;
-          add_str b reason)
-  | Shutdown -> "\x4A"
-  | Pong { nonce } ->
-      check_u31 "Pong.nonce" nonce;
-      with_buf 5 (fun b ->
-          Buffer.add_char b '\x44';
-          add_u32 b nonce)
-  | Fingerprint fp ->
-      check_str "Fingerprint" fp;
-      with_buf (3 + String.length fp) (fun b ->
-          Buffer.add_char b '\x45';
-          add_str b fp)
+      require (seq >= 1) "Throttled.seq out of range";
+      require (is_delay retry_after) "Throttled.retry_after must be finite and >= 0"
+  | Busy { retry_after; _ } ->
+      require (is_delay retry_after) "Busy.retry_after must be finite and >= 0"
+  | Welcome _ | Reject _ | Shutdown | Pong _ | Fingerprint _ -> ()
+
+let add_pair b (x, y) =
+  Bin.add_u32 b x;
+  Bin.add_u32 b y
+
+let get_pair r =
+  let x = Bin.get_u32 r in
+  (x, Bin.get_u32 r)
+
+(* Each message is its tag, then its fields in order. *)
+let encode_client m =
+  check_client m;
+  Bin.encode 32 (fun b ->
+      match m with
+      | Hello { client; last_acked } ->
+          Bin.add_u8 b 0x01; Bin.add_u32 b client; Bin.add_u64 b last_acked
+      | Claim { scope = All } -> Bin.add_u8 b 0x06; Bin.add_u8 b 0
+      | Claim { scope = Pairs l } ->
+          Bin.add_u8 b 0x06; Bin.add_u8 b 1; Bin.add_list ~count:Bin.add_u16 b add_pair l
+      | Submit { seq; epoch; update } ->
+          Bin.add_u8 b 0x02; Bin.add_u64 b seq; Bin.add_u32 b epoch; Update.add b update
+      | Ping { nonce } -> Bin.add_u8 b 0x03; Bin.add_u32 b nonce
+      | Get_fingerprint -> Bin.add_u8 b 0x04
+      | Bye -> Bin.add_u8 b 0x05)
+
+let encode_server m =
+  check_server m;
+  Bin.encode 32 (fun b ->
+      match m with
+      | Welcome { session; client; seq; epoch } ->
+          Bin.add_u8 b 0x41; Bin.add_u32 b session; Bin.add_u32 b client;
+          Bin.add_u64 b seq; Bin.add_u32 b epoch
+      | Granted { epoch } -> Bin.add_u8 b 0x46; Bin.add_u32 b epoch
+      | Ack { client; seq } -> Bin.add_u8 b 0x42; Bin.add_u32 b client; Bin.add_u64 b seq
+      | Reject { seq; reason } -> Bin.add_u8 b 0x43; Bin.add_u64 b seq; Bin.add_str b reason
+      | Fenced { seq; held; current } ->
+          Bin.add_u8 b 0x47; Bin.add_u64 b seq; Bin.add_u32 b held; Bin.add_u32 b current
+      | Throttled { seq; retry_after } ->
+          Bin.add_u8 b 0x48; Bin.add_u64 b seq; Bin.add_f64 b retry_after
+      | Busy { retry_after; reason } ->
+          Bin.add_u8 b 0x49; Bin.add_f64 b retry_after; Bin.add_str b reason
+      | Shutdown -> Bin.add_u8 b 0x4A
+      | Pong { nonce } -> Bin.add_u8 b 0x44; Bin.add_u32 b nonce
+      | Fingerprint fp -> Bin.add_u8 b 0x45; Bin.add_str b fp)
 
 (* Exact-length decoding: the frame layer hands us whole payloads, so
-   any length disagreement is corruption, including trailing bytes. *)
-
-let get_u32 s off = Int32.to_int (String.get_int32_be s off)
-
-let get_u64 what s off =
-  let v = Int64.to_int (String.get_int64_be s off) in
-  if v < 0 then corrupt "%s is negative" what;
-  v
-
-let get_f64 what s off =
-  let v = Int64.float_of_bits (String.get_int64_be s off) in
-  if not (Float.is_finite v) || v < 0.0 then corrupt "%s is not a delay" what;
-  v
-
-let exactly what s n =
-  if String.length s <> n then
-    corrupt "%s payload is %d bytes (expected %d)" what (String.length s) n
-
-let get_str what s off =
-  if String.length s < off + 2 then corrupt "%s: short string header" what;
-  let n = String.get_uint16_be s off in
-  if String.length s <> off + 2 + n then
-    corrupt "%s: string length %d does not match payload" what n;
-  String.sub s (off + 2) n
+   any length disagreement is corruption, including trailing bytes.
+   Fields are read in order, so each is let-bound before the next. *)
+let decoding check s read =
+  match Bin.decode s read with
+  | m -> ( try check m; m with Invalid_argument reason -> raise (Corrupt reason))
+  | exception Bin.Malformed reason -> raise (Corrupt reason)
 
 let decode_client s =
-  if String.length s = 0 then corrupt "empty message";
-  match s.[0] with
-  | '\x01' ->
-      exactly "Hello" s 13;
-      let client = get_u32 s 1 in
-      if client < 1 then corrupt "Hello.client %d is reserved" client;
-      Hello { client; last_acked = get_u64 "Hello.last_acked" s 5 }
-  | '\x06' -> (
-      if String.length s < 2 then corrupt "Claim: short payload";
-      match s.[1] with
-      | '\x00' ->
-          exactly "Claim" s 2;
-          Claim { scope = All }
-      | '\x01' ->
-          if String.length s < 4 then corrupt "Claim: short pair count";
-          let n = String.get_uint16_be s 2 in
-          if n = 0 then corrupt "Claim: empty pair list";
-          exactly "Claim" s (4 + (8 * n));
-          let pairs =
-            List.init n (fun i -> (get_u32 s (4 + (8 * i)), get_u32 s (8 + (8 * i))))
-          in
-          Claim { scope = Pairs pairs }
-      | c -> corrupt "Claim: unknown scope kind 0x%02x" (Char.code c))
-  | '\x02' ->
-      if String.length s < 14 then corrupt "Submit: short payload";
-      let update =
-        try Update.decode (String.sub s 13 (String.length s - 13))
-        with Update.Corrupt reason -> corrupt "Submit: %s" reason
-      in
-      let epoch = get_u32 s 9 in
-      if epoch < 0 then corrupt "Submit.epoch is negative";
-      Submit { seq = get_u64 "Submit.seq" s 1; epoch; update }
-  | '\x03' ->
-      exactly "Ping" s 5;
-      Ping { nonce = get_u32 s 1 }
-  | '\x04' ->
-      exactly "Get_fingerprint" s 1;
-      Get_fingerprint
-  | '\x05' ->
-      exactly "Bye" s 1;
-      Bye
-  | c -> corrupt "unknown client tag 0x%02x" (Char.code c)
+  decoding check_client s (fun r ->
+      match Bin.get_u8 r with
+      | 0x01 ->
+          let client = Bin.get_u32 r in
+          Hello { client; last_acked = Bin.get_u64 r }
+      | 0x06 -> (
+          match Bin.get_u8 r with
+          | 0 -> Claim { scope = All }
+          | 1 -> Claim { scope = Pairs (Bin.get_list ~count:Bin.get_u16 r get_pair) }
+          | c -> Bin.malformed "Claim: unknown scope kind 0x%02x" c)
+      | 0x02 ->
+          let seq = Bin.get_u64 r in
+          let epoch = Bin.get_u32 r in
+          Submit { seq; epoch; update = Update.get r }
+      | 0x03 -> Ping { nonce = Bin.get_u32 r }
+      | 0x04 -> Get_fingerprint
+      | 0x05 -> Bye
+      | c -> Bin.malformed "unknown client tag 0x%02x" c)
 
 let decode_server s =
-  if String.length s = 0 then corrupt "empty message";
-  match s.[0] with
-  | '\x41' ->
-      exactly "Welcome" s 21;
-      let epoch = get_u32 s 17 in
-      if epoch < 0 then corrupt "Welcome.epoch is negative";
-      Welcome
-        {
-          session = get_u32 s 1;
-          client = get_u32 s 5;
-          seq = get_u64 "Welcome.seq" s 9;
-          epoch;
-        }
-  | '\x46' ->
-      exactly "Granted" s 5;
-      let epoch = get_u32 s 1 in
-      if epoch < 1 then corrupt "Granted.epoch %d out of range" epoch;
-      Granted { epoch }
-  | '\x42' ->
-      exactly "Ack" s 13;
-      Ack { client = get_u32 s 1; seq = get_u64 "Ack.seq" s 5 }
-  | '\x43' ->
-      if String.length s < 11 then corrupt "Reject: short payload";
-      Reject { seq = get_u64 "Reject.seq" s 1; reason = get_str "Reject" s 9 }
-  | '\x47' ->
-      exactly "Fenced" s 17;
-      let held = get_u32 s 9 and current = get_u32 s 13 in
-      if held < 0 || current < 0 then corrupt "Fenced: negative epoch";
-      Fenced { seq = get_u64 "Fenced.seq" s 1; held; current }
-  | '\x48' ->
-      exactly "Throttled" s 17;
-      Throttled
-        {
-          seq = get_u64 "Throttled.seq" s 1;
-          retry_after = get_f64 "Throttled.retry_after" s 9;
-        }
-  | '\x49' ->
-      if String.length s < 11 then corrupt "Busy: short payload";
-      Busy
-        { retry_after = get_f64 "Busy.retry_after" s 1; reason = get_str "Busy" s 9 }
-  | '\x4A' ->
-      exactly "Shutdown" s 1;
-      Shutdown
-  | '\x44' ->
-      exactly "Pong" s 5;
-      Pong { nonce = get_u32 s 1 }
-  | '\x45' -> Fingerprint (get_str "Fingerprint" s 1)
-  | c -> corrupt "unknown server tag 0x%02x" (Char.code c)
+  decoding check_server s (fun r ->
+      match Bin.get_u8 r with
+      | 0x41 ->
+          let session = Bin.get_u32 r in
+          let client = Bin.get_u32 r in
+          let seq = Bin.get_u64 r in
+          Welcome { session; client; seq; epoch = Bin.get_u32 r }
+      | 0x46 -> Granted { epoch = Bin.get_u32 r }
+      | 0x42 ->
+          let client = Bin.get_u32 r in
+          Ack { client; seq = Bin.get_u64 r }
+      | 0x43 ->
+          let seq = Bin.get_u64 r in
+          Reject { seq; reason = Bin.get_str r }
+      | 0x47 ->
+          let seq = Bin.get_u64 r in
+          let held = Bin.get_u32 r in
+          Fenced { seq; held; current = Bin.get_u32 r }
+      | 0x48 ->
+          let seq = Bin.get_u64 r in
+          Throttled { seq; retry_after = Bin.get_f64 r }
+      | 0x49 ->
+          let retry_after = Bin.get_f64 r in
+          Busy { retry_after; reason = Bin.get_str r }
+      | 0x4A -> Shutdown
+      | 0x44 -> Pong { nonce = Bin.get_u32 r }
+      | 0x45 -> Fingerprint (Bin.get_str r)
+      | c -> Bin.malformed "unknown server tag 0x%02x" c)
 
 let describe_client = function
   | Hello { client; last_acked } ->

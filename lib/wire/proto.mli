@@ -1,7 +1,8 @@
 (** The wire protocol's message vocabulary, one message per frame.
 
-    Hand-rolled fixed-layout binary like {!Mdr_server.Update} (which
-    it embeds for [Submit]): a tag byte, then big-endian fields.
+    A {!Mdr_util.Bin} format like {!Mdr_server.Update} (which it
+    embeds for [Submit]): a u8 tag, then the fields. Ids, epochs and
+    nonces are u32, sequence numbers u64, delays f64, strings u16-length.
     Client tags live in [0x01 ..]; server tags in [0x41 ..] so a
     misdirected frame can never decode as the other side's message.
 
@@ -12,7 +13,14 @@
 
     Decoding is exact-length and total: any payload that is not
     precisely one well-formed message raises {!Corrupt} — never any
-    other exception, and never a silent partial parse. *)
+    other exception, and never a silent partial parse. A decoder
+    accepts exactly the messages its encoder writes: both check the
+    codec's field ranges and the rules below them (client ids and the
+    sequence numbers of [Submit], [Ack], [Fenced] and [Throttled] start
+    at 1, a granted epoch at 1, a [Claim] names at least one pair,
+    delays are finite and [>= 0]), so whatever the server decodes it
+    can also answer. The encoders raise [Invalid_argument] on a message
+    that breaks them. *)
 
 exception Corrupt of string
 
