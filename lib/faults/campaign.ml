@@ -45,13 +45,6 @@ let default_profile =
     blackout = true;
   }
 
-(* Distinct physical links, one record per duplex pair. *)
-let duplex_pairs topo =
-  List.filter_map
-    (fun (l : Graph.link) -> if l.src < l.dst then Some (l.src, l.dst) else None)
-    (Graph.links topo)
-  |> Array.of_list
-
 let fault_start = function
   | Flap { at; _ }
   | Cost_surge { at; _ }
@@ -69,7 +62,7 @@ let fault_end = function
 let random_plan ~rng ~topo profile =
   let d = profile.duration in
   if d <= 0.0 then invalid_arg "Campaign.random_plan: non-positive duration";
-  let pairs = duplex_pairs topo in
+  let pairs = Array.of_list (Graph.duplex_pairs topo) in
   if Array.length pairs = 0 then invalid_arg "Campaign.random_plan: no duplex links";
   let n = Graph.node_count topo in
   let pick_pair () = pairs.(Rng.int rng ~bound:(Array.length pairs)) in
@@ -540,9 +533,9 @@ let damping_demo ?(flaps = 6) ?(period = 5.0) ?link ~topo ~seed () =
     match link with
     | Some ab -> ab
     | None ->
-      let pairs = duplex_pairs topo in
-      if Array.length pairs = 0 then invalid_arg "Campaign.damping_demo: no duplex links";
-      pairs.(0)
+      match Graph.duplex_pairs topo with
+      | first :: _ -> first
+      | [] -> invalid_arg "Campaign.damping_demo: no duplex links"
   in
   let dead = Hello.default_params.Hello.dead_interval in
   if period /. 2.0 <= dead then

@@ -11,18 +11,9 @@ type kill = { after : int; where : where; torn_at : int }
 
 let default_base_cost (l : Graph.link) = 1.0 +. (1000.0 *. l.prop_delay)
 
-(* Duplex pairs (a < b), in link insertion order. *)
-let duplex_pairs topo =
-  List.filter_map
-    (fun (l : Graph.link) ->
-      if l.src < l.dst && Option.is_some (Graph.link topo ~src:l.dst ~dst:l.src)
-      then Some (l.src, l.dst)
-      else None)
-    (Graph.links topo)
-
 let partition_pairs ~clients topo =
   if clients < 1 then invalid_arg "Procfault.partition_pairs: clients must be >= 1";
-  let pairs = duplex_pairs topo in
+  let pairs = Graph.duplex_pairs topo in
   if List.length pairs < clients then
     invalid_arg
       (Printf.sprintf
@@ -34,7 +25,7 @@ let partition_pairs ~clients topo =
 
 let stream_gen ~rng ~base_cost ~topo ~updates ~topology_events ?only_pairs () =
   if updates < 0 then invalid_arg "Procfault.stream: negative update count";
-  let all = duplex_pairs topo in
+  let all = Graph.duplex_pairs topo in
   let chosen =
     match only_pairs with
     | None -> all

@@ -38,12 +38,6 @@ val default_base_cost : Mdr_topology.Graph.link -> float
 (** [1 + 1000 * prop_delay] — the CLI's static link cost, shared here
     so streams and servers agree on what a link "normally" costs. *)
 
-val duplex_pairs : Mdr_topology.Graph.t -> (int * int) list
-(** The topology's duplex link pairs, normalized [(a, b)] with [a < b],
-    in link insertion order. This is the unit of ownership the
-    multi-writer server fences on, and the universe {!stream} draws
-    from. *)
-
 val partition_pairs : clients:int -> Mdr_topology.Graph.t -> (int * int) list list
 (** Round-robin the duplex pairs across [clients] non-empty disjoint
     buckets (bucket [k] gets pairs [k], [k + clients], ...). The
@@ -79,7 +73,7 @@ val stream_on :
     up link" guard applies within [pairs], so a client that owns a
     single pair only ever re-costs it. @raise Invalid_argument if
     [pairs] is empty, not normalized, or not a subset of
-    {!duplex_pairs}. *)
+    {!Mdr_topology.Graph.duplex_pairs}. *)
 
 val cost_storm :
   rng:Mdr_util.Rng.t ->

@@ -1,4 +1,5 @@
-(* Synchronous control-plane pump for scaling measurements.
+(* Synchronous control-plane pump: the one FIFO network behind the
+   route server and the large-topology convergence measurements.
 
    The event-driven {!Network} harness carries timestamps, channel
    models, transports and observers — right for protocol correctness
@@ -22,17 +23,23 @@ let push_outputs t ~from outputs =
     (fun (o : Router.output) -> Queue.add (from, o.Router.dst, o.Router.msg) t.q)
     outputs
 
+let of_routers routers =
+  { n = Array.length routers; routers; q = Queue.create (); delivered = 0 }
+
+let link_up t ~src ~dst ~cost =
+  push_outputs t ~from:src (Router.handle_link_up t.routers.(src) ~nbr:dst ~cost)
+
+let link_down t ~src ~dst =
+  push_outputs t ~from:src (Router.handle_link_down t.routers.(src) ~nbr:dst)
+
 let create ~topo ~cost () =
   let n = Graph.node_count topo in
-  let routers = Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ()) in
-  let t = { n; routers; q = Queue.create (); delivered = 0 } in
+  let t = of_routers (Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ())) in
   (* Bring every adjacency up in deterministic link order; the initial
      full-table exchanges queue up behind one another exactly like any
      other message. *)
   List.iter
-    (fun (l : Graph.link) ->
-      push_outputs t ~from:l.src
-        (Router.handle_link_up t.routers.(l.src) ~nbr:l.dst ~cost:(cost l)))
+    (fun (l : Graph.link) -> link_up t ~src:l.src ~dst:l.dst ~cost:(cost l))
     (Graph.links topo);
   t
 

@@ -1,5 +1,6 @@
-(** Synchronous FIFO pump over {!Router} state machines, for
-    large-topology convergence measurement.
+(** Synchronous FIFO pump over {!Router} state machines: the network
+    behind the route server ([Mdr_server.Server]), [mdrsim scale] and
+    the convergence benchmark.
 
     Unlike {!Network} there is no event engine, no simulated time and
     no fault machinery: messages are delivered one at a time from a
@@ -14,6 +15,19 @@ val create :
 (** One MPDA router per topology node; every adjacency comes up immediately
     (in deterministic link order) with its cost from [cost], and the
     resulting full-table LSUs are queued. Call {!run} to converge. *)
+
+val of_routers : Router.t array -> t
+(** A network over existing routers (router [i] at index [i]) with an
+    empty queue. Links come up only through {!link_up}. *)
+
+val link_up : t -> src:int -> dst:int -> cost:float -> unit
+(** Bring the directed adjacency [src -> dst] up at [cost] in [src]'s
+    router and queue its reaction (the full-table LSU); follow with
+    {!run}. A duplex link is two calls, one per direction. *)
+
+val link_down : t -> src:int -> dst:int -> unit
+(** Take the adjacency [src -> dst] down in [src]'s router and queue
+    its reaction; a no-op when it is already down. *)
 
 val run : ?max_messages:int -> t -> bool
 (** Deliver queued messages (FIFO) until none remain, or until

@@ -53,14 +53,14 @@ let frame payload =
 
 type read = Record of string | Torn of string | Eof
 
-let unframe ~what ~min_len ~max_len head payload =
-  let r = Bin.reader head in
+let unframe ~pos ~what ~min_len ~max_len head payload =
+  let r = Bin.reader ~pos head in
   let len = Bin.get_word32 r in
   let crc = Bin.get_word32 r in
   if len < min_len || len > max_len then
     Torn (Printf.sprintf "%s length %d outside [%d, %d]" what len min_len max_len)
   else
-    match payload head len with
+    match payload head (pos + 8) len with
     | None -> Eof
     | Some p when crc32 p = crc -> Record p
     | Some _ -> Torn (what ^ " checksum mismatch")
@@ -89,8 +89,8 @@ let read_record ic =
          so a flipped high bit costs a Torn, not a giant allocation. *)
       let remaining = in_channel_length ic - pos_in ic in
       match
-        unframe ~what:"record" ~min_len:0 ~max_len:(min max_record_len remaining) head
-          (fun _ -> really_read ic)
+        unframe ~pos:0 ~what:"record" ~min_len:0 ~max_len:(min max_record_len remaining) head
+          (fun _ _ -> really_read ic)
       with
       | Eof -> Torn "short record payload"
       | read -> read)

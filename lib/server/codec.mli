@@ -38,15 +38,16 @@ type read =
   | Eof  (** clean end of file *)
 
 val unframe :
-  what:string -> min_len:int -> max_len:int -> string -> (string -> int -> string option) -> read
-(** [unframe ~what ~min_len ~max_len head payload] is the check every
-    record and frame reader shares ([what] names the record in the
-    reasons). [head] holds at least a record's first 8 bytes, [len]
-    and [crc]. A [len] outside
+  pos:int -> what:string -> min_len:int -> max_len:int -> string ->
+  (string -> int -> int -> string option) -> read
+(** [unframe ~pos ~what ~min_len ~max_len head payload] is the check
+    every record and frame reader shares ([what] names the record in
+    the reasons). [head] holds at least a record's first 8 bytes, [len]
+    and [crc], from byte [pos]. A [len] outside
     [[min_len, max_len]] is [Torn] before anything of that size is
-    read; otherwise [payload head len] supplies the payload, which is
-    [Record] if its CRC matches and [Torn] if not. [Eof] means [payload]
-    returned [None]: its bytes have not all arrived. *)
+    read; otherwise [payload head (pos + 8) len] supplies the payload,
+    which is [Record] if its CRC matches and [Torn] if not. [Eof] means
+    [payload] returned [None]: its bytes have not all arrived. *)
 
 val read_record : in_channel -> read
 (** Read one record at the channel's current position. After [Torn] the

@@ -1,6 +1,7 @@
 module Bin = Mdr_util.Bin
 module Graph = Mdr_topology.Graph
 module Router = Mdr_routing.Router
+module Syncnet = Mdr_routing.Syncnet
 module Lfi = Mdr_routing.Lfi
 module Cost_trigger = Mdr_routing.Cost_trigger
 
@@ -85,8 +86,7 @@ type t = {
   topo : Graph.t;
   dir : string;
   config : config;
-  routers : Router.t array;
-  link_state : (int * int, float) Hashtbl.t;  (* directed link -> current cost *)
+  net : Syncnet.t;  (* the routers; each holds its links' up state and cost *)
   mutable seq : int;
   mutable journal : Journal.t;
   mutable snap_seq : int;
@@ -141,66 +141,40 @@ let arm_torn t ~torn_at =
   if torn_at < 1 then invalid_arg "Server.arm_torn: torn_at must be >= 1";
   t.torn_next <- Some torn_at
 
-(* ---- the synchronous message pump ------------------------------------ *)
+(* ---- the synchronous control plane --------------------------------- *)
 
-(* Deliver control messages FIFO with zero delay until the plane is
-   quiescent. This is one valid schedule of the paper's oracle model, and
-   because it is a deterministic function of the seed messages, the whole
-   server state is a pure function of the accepted update sequence —
-   which is what lets snapshot + replay reproduce it bit-for-bit. *)
-let pump routers link_state seeds =
-  let q = Queue.create () in
-  let push from outs =
-    List.iter (fun (o : Router.output) -> Queue.push (from, o) q) outs
-  in
-  List.iter (fun (from, outs) -> push from outs) seeds;
-  let delivered = ref 0 in
-  while not (Queue.is_empty q) do
-    incr delivered;
-    if !delivered > 10_000_000 then
-      failwith "Server: control plane failed to quiesce";
-    let from, ({ dst; msg } : Router.output) = Queue.pop q in
-    (* A message only arrives if its link still exists; the receiver
-       additionally drops traffic from neighbors it considers down. *)
-    if Hashtbl.mem link_state (from, dst) then
-      push dst (Router.handle_msg routers.(dst) ~from_:from msg)
-  done
+(* Deliver the queued control messages FIFO with zero delay until the
+   plane is quiescent. This is one valid schedule of the paper's oracle
+   model, and because it is a deterministic function of the queued
+   reactions, the whole server state is a pure function of the accepted
+   update sequence — which is what lets snapshot + replay reproduce it
+   bit-for-bit. *)
+let settle net =
+  if not (Syncnet.run ~max_messages:(Syncnet.messages_delivered net + 10_000_000) net) then
+    failwith "Server: control plane failed to quiesce"
 
 (* ---- applying updates ------------------------------------------------ *)
 
+(* Validated updates touch duplex pairs only, and both directions of a
+   pair are always up or down together. A router ignores cost news and
+   link-down news for a link it holds down. *)
 let apply_mem t (u : Update.t) =
-  let pump = pump t.routers t.link_state in
-  match u with
-  | Update.Set_cost { src; dst; cost } ->
-      if Hashtbl.mem t.link_state (src, dst) then begin
-        Hashtbl.replace t.link_state (src, dst) cost;
-        pump [ (src, Router.handle_link_cost t.routers.(src) ~nbr:dst ~cost) ]
-      end
-      (* cost news about a down link changes nothing until it comes up *)
+  let net = t.net in
+  (match u with
+  | Update.Set_cost { src; dst; cost } -> Syncnet.change_link_cost net ~src ~dst ~cost
   | Update.Link_down { a; b } ->
-      if Hashtbl.mem t.link_state (a, b) then begin
-        Hashtbl.remove t.link_state (a, b);
-        Hashtbl.remove t.link_state (b, a);
-        let outs_a = Router.handle_link_down t.routers.(a) ~nbr:b in
-        let outs_b = Router.handle_link_down t.routers.(b) ~nbr:a in
-        pump [ (a, outs_a); (b, outs_b) ]
-      end
+      Syncnet.link_down net ~src:a ~dst:b;
+      Syncnet.link_down net ~src:b ~dst:a
   | Update.Link_up { a; b; cost } ->
-      if Hashtbl.mem t.link_state (a, b) then begin
-        (* already up: take it as fresh cost news for both directions *)
-        Hashtbl.replace t.link_state (a, b) cost;
-        Hashtbl.replace t.link_state (b, a) cost;
-        let outs_a = Router.handle_link_cost t.routers.(a) ~nbr:b ~cost in
-        let outs_b = Router.handle_link_cost t.routers.(b) ~nbr:a ~cost in
-        pump [ (a, outs_a); (b, outs_b) ]
-      end
-      else begin
-        Hashtbl.replace t.link_state (a, b) cost;
-        Hashtbl.replace t.link_state (b, a) cost;
-        let outs_a = Router.handle_link_up t.routers.(a) ~nbr:b ~cost in
-        let outs_b = Router.handle_link_up t.routers.(b) ~nbr:a ~cost in
-        pump [ (a, outs_a); (b, outs_b) ]
-      end
+      (* already up: take it as fresh cost news for both directions *)
+      let bring =
+        if Float.is_finite (Router.link_cost (Syncnet.router net a) ~nbr:b) then
+          Syncnet.change_link_cost
+        else Syncnet.link_up
+      in
+      bring net ~src:a ~dst:b ~cost;
+      bring net ~src:b ~dst:a ~cost);
+  settle net
 
 (* ---- snapshot payload ------------------------------------------------ *)
 
@@ -218,7 +192,14 @@ let topo_digest topo =
     (Graph.links topo);
   Digest.string (Buffer.contents buf)
 
-let sorted_links t = (Mdr_util.Sorted_tbl.bindings t.link_state : ((int * int) * float) list)
+(* Every live directed link and its cost, as the routers hold them,
+   ascending by source and then destination. *)
+let live_links net =
+  List.concat_map
+    (fun src ->
+      let r = Syncnet.router net src in
+      List.map (fun dst -> ((src, dst), Router.link_cost r ~nbr:dst)) (Router.up_neighbors r))
+    (List.init (Syncnet.node_count net) Fun.id)
 
 let snapshot_payload t =
   Bin.encode 4096 (fun b ->
@@ -231,8 +212,8 @@ let snapshot_payload t =
           let blob = Router.snapshot r in
           u32 (String.length blob);
           Buffer.add_string b blob)
-        (Array.to_list t.routers);
-      list (fun ((src, dst), cost) -> u32 src; u32 dst; Bin.add_f64 b cost) (sorted_links t);
+        (List.init (Syncnet.node_count t.net) (Syncnet.router t.net));
+      list (fun ((src, dst), cost) -> u32 src; u32 dst; Bin.add_f64 b cost) (live_links t.net);
       (* v2: the writer tables, sorted so the payload is canonical. *)
       list (fun (client, s) -> u32 client; Bin.add_u64 b s) (marks t);
       list (fun (client, e) -> u32 client; u32 e) (Mdr_util.Sorted_tbl.bindings t.grants);
@@ -260,11 +241,13 @@ let decode_snapshot ~topo payload =
           | exception Router.Corrupt reason ->
             raise (Unreadable (Printf.sprintf "router %d: %s" i reason)))
     in
-    let link_state = table (fun () -> let link = pair () in (link, Bin.get_f64 r)) in
+    let net = Syncnet.of_routers routers in
+    if Bin.get_list r (fun _ -> let link = pair () in (link, Bin.get_f64 r)) <> live_links net
+    then raise (Unreadable "snapshot link list disagrees with its routers");
     let marks = table (fun () -> let client = u32 () in (client, Bin.get_u64 r)) in
     let grants = table pair in
     let claim_tbl = table (fun () -> let link = pair () in (link, pair ())) in
-    (snap_seq, routers, link_state, marks, grants, claim_tbl, u32 ())
+    (snap_seq, net, marks, grants, claim_tbl, u32 ())
   in
   try Bin.decode payload read
   with Bin.Malformed reason -> raise (Unreadable ("snapshot payload: " ^ reason))
@@ -277,11 +260,7 @@ let decode_snapshot ~topo payload =
    restore that lacks a snapshot. *)
 let genesis ~topo ~cost =
   let n = Graph.node_count topo in
-  let routers =
-    Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ())
-  in
-  let link_state = Hashtbl.create (max 16 (2 * Graph.link_count topo)) in
-  let pump = pump routers link_state in
+  let net = Syncnet.of_routers (Array.init n (fun id -> Router.create ~mode:Router.Mpda ~id ~n ())) in
   (* Links must come up duplex-atomically: a router's link-up LSU
      demands an ACK, and the peer drops messages from neighbors it
      still considers down — bringing the directions up one pump apart
@@ -291,42 +270,31 @@ let genesis ~topo ~cost =
       match Graph.link topo ~src:l.dst ~dst:l.src with
       | Some rev ->
           if l.src < l.dst then begin
-            let c_fwd = cost l and c_rev = cost rev in
-            Hashtbl.replace link_state (l.src, l.dst) c_fwd;
-            Hashtbl.replace link_state (l.dst, l.src) c_rev;
-            pump
-              [
-                (l.src, Router.handle_link_up routers.(l.src) ~nbr:l.dst ~cost:c_fwd);
-                (l.dst, Router.handle_link_up routers.(l.dst) ~nbr:l.src ~cost:c_rev);
-              ]
+            Syncnet.link_up net ~src:l.src ~dst:l.dst ~cost:(cost l);
+            Syncnet.link_up net ~src:l.dst ~dst:l.src ~cost:(cost rev);
+            settle net
           end
           (* the reverse direction was handled with its partner *)
       | None ->
-          let c = cost l in
-          Hashtbl.replace link_state (l.src, l.dst) c;
-          pump
-            [ (l.src, Router.handle_link_up routers.(l.src) ~nbr:l.dst ~cost:c) ])
+          Syncnet.link_up net ~src:l.src ~dst:l.dst ~cost:(cost l);
+          settle net)
     (Graph.links topo);
-  (routers, link_state)
+  net
 
 let make ?(marks = Hashtbl.create 16) ?(grants = Hashtbl.create 16)
-    ?(claim_tbl = Hashtbl.create 32) ?(epoch = 0) ~config ~dir ~topo ~routers
-    ~link_state ~journal ~seq ~snap_seq ~now ~last_restore () =
+    ?(claim_tbl = Hashtbl.create 32) ?(epoch = 0) ~config ~dir ~topo ~net ~journal ~seq
+    ~snap_seq ~now ~last_restore () =
   let ingest =
     Ingest.create ?damping:config.damping ~degraded_hold:config.degraded_hold
       ~capacity:config.queue_capacity
-      ~initial_cost:(fun ~src ~dst ->
-        match Hashtbl.find_opt link_state (src, dst) with
-        | Some c -> c
-        | None -> infinity)
+      ~initial_cost:(fun ~src ~dst -> Router.link_cost (Syncnet.router net src) ~nbr:dst)
       ()
   in
   {
     topo;
     dir;
     config;
-    routers;
-    link_state;
+    net;
     seq;
     journal;
     snap_seq;
@@ -350,9 +318,9 @@ let create ?(config = default_config) ~dir ~topo ~cost () =
   ensure_dir dir;
   Snapshot.remove_stale_tmp ~path:(snapshot_path dir);
   if Sys.file_exists (snapshot_path dir) then Sys.remove (snapshot_path dir);
-  let routers, link_state = genesis ~topo ~cost in
+  let net = genesis ~topo ~cost in
   let journal = Journal.create ~fsync:config.fsync ~path:(journal_path dir) () in
-  make ~config ~dir ~topo ~routers ~link_state ~journal ~seq:0 ~snap_seq:0
+  make ~config ~dir ~topo ~net ~journal ~seq:0 ~snap_seq:0
     ~now:(Unix.gettimeofday ()) ~last_restore:None ()
 
 (* ---- checkpoint ------------------------------------------------------ *)
@@ -456,7 +424,7 @@ let submit t ~now ~client ~seq ~epoch (u : Update.t) =
 let claim t ~now ~client ~scope =
   if not t.alive then invalid_arg "Server.claim: server is not alive";
   check_client "claim" client;
-  let all = Mdr_faults.Procfault.duplex_pairs t.topo in
+  let all = Graph.duplex_pairs t.topo in
   let pairs =
     match scope with
     | All -> all
@@ -517,13 +485,10 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
     | `Snapshot payload -> Some (decode_snapshot ~topo payload)
   in
   let from_snapshot = Option.is_some base in
-  let base_seq, routers, link_state, marks, grants, claim_tbl, epoch =
+  let base_seq, net, marks, grants, claim_tbl, epoch =
     match base with
     | Some b -> b
-    | None ->
-        let routers, link_state = genesis ~topo ~cost in
-        (0, routers, link_state, Hashtbl.create 16, Hashtbl.create 16,
-         Hashtbl.create 32, 0)
+    | None -> (0, genesis ~topo ~cost, Hashtbl.create 16, Hashtbl.create 16, Hashtbl.create 32, 0)
   in
   if not (Sys.file_exists (journal_path dir)) then
     Journal.close (Journal.create ~fsync:config.fsync ~base:base_seq ~path:(journal_path dir) ());
@@ -540,9 +505,8 @@ let restore ?(config = default_config) ?now ~dir ~topo ~cost () =
       (Printf.sprintf "state at seq %d predates the journal, which follows seq %d" base_seq
          replay.Journal.base);
   let tmp =
-    make ~marks ~grants ~claim_tbl ~epoch ~config ~dir ~topo ~routers
-      ~link_state ~journal ~seq:base_seq ~snap_seq:base_seq ~now
-      ~last_restore:None ()
+    make ~marks ~grants ~claim_tbl ~epoch ~config ~dir ~topo ~net ~journal ~seq:base_seq
+      ~snap_seq:base_seq ~now ~last_restore:None ()
   in
   let replayed = ref 0 in
   List.iter
@@ -608,13 +572,13 @@ let close t =
 type route = { distance : float; best : int option; successors : int list }
 
 let check_node t name v =
-  if v < 0 || v >= Array.length t.routers then
+  if v < 0 || v >= Syncnet.node_count t.net then
     invalid_arg (Printf.sprintf "Server.%s: node %d out of range" name v)
 
 let route t ~src ~dst =
   check_node t "route" src;
   check_node t "route" dst;
-  let r = t.routers.(src) in
+  let r = Syncnet.router t.net src in
   {
     distance = Router.distance r ~dst;
     best = Router.best_successor r ~dst;
@@ -624,7 +588,7 @@ let route t ~src ~dst =
 let split t ~src ~dst =
   check_node t "split" src;
   check_node t "split" dst;
-  let r = t.routers.(src) in
+  let r = Syncnet.router t.net src in
   let succs = Router.successors r ~dst in
   let weights =
     List.map
@@ -645,15 +609,7 @@ let split t ~src ~dst =
 (* ---- health ---------------------------------------------------------- *)
 
 let health t ~now =
-  let spf_full, spf_rep, spf_fb =
-    Array.fold_left
-      (fun (f, r, b) router ->
-        let s = Router.spf_stats router in
-        ( f + s.Mdr_routing.Incr_spf.full_runs,
-          r + s.Mdr_routing.Incr_spf.repairs,
-          b + s.Mdr_routing.Incr_spf.fallbacks ))
-      (0, 0, 0) t.routers
-  in
+  let spf_full, spf_rep, spf_fb = Syncnet.spf_totals t.net in
   {
     seq = t.seq;
     snap_seq = t.snap_seq;
@@ -700,22 +656,24 @@ let heartbeat t ~now =
 
 let fingerprint t =
   let buf = Buffer.create 4096 in
-  Array.iter (fun r -> Buffer.add_string buf (Router.fingerprint r)) t.routers;
+  let n = Syncnet.node_count t.net in
+  for i = 0 to n - 1 do
+    Buffer.add_string buf (Router.fingerprint (Syncnet.router t.net i))
+  done;
   List.iter
     (fun ((src, dst), cost) ->
       Buffer.add_string buf (Printf.sprintf "L%d>%d=%h;" src dst cost))
-    (sorted_links t);
+    (live_links t.net);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let settled t = Array.for_all Router.is_passive t.routers
+let settled t = Syncnet.quiescent t.net
 
 let lfi_ok t =
-  let n = Array.length t.routers in
-  let neighbors i = Router.up_neighbors t.routers.(i) in
-  let feasible ~node ~dst = Router.feasible_distance t.routers.(node) ~dst in
-  let reported ~holder ~about ~dst =
-    Router.neighbor_distance t.routers.(holder) ~nbr:about ~dst
-  in
+  let n = Syncnet.node_count t.net in
+  let router = Syncnet.router t.net in
+  let neighbors i = Router.up_neighbors (router i) in
+  let feasible ~node ~dst = Router.feasible_distance (router node) ~dst in
+  let reported ~holder ~about ~dst = Router.neighbor_distance (router holder) ~nbr:about ~dst in
   let ok = ref true in
   for dst = 0 to n - 1 do
     if not (Lfi.lfi_conditions_hold ~n ~neighbors ~feasible ~reported ~dst) then
@@ -723,7 +681,7 @@ let lfi_ok t =
     if
       not
         (Lfi.successor_graph_acyclic ~n
-           ~successors:(fun ~node -> Router.successors t.routers.(node) ~dst)
+           ~successors:(fun ~node -> Router.successors (router node) ~dst)
            ~dst)
     then ok := false
   done;

@@ -5,14 +5,17 @@
 
     {2 Execution model}
 
-    The server runs one {!Mdr_routing.Router} per topology node and
-    delivers their control messages synchronously, in FIFO order, with
-    zero delay — a particular (valid) schedule of the paper's oracle
-    model. Each accepted update therefore drives the control plane to
-    quiescence deterministically: the state after update [k] is a pure
-    function of the genesis state and updates [1 .. k]. That purity is
-    what makes the durability story simple — there is no event engine
-    or in-flight message set to persist, only the routers.
+    The server runs one {!Mdr_routing.Router} per topology node on a
+    {!Mdr_routing.Syncnet}, which delivers their control messages
+    synchronously, in FIFO order, with zero delay — a particular
+    (valid) schedule of the paper's oracle model. Each accepted update
+    therefore drives the control plane to quiescence
+    deterministically: the state after update [k] is a pure function
+    of the genesis state and updates [1 .. k]. That purity is what
+    makes the durability story simple — there is no event engine or
+    in-flight message set to persist, only the routers. Link state is
+    the routers' own: a link is up while its source router holds a
+    finite cost for it ({!Mdr_routing.Router.link_cost}).
 
     {2 Durability}
 
@@ -65,7 +68,8 @@ val create :
 exception Unreadable of string
 (** {!restore} cannot rebuild from the state it found: a journal with a
     bad header, a sequence gap or an undecodable entry, a snapshot
-    that does not decode against [topo], or a base state (the snapshot,
+    that does not decode against [topo] or whose link list disagrees
+    with its routers, or a base state (the snapshot,
     or genesis when it was refused) older than the journal's base. The
     message names the fault. *)
 
@@ -273,8 +277,9 @@ val heartbeat : t -> now:float -> alarm list
 
 val fingerprint : t -> string
 (** Hex digest over the canonical {!Mdr_routing.Router.fingerprint} of
-    every router plus the live link set — equal digests mean the
-    control planes are in byte-identical protocol states. *)
+    every router plus the live link set, read from the routers'
+    adjacent-link costs — equal digests mean the control planes are in
+    byte-identical protocol states. *)
 
 val settled : t -> bool
 (** Every router PASSIVE (always true between {!apply} calls). *)

@@ -106,6 +106,11 @@ let neighbors t v = List.map (fun l -> l.dst) (out_links t v)
 
 let links t = List.rev t.all_links_rev
 
+let duplex_pairs t =
+  List.filter_map
+    (fun l -> if l.src < l.dst && link t ~src:l.dst ~dst:l.src <> None then Some (l.src, l.dst) else None)
+    (links t)
+
 let fold_links t ~init ~f = List.fold_left f init (links t)
 
 let nodes t = List.init (node_count t) Fun.id

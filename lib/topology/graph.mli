@@ -47,6 +47,11 @@ val out_links : t -> node -> link list
 val links : t -> link list
 (** All directed links, in insertion order. *)
 
+val duplex_pairs : t -> (node * node) list
+(** The links present in both directions, one [(a, b)] with [a < b]
+    per pair, in the insertion order of the [a -> b] link. A one-way
+    link is left out. *)
+
 val fold_links : t -> init:'a -> f:('a -> link -> 'a) -> 'a
 
 val nodes : t -> node list

@@ -43,7 +43,7 @@ let add_list ?(count = add_u32) b add l =
 
 type reader = { s : string; mutable pos : int }
 
-let reader s = { s; pos = 0 }
+let reader ?(pos = 0) s = { s; pos }
 
 (* The offset of the next [n] bytes, which are then consumed. *)
 let take r n =

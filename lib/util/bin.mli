@@ -57,8 +57,8 @@ val add_list :
 type reader
 (** A cursor over a string; every read is bounds-checked. *)
 
-val reader : string -> reader
-(** A cursor at the string's first byte. *)
+val reader : ?pos:int -> string -> reader
+(** A cursor at byte [pos] of the string (default its first). *)
 
 val decode : string -> (reader -> 'a) -> 'a
 (** [decode s read] reads one value from the whole of [s]: {!finish}

@@ -12,34 +12,44 @@ let encode payload =
     invalid_arg (Printf.sprintf "Frame.encode: payload of %d bytes exceeds %d" n max_payload);
   Codec.frame payload
 
+(* Decoding advances [pos] through [acc]; only [feed] copies, and only
+   the undecoded tail, so a chunk of k frames decodes in bytes linear
+   in k. *)
 type decoder = {
-  mutable acc : string;  (* received, not yet decoded *)
+  mutable acc : string;  (* received; bytes from [pos] on not yet decoded *)
+  mutable pos : int;
   mutable greeted : bool;
   mutable failure : string option;  (* sticky *)
 }
 
-let decoder () = { acc = ""; greeted = false; failure = None }
+let decoder () = { acc = ""; pos = 0; greeted = false; failure = None }
+
+let buffered d = String.length d.acc - d.pos
 
 let feed d chunk =
-  if Option.is_none d.failure && String.length chunk > 0 then d.acc <- d.acc ^ chunk
-
-let buffered d = String.length d.acc
+  if Option.is_none d.failure && String.length chunk > 0 then begin
+    d.acc <- (if buffered d = 0 then chunk else String.sub d.acc d.pos (buffered d) ^ chunk);
+    d.pos <- 0
+  end
 
 let fail d reason =
   d.failure <- Some reason;
   d.acc <- "";
+  d.pos <- 0;
   `Corrupt reason
 
-(* The payload after the 8-byte head at the start of [acc], once all
-   [len] bytes of it have arrived. *)
-let payload acc len = if String.length acc < 8 + len then None else Some (String.sub acc 8 len)
+(* The [len]-byte payload at [off] in [acc], once all of it has arrived. *)
+let payload acc off len =
+  if String.length acc < off + len then None else Some (String.sub acc off len)
 
 let rec next d =
   match d.failure with
   | Some reason -> `Corrupt reason
   | None ->
       if not d.greeted then
-        if String.length d.acc < Codec.header_len then `Need_more
+        (* nothing is decoded before the greeting, so it starts at [acc]'s
+           first byte *)
+        if buffered d < Codec.header_len then `Need_more
         else begin
           match Codec.check_header d.acc ~magic with
           | Error reason -> fail d reason
@@ -47,17 +57,18 @@ let rec next d =
               fail d (Printf.sprintf "unsupported wire version %d" v)
           | Ok _ ->
               d.greeted <- true;
-              d.acc <- String.sub d.acc Codec.header_len (String.length d.acc - Codec.header_len);
+              d.pos <- Codec.header_len;
               next d
         end
-      else if String.length d.acc < 8 then `Need_more
+      else if buffered d < 8 then `Need_more
       else
         (* The declared length is capped before it drives any
            allocation or buffering decision. *)
-        match Codec.unframe ~what:"frame" ~min_len:1 ~max_len:max_payload d.acc payload with
+        match
+          Codec.unframe ~pos:d.pos ~what:"frame" ~min_len:1 ~max_len:max_payload d.acc payload
+        with
         | Codec.Record p ->
-            let used = 8 + String.length p in
-            d.acc <- String.sub d.acc used (String.length d.acc - used);
+            d.pos <- d.pos + 8 + String.length p;
             `Frame p
         | Codec.Torn reason -> fail d reason
         | Codec.Eof -> `Need_more

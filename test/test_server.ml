@@ -675,6 +675,40 @@ let test_v8_state_dir_rewrites_its_bytes () =
                (read_file (Filename.concat fixture f))))
         files)
 
+(* A CRC-valid snapshot whose link list disagrees with its routers is
+   refused: the v8 fixture with its first link's cost raised by one,
+   rewritten through Snapshot.write. The fingerprint covers that list,
+   so restoring it would serve a link set the routers do not hold. *)
+let test_snapshot_link_list_disagreeing_with_routers () =
+  let fixture =
+    List.find Sys.file_exists [ "fixtures/state_v8"; "test/fixtures/state_v8" ]
+  in
+  let payload =
+    match Snapshot.read ~path:(Filename.concat fixture "snapshot.bin") with
+    | `Snapshot p -> p
+    | `Missing | `Corrupt _ -> Alcotest.fail "fixture snapshot unreadable"
+  in
+  let u32 off = Int32.to_int (String.get_int32_be payload off) in
+  (* topology digest (16 bytes), seq (8), router count, the routers
+     (length-prefixed), link count, then the first link's src and dst *)
+  let rec skip_routers off k = if k = 0 then off else skip_routers (off + 4 + u32 off) (k - 1) in
+  let at = skip_routers 28 (u32 24) + 4 + 8 in
+  check "the fixture has links" true (u32 (at - 12) > 0);
+  let first = Int64.float_of_bits (String.get_int64_be payload at) in
+  let raised = Bytes.of_string payload in
+  Bytes.set_int64_be raised at (Int64.bits_of_float (first +. 1.0));
+  with_dir (fun d ->
+      write_file (Filename.concat d "journal.bin")
+        (read_file (Filename.concat fixture "journal.bin"));
+      ignore (Snapshot.write ~path:(Filename.concat d "snapshot.bin") (Bytes.to_string raised));
+      match
+        Server.restore ~now:1.0 ~dir:d ~topo:(Mdr_topology.Net1.topology ()) ~cost ()
+      with
+      | s ->
+        Server.close s;
+        Alcotest.fail "a snapshot whose links disagree with its routers restored"
+      | exception Server.Unreadable _ -> ())
+
 (* ---- audit ----------------------------------------------------------- *)
 
 let test_audit_small () =
@@ -958,4 +992,6 @@ let suite =
       test_audit_storm_accounting;
     Alcotest.test_case "server: drain clears queue and timers" `Quick test_drain_settles;
     QCheck_alcotest.to_alcotest prop_crash_recovery;
+    Alcotest.test_case "server: snapshot links disagreeing with its routers are Unreadable"
+      `Quick test_snapshot_link_list_disagreeing_with_routers;
   ]

@@ -59,6 +59,18 @@ let test_symmetry () =
   Graph.add_link g ~src:0 ~dst:2 ~capacity:1e6 ~prop_delay:0.001;
   check "one-way breaks symmetry" false (Graph.is_symmetric g)
 
+(* One pair per link present both ways, in the order its [a -> b] link
+   was added; a one-way link is left out. *)
+let test_duplex_pairs () =
+  let g = small () in
+  Graph.add_link g ~src:0 ~dst:2 ~capacity:1e6 ~prop_delay:0.001;
+  check "one-way a -> c left out" true (Graph.duplex_pairs g = [ (0, 1); (1, 2) ]);
+  let h = Graph.create ~names:[| "a"; "b"; "c" |] in
+  Graph.add_link h ~src:2 ~dst:0 ~capacity:1e6 ~prop_delay:0.001;
+  Graph.add_duplex h "b" "c" ~capacity:1e6 ~prop_delay:0.001;
+  Graph.add_link h ~src:0 ~dst:2 ~capacity:1e6 ~prop_delay:0.001;
+  check "normalized, in a -> b insertion order" true (Graph.duplex_pairs h = [ (1, 2); (0, 2) ])
+
 let test_bfs_distances () =
   let g = small () in
   let d = Metrics.hop_distances g 0 in
@@ -328,4 +340,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ba_connected_and_scale_free;
     QCheck_alcotest.to_alcotest prop_waxman_connected;
     QCheck_alcotest.to_alcotest prop_hierarchical_structure;
+    Alcotest.test_case "graph: duplex pairs leave one-way links out" `Quick
+      test_duplex_pairs;
   ]

@@ -870,6 +870,41 @@ let multi_audit_property =
           in
           r.Wire_audit.ok))
 
+(* One chunk carrying k Ping frames decodes them in order, allocating
+   (minor words plus words allocated directly in the major heap) about
+   the same per frame at k = 4,000 as at k = 10: a decoder that copied
+   the undecoded rest after every frame would allocate O(k) per frame.
+   Minor words come from [Gc.minor_words], which counts exactly;
+   [Gc.counters]' minor figure lags behind it on OCaml 5. *)
+let test_frame_chunk_linear () =
+  let words_per_frame k =
+    let chunk =
+      String.concat ""
+        (List.init k (fun i -> Frame.encode (Proto.encode_client (Proto.Ping { nonce = i }))))
+    in
+    let dec = Frame.decoder () in
+    Frame.feed dec Frame.greeting;
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    Frame.feed dec chunk;
+    let rec go i =
+      match Frame.next dec with
+      | `Frame p ->
+          (match Proto.decode_client p with
+          | Proto.Ping { nonce } when nonce = i -> ()
+          | _ -> Alcotest.failf "frame %d of %d out of order" i k);
+          go (i + 1)
+      | `Need_more -> i
+      | `Corrupt reason -> Alcotest.fail reason
+    in
+    let decoded = go 0 in
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    check_int (Printf.sprintf "all %d frames decoded" k) k decoded;
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int k
+  in
+  let small = words_per_frame 10 and large = words_per_frame 4_000 in
+  if large > 2.0 *. small then
+    Alcotest.failf "%.0f words per frame at k = 4000 against %.0f at k = 10" large small
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip under random chunking" `Quick test_frame_roundtrip_chunked;
@@ -907,4 +942,6 @@ let suite =
     Alcotest.test_case "multi audit: chaos with kills converges" `Quick
       test_multi_audit_chaos_with_kills;
     QCheck_alcotest.to_alcotest multi_audit_property;
+    Alcotest.test_case "a chunk of k frames decodes in bytes linear in k" `Quick
+      test_frame_chunk_linear;
   ]
