@@ -178,4 +178,5 @@ let () =
       ("wire", Test_wire.suite);
       ("analysis", Test_analysis.suite);
       ("integration", suite);
+      ("fluid_flat", Test_fluid_flat.suite);
     ]
