@@ -4,7 +4,6 @@ module Params = Fluid.Params
 module Flows = Fluid.Flows
 module Traffic = Fluid.Traffic
 module Evaluate = Fluid.Evaluate
-module Delay = Fluid.Delay
 module Dijkstra = Mdr_routing.Dijkstra
 
 type scheme = Mp | Sp | Ecmp
@@ -32,105 +31,111 @@ let successor_sets topo ~cost ~dst =
     if node = dst then []
     else List.filter (fun k -> dist.(k) < dist.(node)) (Graph.neighbors topo node)
 
-let link_cost_fn model flows (l : Graph.link) =
-  let f = Flows.link_flow flows ~src:l.src ~dst:l.dst in
-  Delay.marginal (Evaluate.delay_of_link model ~src:l.src ~dst:l.dst) f
-
 (* One long-term (T_l) update: recompute distances and successor sets
-   from the measured marginal costs. IH reseeds the fractions only for
-   pairs whose successor set actually changed — the paper runs IH
-   "when S is computed for the first time or recomputed again due to
-   long-term route changes"; untouched pairs keep the distribution AH
-   has been refining. Returns the per-destination distance tables that
-   the following T_s steps treat as fixed long-term information. *)
-let long_term_update model params flows traffic ~scheme ~long_cost =
-  ignore model;
-  ignore flows;
+   from the long-term link costs ([long_cost], by link slot). IH
+   reseeds the fractions only for pairs whose successor set actually
+   changed — the paper runs IH "when S is computed for the first time
+   or recomputed again due to long-term route changes"; untouched pairs
+   keep the distribution AH has been refining. Fills [distances.(dst)]
+   with the per-destination distance tables that the following T_s
+   steps treat as fixed long-term information. [ws] and [chosen] are
+   scratch; [chosen] holds one mark per neighbor slot. *)
+let long_term_update ws params traffic ~scheme ~long_cost ~distances ~chosen =
   let topo = Params.topology params in
+  let layout = Params.layout params in
   let n = Graph.node_count topo in
-  let cost = long_cost in
-  let lcost ~src ~dst = cost (Graph.link_exn topo ~src ~dst) in
-  let distances = Hashtbl.create 8 in
+  let cost (l : Graph.link) = long_cost.(Params.slot layout ~src:l.src ~dst:l.dst) in
   List.iter
     (fun dst ->
-      let dist = Dijkstra.distances_to topo ~dst ~cost in
-      Hashtbl.replace distances dst dist;
+      let dist = Dijkstra.distances_to ~ws topo ~dst ~cost in
+      distances.(dst) <- dist;
       for node = 0 to n - 1 do
         if node <> dst then begin
-          let nbrs = Graph.neighbors topo node in
-          let closer = List.filter (fun k -> dist.(k) < dist.(node)) nbrs in
-          let best_of candidates =
-            List.fold_left
-              (fun best k ->
-                let d = dist.(k) +. lcost ~src:node ~dst:k in
-                match best with
-                | Some (_, bd) when bd <= d -> best
-                | _ -> Some (k, d))
-              None candidates
-          in
-          let chosen =
-            match (closer, scheme) with
-            | [], _ -> []
-            | _ :: _, Sp ->
-              (* Single best successor: minimise D_jk + l_ik, ties to
-                 the lower id. *)
-              (match best_of closer with Some (k, _) -> [ k ] | None -> [])
-            | _ :: _, Ecmp -> (
-              (* OSPF-style: only successors whose total cost equals
-                 the best, split evenly (no AH on ECMP entries). *)
-              match best_of closer with
-              | None -> []
-              | Some (_, bd) ->
-                List.filter
-                  (fun k ->
-                    let d = dist.(k) +. lcost ~src:node ~dst:k in
-                    d <= bd *. (1.0 +. 1e-9))
-                  closer)
-            | closer, Mp -> closer
-          in
-          let current = List.sort compare (Params.successors params ~node ~dst) in
-          if chosen <> current then begin
-            match chosen with
-            | [] -> Params.clear params ~node ~dst
-            | [ k ] -> Params.set_single params ~node ~dst ~via:k
-            | _ when scheme = Ecmp ->
-              let even = 1.0 /. float_of_int (List.length chosen) in
-              Params.set_fractions params ~node ~dst
-                (List.map (fun k -> (k, even)) chosen)
-            | _ ->
-              let entries =
-                List.map (fun k -> (k, dist.(k) +. lcost ~src:node ~dst:k)) chosen
-              in
-              Params.set_fractions params ~node ~dst (Heuristics.initial entries)
+          let nbrs = Params.neighbor_array params node in
+          let deg = Array.length nbrs and base = Params.first_slot layout node in
+          let through s = dist.(nbrs.(s)) +. long_cost.(base + s) in
+          (* Best closer neighbor: minimise D_jk + l_ik, ties to the
+             lower slot. *)
+          let best = ref (-1) and best_d = ref 0.0 in
+          for s = 0 to deg - 1 do
+            let k = nbrs.(s) in
+            if dist.(k) < dist.(node) then begin
+              let d = dist.(k) +. long_cost.(base + s) in
+              if not (!best >= 0 && !best_d <= d) then begin
+                best := s;
+                best_d := d
+              end
+            end
+          done;
+          for s = 0 to deg - 1 do
+            let k = nbrs.(s) in
+            let closer = dist.(k) < dist.(node) in
+            chosen.(s) <-
+              !best >= 0
+              &&
+              match scheme with
+              | Sp -> s = !best
+              | Ecmp ->
+                (* OSPF-style: only successors whose total cost equals
+                   the best, split evenly (no AH on ECMP entries). *)
+                closer && dist.(k) +. long_cost.(base + s) <= !best_d *. (1.0 +. 1e-9)
+              | Mp -> closer
+          done;
+          (* The set counts as changed unless it equals the current
+             successor set with its members listed in ascending id
+             order, neighbor order being insertion order. *)
+          let row = Params.row params ~node ~dst in
+          let unchanged = ref true and last = ref (-1) and count = ref 0 in
+          for s = 0 to deg - 1 do
+            if chosen.(s) <> (row.(s) > 0.0) then unchanged := false;
+            if chosen.(s) then begin
+              if nbrs.(s) < !last then unchanged := false;
+              last := nbrs.(s);
+              incr count
+            end
+          done;
+          if not !unchanged then begin
+            let picked f =
+              List.filter_map
+                (fun s -> if chosen.(s) then Some (nbrs.(s), f s) else None)
+                (List.init deg Fun.id)
+            in
+            match !count with
+            | 0 -> Params.clear params ~node ~dst
+            | 1 -> Params.set_single params ~node ~dst ~via:!last
+            | k when scheme = Ecmp ->
+              let even = 1.0 /. float_of_int k in
+              Params.set_fractions params ~node ~dst (picked (fun _ -> even))
+            | _ -> Params.set_fractions params ~node ~dst (Heuristics.initial (picked through))
           end
         end
       done)
-    (Traffic.destinations traffic);
-  distances
+    (Traffic.destinations traffic)
 
 (* One short-term (T_s) update: AH on every routed pair. Neighbor
    distances are the stored long-term values; only the adjacent link
-   cost is re-measured — the split of time scales at the heart of the
-   framework. *)
-let short_term_update model params flows traffic ~damping ~distances =
-  let topo = Params.topology params in
-  let n = Graph.node_count topo in
-  let cost = link_cost_fn model flows in
+   cost is re-measured ([costs], by link slot) — the split of time
+   scales at the heart of the framework. *)
+let short_term_update params traffic ~damping ~distances ~costs =
+  let layout = Params.layout params in
+  let n = Graph.node_count (Params.topology params) in
   List.iter
     (fun dst ->
-      match Hashtbl.find_opt distances dst with
-      | None -> ()
-      | Some dist ->
+      let dist = distances.(dst) in
+      if Array.length dist > 0 then
         for node = 0 to n - 1 do
           if node <> dst then begin
-            match Params.fractions params ~node ~dst with
-            | [] | [ _ ] -> ()
-            | current ->
-              let through k =
-                dist.(k) +. cost (Graph.link_exn topo ~src:node ~dst:k)
-              in
+            let row = Params.row params ~node ~dst in
+            let routed = ref 0 in
+            for s = 0 to Array.length row - 1 do
+              if row.(s) > 0.0 then incr routed
+            done;
+            if !routed >= 2 then begin
+              let current = Params.fractions params ~node ~dst in
+              let through k = dist.(k) +. costs.(Params.slot layout ~src:node ~dst:k) in
               let adjusted = Heuristics.adjust ~damping ~current ~through () in
               Params.set_fractions params ~node ~dst adjusted
+            end
           end
         done)
     (Traffic.destinations traffic)
@@ -138,33 +143,26 @@ let short_term_update model params flows traffic ~damping ~distances =
 (* Long-term link costs are the *average* of the short-term marginal
    samples observed during the previous T_l interval — the paper's
    "link costs measured over longer intervals T_l" — which damps the
-   route flapping an instantaneous cost snapshot would cause. *)
+   route flapping an instantaneous cost snapshot would cause. Sums are
+   kept by link slot. *)
 module Cost_window = struct
   type t = {
-    sums : (int * int, float) Hashtbl.t;
+    sums : float array;
     mutable samples : int;
   }
 
-  let create () = { sums = Hashtbl.create 64; samples = 0 }
+  let create ~slots = { sums = Array.make slots 0.0; samples = 0 }
 
-  let record t model flows topo =
+  let record t costs =
     t.samples <- t.samples + 1;
-    Graph.fold_links topo ~init:() ~f:(fun () l ->
-        let c = link_cost_fn model flows l in
-        let key = (l.Graph.src, l.Graph.dst) in
-        let prev = try Hashtbl.find t.sums key with Not_found -> 0.0 in
-        Hashtbl.replace t.sums key (prev +. c))
+    Array.iteri (fun e c -> t.sums.(e) <- t.sums.(e) +. c) costs
 
-  let mean_cost_fn t =
+  let mean t =
     let samples = float_of_int (max 1 t.samples) in
-    let sums = Hashtbl.copy t.sums in
-    fun (l : Graph.link) ->
-      match Hashtbl.find_opt sums (l.src, l.dst) with
-      | Some sum -> sum /. samples
-      | None -> infinity
+    Array.map (fun sum -> sum /. samples) t.sums
 
   let reset t =
-    Hashtbl.reset t.sums;
+    Array.fill t.sums 0 (Array.length t.sums) 0.0;
     t.samples <- 0
 end
 
@@ -172,30 +170,37 @@ let run ?(config = default_config) model topo traffic =
   if config.rounds < 1 then invalid_arg "Controller.run: rounds < 1";
   if config.ts_per_tl < 1 then invalid_arg "Controller.run: ts_per_tl < 1";
   let params = Params.create topo in
+  let n = Graph.node_count topo in
+  let slots = Params.slot_count (Params.layout params) in
   let history = ref [] in
   let flows = ref (Flows.compute params traffic) in
-  let window = Cost_window.create () in
+  (* Marginal link costs at the current [flows], by link slot. *)
+  let costs = Evaluate.link_costs model !flows in
+  let window = Cost_window.create ~slots in
+  let distances = Array.make n [||] in
+  let ws = Dijkstra.workspace () in
+  let chosen =
+    Array.make
+      (List.fold_left
+         (fun d node -> max d (Array.length (Params.neighbor_array params node)))
+         0 (Graph.nodes topo))
+      false
+  in
   let record () =
     history := Evaluate.average_delay model !flows traffic :: !history;
-    Cost_window.record window model !flows topo
+    ignore (Evaluate.link_costs ~into:costs model !flows);
+    Cost_window.record window costs
   in
   for round = 1 to config.rounds do
-    let long_cost =
-      if round = 1 then link_cost_fn model !flows
-      else Cost_window.mean_cost_fn window
-    in
+    let long_cost = if round = 1 then costs else Cost_window.mean window in
     Cost_window.reset window;
-    let distances =
-      long_term_update model params !flows traffic ~scheme:config.scheme
-        ~long_cost
-    in
+    long_term_update ws params traffic ~scheme:config.scheme ~long_cost ~distances ~chosen;
     flows := Flows.compute params traffic;
     record ();
     for _step = 2 to config.ts_per_tl do
       (* ECMP keeps its even split: OSPF has no load-balancing step. *)
       if config.scheme <> Ecmp then
-        short_term_update model params !flows traffic ~damping:config.damping
-          ~distances;
+        short_term_update params traffic ~damping:config.damping ~distances ~costs;
       flows := Flows.compute params traffic;
       record ()
     done

@@ -30,139 +30,165 @@ type result = {
 
 let spf_params model topo =
   let params = Params.create topo in
+  let layout = Params.layout params in
   let n = Graph.node_count topo in
-  let zero_flow_cost (l : Graph.link) =
-    Delay.marginal (Evaluate.delay_of_link model ~src:l.src ~dst:l.dst) 0.0
+  let zero =
+    Array.init (Params.slot_count layout) (fun e ->
+        let l = Params.link_of_slot layout e in
+        Delay.marginal (Evaluate.delay_of_link model ~src:l.src ~dst:l.dst) 0.0)
   in
+  let zero_flow_cost (l : Graph.link) = zero.(Params.slot layout ~src:l.src ~dst:l.dst) in
   let ws = Mdr_routing.Dijkstra.workspace () in
   for dst = 0 to n - 1 do
     let dist = Mdr_routing.Dijkstra.distances_to ~ws topo ~dst ~cost:zero_flow_cost in
     for node = 0 to n - 1 do
       if node <> dst then begin
         (* Best next hop: the neighbor minimising link cost + its
-           distance, ties to the lower id (deterministic trees). *)
-        let best =
-          List.fold_left
-            (fun best k ->
-              let link = Graph.link_exn topo ~src:node ~dst:k in
-              let d = zero_flow_cost link +. dist.(k) in
-              match best with
-              | Some (_, bd) when bd <= d -> best
-              | _ -> if Float.is_finite d then Some (k, d) else best)
-            None (Graph.neighbors topo node)
-        in
-        match best with
-        | Some (k, _) -> Params.set_single params ~node ~dst ~via:k
-        | None -> ()
+           distance, ties to the lower slot (deterministic trees). *)
+        let nbrs = Params.neighbor_array params node
+        and base = Params.first_slot layout node in
+        let best = ref (-1) and best_d = ref infinity in
+        for s = 0 to Array.length nbrs - 1 do
+          let d = zero.(base + s) +. dist.(nbrs.(s)) in
+          if not (!best >= 0 && !best_d <= d) && Float.is_finite d then begin
+            best := nbrs.(s);
+            best_d := d
+          end
+        done;
+        if !best >= 0 then Params.set_single params ~node ~dst ~via:!best
       end
     done
   done;
   params
 
+(* Scratch for one solve: Kahn's order, the marginal distances and
+   improper marks of the destination in hand, every link's marginal
+   cost at the current flows, and per-neighbor-slot values of the
+   router being updated. *)
+type workspace = {
+  order : int array;
+  indegree : int array;
+  delta : float array;
+  improper : bool array;
+  costs : float array;
+  through : float array;
+  next : float array;
+}
+
+let workspace params =
+  let n = Graph.node_count (Params.topology params) in
+  let layout = Params.layout params in
+  let degree = ref 0 in
+  for node = 0 to n - 1 do
+    degree := max !degree (Array.length (Params.neighbor_array params node))
+  done;
+  {
+    order = Array.make n 0;
+    indegree = Array.make n 0;
+    delta = Array.make n infinity;
+    improper = Array.make n false;
+    costs = Array.make (Params.slot_count layout) 0.0;
+    through = Array.make !degree 0.0;
+    next = Array.make !degree 0.0;
+  }
+
 (* Improper nodes for a destination: a node is improper when one of its
    routed links goes uphill in marginal distance, or when some
    successor is improper. Blocking flow additions toward improper
    neighbors is Gallager's device for keeping successor graphs acyclic
-   while delta evolves. *)
-let improper_nodes params delta ~dst ~n =
-  let improper = Array.make n false in
-  let order = Flows.topological_order params ~dst in
-  let mark node =
+   while delta evolves. Successors resolve before the nodes that use
+   them: the walk runs in reverse topological order. *)
+let mark_improper ws params ~dst ~n =
+  let delta = ws.delta and improper = ws.improper in
+  Array.fill improper 0 n false;
+  for idx = n - 1 downto 0 do
+    let node = ws.order.(idx) in
     if node <> dst then begin
-      let succs = Params.successors params ~node ~dst in
-      let uphill k = delta.(k) >= delta.(node) in
-      if List.exists (fun k -> uphill k || improper.(k)) succs then
-        improper.(node) <- true
+      let row = Params.row params ~node ~dst and nbrs = Params.neighbor_array params node in
+      for s = 0 to Array.length row - 1 do
+        let k = nbrs.(s) in
+        if row.(s) > 0.0 && (delta.(k) >= delta.(node) || improper.(k)) then
+          improper.(node) <- true
+      done
     end
-  in
-  (* Successors resolve before the nodes that use them. *)
-  List.iter mark (List.rev order);
-  improper
+  done
 
-let update_destination ?(second_order = false) ?delta_into model params flows
-    ~eta ~dst =
-  let topo = Params.topology params in
-  let n = Graph.node_count topo in
-  let delta = Evaluate.marginal_distances ?into:delta_into model params flows ~dst in
-  let improper = improper_nodes params delta ~dst ~n in
+(* D'' of the link in slot [e] at [flows]. *)
+let second model (flows : Flows.t) e =
+  Delay.second (Evaluate.delay_of_slot model e) flows.link_flows.(e)
+
+(* [ws.costs] must hold the marginal cost of every link at [flows]. *)
+let update_destination ~second_order ws model params (flows : Flows.t) ~eta ~dst =
+  let n = Graph.node_count (Params.topology params) in
+  let layout = Params.layout params in
+  (try Flows.topological_order_into params ~dst ~order:ws.order ~indegree:ws.indegree
+   with Flows.Cyclic_routing _ -> invalid_arg "Evaluate: successor graph has a cycle");
+  Evaluate.downstream_into params ~dst ~order:ws.order ~link_values:ws.costs ws.delta;
+  mark_improper ws params ~dst ~n;
+  let delta = ws.delta and improper = ws.improper in
+  let through = ws.through and next = ws.next in
   let max_change = ref 0.0 in
   for node = 0 to n - 1 do
-    if node <> dst then begin
-      let nbrs = Params.neighbor_array params node in
-      if Array.length nbrs > 0 then begin
-        let through k =
-          Evaluate.link_cost model flows ~src:node ~dst:k +. delta.(k)
-        in
-        let phi k = Params.fraction params ~node ~dst ~via:k in
-        let blocked k =
-          Float.equal (phi k) 0.0 && (delta.(k) >= delta.(node) || improper.(k))
-        in
-        let candidates = Array.to_list nbrs in
-        let best =
-          List.fold_left
-            (fun best k ->
-              if blocked k then best
-              else
-                let d = through k in
-                match best with
-                | Some (_, bd) when bd <= d -> best
-                | _ -> if Float.is_finite d then Some (k, d) else best)
-            None candidates
-        in
-        match best with
-        | None -> ()
-        | Some (kmin, dmin) ->
-          let t_node = flows.Flows.node_flows.(node).(dst) in
-          let moved = ref 0.0 in
-          let entries =
-            List.filter_map
-              (fun k ->
-                let p = phi k in
-                if k = kmin || p <= 0.0 then None
-                else begin
-                  let reduction =
-                    if t_node > 0.0 then begin
-                      (* Second-order scaling (Bertsekas-Gallager):
-                         normalise the step by the curvature of the
-                         two links traded against each other, making
-                         eta dimensionless and far less input-
-                         dependent. *)
-                      let scale =
-                        if second_order then begin
-                          (* Newton-style: d2(D_T)/d(phi)^2 ~ t^2 (D''_k
-                             + D''_kmin); the gradient is t a_k, so the
-                             step is a_k / (t (D''_k + D''_kmin)). *)
-                          let second via =
-                            let f =
-                              match Hashtbl.find_opt flows.Flows.link_flows (node, via) with
-                              | Some f -> f
-                              | None -> 0.0
-                            in
-                            Delay.second
-                              (Evaluate.delay_of_link model ~src:node ~dst:via)
-                              f
-                          in
-                          Float.max 1e-12 (second k +. second kmin)
-                        end
-                        else 1.0
-                      in
-                      Float.min p (eta *. (through k -. dmin) /. (t_node *. scale))
-                    end
-                    else p (* no traffic: collapse onto the best hop *)
-                  in
-                  moved := !moved +. reduction;
-                  let remaining = p -. reduction in
-                  if remaining > 1e-12 then Some (k, remaining) else None
-                end)
-              candidates
-          in
-          let best_share = phi kmin +. !moved in
-          let entries = (kmin, best_share) :: entries in
-          (* Guard against drift before writing back. *)
-          let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 entries in
-          let entries = List.map (fun (k, f) -> (k, f /. total)) entries in
-          max_change := Float.max !max_change !moved;
-          Params.set_fractions params ~node ~dst entries
+    let nbrs = Params.neighbor_array params node in
+    if node <> dst && Array.length nbrs > 0 then begin
+      let deg = Array.length nbrs and base = Params.first_slot layout node in
+      let row = Params.row params ~node ~dst in
+      (* The best unblocked neighbor by l_ik + delta_k, ties to the
+         lower slot; flow may be added only toward it. *)
+      let best = ref (-1) and dmin = ref infinity in
+      for s = 0 to deg - 1 do
+        let k = nbrs.(s) in
+        let d = ws.costs.(base + s) +. delta.(k) in
+        through.(s) <- d;
+        let blocked = Float.equal row.(s) 0.0 && (delta.(k) >= delta.(node) || improper.(k)) in
+        if (not blocked) && (not (!best >= 0 && !dmin <= d)) && Float.is_finite d then begin
+          best := s;
+          dmin := d
+        end
+      done;
+      if !best >= 0 then begin
+        let kmin = !best and dmin = !dmin in
+        let t_node = flows.node_flows.(node).(dst) in
+        (* Second-order scaling (Bertsekas-Gallager): normalise the step
+           by the curvature of the two links traded against each other,
+           making eta dimensionless and far less input-dependent.
+           Newton-style: d2(D_T)/d(phi)^2 ~ t^2 (D''_k + D''_kmin); the
+           gradient is t a_k, so the step is a_k / (t (D''_k +
+           D''_kmin)). *)
+        let moved = ref 0.0 in
+        for s = 0 to deg - 1 do
+          let p = row.(s) in
+          next.(s) <- 0.0;
+          if s <> kmin && not (p <= 0.0) then begin
+            let reduction =
+              if t_node > 0.0 then begin
+                let scale =
+                  if second_order then
+                    Float.max 1e-12
+                      (second model flows (base + s) +. second model flows (base + kmin))
+                  else 1.0
+                in
+                Float.min p (eta *. (through.(s) -. dmin) /. (t_node *. scale))
+              end
+              else p (* no traffic: collapse onto the best hop *)
+            in
+            moved := !moved +. reduction;
+            let remaining = p -. reduction in
+            if remaining > 1e-12 then next.(s) <- remaining
+          end
+        done;
+        next.(kmin) <- row.(kmin) +. !moved;
+        (* Guard against drift before writing back: the sum runs over
+           the best hop first, then the kept slots in order. *)
+        let total = ref (0.0 +. next.(kmin)) in
+        for s = 0 to deg - 1 do
+          if s <> kmin && next.(s) > 0.0 then total := !total +. next.(s)
+        done;
+        for s = 0 to deg - 1 do
+          if s = kmin || next.(s) > 0.0 then next.(s) <- next.(s) /. !total
+        done;
+        max_change := Float.max !max_change !moved;
+        Params.set_row params ~node ~dst ~lead:kmin next
       end
     end
   done;
@@ -183,15 +209,13 @@ let solve_admitted ~eta ~adaptive ~second_order ~max_iters ~tol ?init model topo
     let flows = Flows.compute ~iterative_fallback:true p traffic in
     (flows, Evaluate.total_cost model flows)
   in
-  (* One marginal-distance buffer serves every destination of every
-     iteration; [marginal_distances] overwrites it in full. *)
-  let delta_buf = Array.make n infinity in
+  (* One workspace serves every destination of every iteration. *)
+  let ws = workspace params in
   let apply p flows step =
+    ignore (Evaluate.link_costs ~into:ws.costs model flows);
     List.fold_left
       (fun acc dst ->
-        Float.max acc
-          (update_destination ~second_order ~delta_into:delta_buf model p flows
-             ~eta:step ~dst))
+        Float.max acc (update_destination ~second_order ws model p flows ~eta:step ~dst))
       0.0 destinations
   in
   let eta_floor = eta *. 1e-12 in
@@ -200,6 +224,7 @@ let solve_admitted ~eta ~adaptive ~second_order ~max_iters ~tol ?init model topo
   let finished = ref false in
   let iterations = ref 0 in
   let converged = ref false in
+  let saved = Params.copy params in
   while not !finished && !iterations < max_iters do
     incr iterations;
     let flows, cost = cost_of params in
@@ -209,7 +234,7 @@ let solve_admitted ~eta ~adaptive ~second_order ~max_iters ~tol ?init model topo
          update strictly descends, restoring the parameters between
          attempts. The objective is convex, so a small enough step
          always descends unless we are at the optimum. *)
-      let saved = Params.copy params in
+      Params.assign saved ~from_:params;
       let rec attempt step =
         let moved = apply params flows step in
         if moved < tol_move then begin
