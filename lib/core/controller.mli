@@ -4,11 +4,14 @@
     Each long-term round (one T_l period) measures the marginal link
     costs at the current operating point, recomputes distances and
     loop-free successor sets (what a converged MPDA yields — Theorem 4:
-    S_j^i = {k | D_j^k < D_j^i}), and re-seeds the routing fractions
-    with IH; the following [ts_per_tl] short-term steps (T_s periods)
+    S_j^i = {k | D_j^k < D_j^i}), and re-seeds with IH the fractions
+    of the pairs whose successor set changed; the following [ts_per_tl] short-term steps (T_s periods)
     re-measure costs and locally adjust fractions with AH while the
     successor sets stay fixed, exactly as the paper prescribes.
 
+    Which successors a scheme uses, how a new set is seeded and whether
+    AH runs are decided by {!Heuristics.choose}, {!Heuristics.seed} and
+    {!Heuristics.uses_ah}, the policy the packet simulator runs too.
     [Sp] restricts the successor set to the single best neighbor —
     the paper's stand-in for SPF routing — and is what Figures 11-14
     compare against. [Ecmp] allows multiple successors only when their
@@ -16,7 +19,7 @@
     exactly the multipath OSPF permits (paper Section 1); comparing it
     against [Mp] isolates the value of unequal-cost multipath. *)
 
-type scheme = Mp | Sp | Ecmp
+type scheme = Heuristics.scheme = Mp | Sp | Ecmp
 
 type config = {
   scheme : scheme;
@@ -44,12 +47,3 @@ val run :
   Mdr_topology.Graph.t ->
   Mdr_fluid.Traffic.t ->
   result
-
-val successor_sets :
-  Mdr_topology.Graph.t ->
-  cost:(Mdr_topology.Graph.link -> float) ->
-  dst:int ->
-  (int -> int list)
-(** The converged multipath successor sets under the given link costs:
-    node [i] forwards to every neighbor strictly closer to [dst]
-    (Eq. 14). Exposed for reuse by the packet simulator and tests. *)

@@ -5,6 +5,14 @@
     [a_k = D_jk + l_ik] (neighbor distance plus adjacent link cost),
     and produce routing fractions satisfying Property 1.
 
+    This module is also the one forwarding policy that the fluid
+    controller ({!Controller}) and the packet simulator ([Sim]) share:
+    which successors a scheme uses ({!choose}), how a newly chosen set
+    is seeded ({!seed}), and under which scheme AH runs ({!uses_ah}).
+    Each caller gathers its own candidates and marginal distances and
+    re-seeds an entry only when the set {!choose} returns differs from
+    the one in use.
+
     - {!initial} (IH) runs when the successor set (re)appears: traffic
       splits so that successors with larger marginal distance get
       proportionally less.
@@ -15,6 +23,13 @@
       the smallest fraction-to-excess ratio, so repeated application
       drives the distribution toward the perfect-load-balancing
       conditions (Eqs. 10-12) restricted to the successor set. *)
+
+type scheme =
+  | Mp  (** every loop-free successor, IH then AH: the paper's scheme *)
+  | Sp  (** the single best successor: the paper's stand-in for SPF *)
+  | Ecmp
+      (** only the successors of equal marginal distance, split evenly
+          and never adjusted: the multipath OSPF permits *)
 
 val initial : (int * float) list -> (int * float) list
 (** [initial [(k, a_k); ...]] is the IH distribution over the
@@ -36,3 +51,21 @@ val adjust :
 val is_distribution : (int * float) list -> bool
 (** Non-negative, non-empty, sums to 1 within 1e-6 — Property 1
     restricted to one entry. *)
+
+val choose : scheme -> through:(int -> float) -> int list -> int list
+(** [choose scheme ~through candidates] is the successors in use among
+    [candidates], the loop-free successors in the caller's order, where
+    [through k] is the marginal distance a_k. [Mp] keeps them all. [Sp]
+    keeps the first candidate with the smallest finite a_k. [Ecmp] keeps,
+    in order, those with [a_k <= best *. (1.0 +. 1e-9)], [best] being
+    that smallest finite a_k. No candidate, or no finite a_k under [Sp]
+    or [Ecmp], means no route: [[]]. *)
+
+val seed : scheme -> through:(int -> float) -> int list -> (int * float) list
+(** [seed scheme ~through chosen] is the distribution of a newly chosen
+    set: none for [[]], all on a single successor, an even split under
+    [Ecmp], and otherwise {!initial} (IH) over the successors whose a_k
+    is finite and positive (none when no a_k is). *)
+
+val uses_ah : scheme -> bool
+(** Whether AH refines the distribution every T_s: under [Mp] only. *)

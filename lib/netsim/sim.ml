@@ -7,7 +7,7 @@ module Lfi = Mdr_routing.Lfi
 module Estimator = Mdr_costs.Estimator
 module Heuristics = Mdr_core.Heuristics
 
-type scheme = Mp | Sp | Ecmp
+type scheme = Heuristics.scheme = Mp | Sp | Ecmp
 
 type estimator_kind = Mm1 | Busy_period | Sojourn
 
@@ -192,58 +192,17 @@ let make_estimator cfg (l : Graph.link) =
 let through ns ~dst ~cost_of k =
   Router.neighbor_distance ns.router ~nbr:k ~dst +. cost_of k
 
-(* Re-choose the successors in use toward [dst] and, when they moved,
-   the forwarding distribution. Reads only [dst]'s slots, so
-   destinations may be refreshed in any order. *)
+(* Re-choose the successors in use toward [dst] among S_j and, when
+   they moved, re-seed the forwarding distribution. Reads only [dst]'s
+   slots, so destinations may be refreshed in any order. *)
 let refresh_destination sim ns ~long_cost dst =
-  let s = Router.successors ns.router ~dst in
-  let best_of candidates =
-    List.fold_left
-      (fun best k ->
-        let d = through ns ~dst ~cost_of:long_cost k in
-        match best with
-        | Some (_, bd) when bd <= d -> best
-        | _ -> if Float.is_finite d then Some (k, d) else best)
-      None candidates
-  in
+  let through k = through ns ~dst ~cost_of:long_cost k in
   let chosen =
-    match (s, sim.cfg.scheme) with
-    | [], _ -> []
-    | _ :: _, Mp -> s
-    | _ :: _, Sp -> (
-      (* Single path: the successor minimising D_jk + l_k. *)
-      match best_of s with Some (k, _) -> [ k ] | None -> [])
-    | _ :: _, Ecmp -> (
-      (* Equal-cost successors only, OSPF-style. *)
-      match best_of s with
-      | None -> []
-      | Some (_, bd) ->
-        List.filter
-          (fun k ->
-            through ns ~dst ~cost_of:long_cost k <= bd *. (1.0 +. 1e-9))
-          s)
+    Heuristics.choose sim.cfg.scheme ~through (Router.successors ns.router ~dst)
   in
   if not (List.equal Int.equal chosen ns.succ_used.(dst)) then begin
     ns.succ_used.(dst) <- chosen;
-    ns.forwarding.(dst) <-
-      match chosen with
-      | [] -> []
-      | [ k ] -> [ (k, 1.0) ]
-      | _ when sim.cfg.scheme = Ecmp ->
-        let even = 1.0 /. float_of_int (List.length chosen) in
-        List.map (fun k -> (k, even)) chosen
-      | _ ->
-        let entries =
-          List.filter_map
-            (fun k ->
-              let a = through ns ~dst ~cost_of:long_cost k in
-              if Float.is_finite a && a > 0.0 then Some (k, a) else None)
-            chosen
-        in
-        (match entries with
-        | [] -> []
-        | [ (k, _) ] -> [ (k, 1.0) ]
-        | _ -> Heuristics.initial entries)
+    ns.forwarding.(dst) <- Heuristics.seed sim.cfg.scheme ~through chosen
   end
 
 (* Called after every router event. The choice toward [dst] reads S_j,
@@ -323,9 +282,7 @@ let short_term_tick sim ns =
       ls.accum <- ls.accum +. sample.Estimator.marginal;
       ls.samples <- ls.samples + 1)
     ns.adj;
-  (* ECMP has no short-term balancing; SP entries are singletons so AH
-     is a no-op there anyway. *)
-  if sim.cfg.scheme <> Ecmp then adjust_forwarding sim ns
+  if Heuristics.uses_ah sim.cfg.scheme then adjust_forwarding sim ns
 
 let check_loop_freedom sim =
   let n = Graph.node_count sim.topo in

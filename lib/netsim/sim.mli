@@ -12,9 +12,12 @@
     links only and adjusts fractions with AH. [Sp] restricts
     forwarding to the best successor, turning the same machinery into
     the single-path baseline; [Ecmp] keeps only equal-cost successors
-    with an even split and no AH — OSPF-style multipath. *)
+    with an even split and no AH — OSPF-style multipath. These choices
+    are {!Mdr_core.Heuristics.choose}, {!Mdr_core.Heuristics.seed} and
+    {!Mdr_core.Heuristics.uses_ah}, the policy the fluid controller
+    runs too; the candidates here are the router's MPDA successor set. *)
 
-type scheme = Mp | Sp | Ecmp
+type scheme = Mdr_core.Heuristics.scheme = Mp | Sp | Ecmp
 
 type estimator_kind = Mm1 | Busy_period | Sojourn
 
