@@ -215,7 +215,11 @@ val route : t -> src:int -> dst:int -> route
 val split : t -> src:int -> dst:int -> (int * float) list
 (** Flow-split fractions over the successor set, inversely
     proportional to successor path cost (link + successor's distance),
-    normalized to 1. Empty when [src] has no successor for [dst]. *)
+    normalized to 1. Empty when [src] has no successor for [dst].
+    This is not the paper's IH ([Mdr_core.Heuristics.initial]): the
+    two agree only for one or two successors. It stays as it is
+    because its answers feed the [route-serve] digest and the serve
+    golden. *)
 
 (** {2 Health and audit hooks} *)
 
