@@ -60,31 +60,19 @@ let long_term_update ws params traffic ~scheme ~long_cost ~distances =
       done)
     (Traffic.destinations traffic)
 
-(* One short-term (T_s) update: AH on every routed pair. Neighbor
-   distances are the stored long-term values; only the adjacent link
-   cost is re-measured ([costs], by link slot) — the split of time
-   scales at the heart of the framework. *)
-let short_term_update params traffic ~damping ~distances ~costs =
-  let layout = Params.layout params in
+(* One short-term (T_s) update: AH on every routed pair, in place on
+   its φ row ([ah] is scratch). Neighbor distances are the stored
+   long-term values; only the adjacent link cost is re-measured
+   ([costs], by link slot) — the split of time scales at the heart of
+   the framework. *)
+let short_term_update ah params traffic ~damping ~distances ~costs =
   let n = Graph.node_count (Params.topology params) in
   List.iter
     (fun dst ->
       let dist = distances.(dst) in
       if Array.length dist > 0 then
         for node = 0 to n - 1 do
-          if node <> dst then begin
-            let row = Params.row params ~node ~dst in
-            let routed = ref 0 in
-            for s = 0 to Array.length row - 1 do
-              if row.(s) > 0.0 then incr routed
-            done;
-            if !routed >= 2 then begin
-              let current = Params.fractions params ~node ~dst in
-              let through k = dist.(k) +. costs.(Params.slot layout ~src:node ~dst:k) in
-              let adjusted = Heuristics.adjust ~damping ~current ~through () in
-              Params.set_fractions params ~node ~dst adjusted
-            end
-          end
+          if node <> dst then Heuristics.adjust_row ~damping ah params ~node ~dst ~dist ~costs
         done)
     (Traffic.destinations traffic)
 
@@ -127,6 +115,7 @@ let run ?(config = default_config) model topo traffic =
   let window = Cost_window.create ~slots in
   let distances = Array.make n [||] in
   let ws = Dijkstra.workspace () in
+  let ah = Heuristics.workspace params in
   let record () =
     history := Evaluate.average_delay model !flows traffic :: !history;
     ignore (Evaluate.link_costs ~into:costs model !flows);
@@ -139,10 +128,17 @@ let run ?(config = default_config) model topo traffic =
     flows := Flows.compute params traffic;
     record ();
     for _step = 2 to config.ts_per_tl do
-      if Heuristics.uses_ah config.scheme then
-        short_term_update params traffic ~damping:config.damping ~distances ~costs;
-      flows := Flows.compute params traffic;
-      record ()
+      if Heuristics.uses_ah config.scheme then begin
+        short_term_update ah params traffic ~damping:config.damping ~distances ~costs;
+        flows := Flows.compute params traffic;
+        record ()
+      end
+      else begin
+        (* Without AH φ stays as the round began, and so do the flows,
+           the delay and the costs. *)
+        history := List.hd !history :: !history;
+        Cost_window.record window costs
+      end
     done
   done;
   let delay_history = List.rev !history in

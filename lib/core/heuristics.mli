@@ -45,8 +45,39 @@ val adjust :
 (** [adjust ~current ~through ()] applies one AH step to the current
     distribution [(successor, fraction)] using marginal distances
     [through k]. [damping] scales the paper's step (default 1.0, the
-    full step). Fractions that fall to zero are dropped; the result
-    still sums to one. *)
+    full step). The best successor k0 is the one with the smallest
+    a_k; a tie goes to the first of the tied successors in [current]'s
+    order. The result lists k0 first, then the other successors in
+    [current]'s order; fractions that fall to zero are dropped, and the
+    result still sums to one. When nothing moves (a single successor,
+    no finite a_k, or every a_k equal) the result is [current] itself.
+    This is a list view of the same step {!adjust_row} runs in place.
+    Successors must be distinct. *)
+
+type workspace
+(** Scratch for {!adjust_row}, sized for one table's largest router. *)
+
+val workspace : Mdr_fluid.Params.t -> workspace
+
+val adjust_row :
+  damping:float ->
+  workspace ->
+  Mdr_fluid.Params.t ->
+  node:int ->
+  dst:int ->
+  dist:float array ->
+  costs:float array ->
+  unit
+(** [adjust_row ws params ~node ~dst ~dist ~costs] is one AH step on
+    the live fractions of (node, dst), in place and without building a
+    list: the successors are the neighbor slots with a positive
+    fraction, in slot order, and a_k is [dist.(k) +. costs.(e)], [e]
+    being the link slot of (node, k). It writes back through
+    {!Mdr_fluid.Params.set_row} with k0 leading, which sums exactly as
+    {!Mdr_fluid.Params.set_fractions} of {!adjust}'s result would; when
+    nothing moves the row is written back as it stands, its first
+    successor leading. A row with fewer than two successors is left
+    alone. [damping] is {!adjust}'s. *)
 
 val is_distribution : (int * float) list -> bool
 (** Non-negative, non-empty, sums to 1 within 1e-6 — Property 1
