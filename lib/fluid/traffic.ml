@@ -36,7 +36,14 @@ let rate t ~src ~dst = t.r.(src).(dst)
 let rates t = t.r
 
 let total_rate t =
-  Array.fold_left (fun acc row -> Array.fold_left ( +. ) acc row) 0.0 t.r
+  let acc = ref 0.0 in
+  for src = 0 to Array.length t.r - 1 do
+    let row = t.r.(src) in
+    for dst = 0 to Array.length row - 1 do
+      acc := !acc +. row.(dst)
+    done
+  done;
+  !acc
 
 let flows t =
   let acc = ref [] in
