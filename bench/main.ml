@@ -55,6 +55,20 @@ let bench_ah_step =
     (Staged.stage (fun () ->
          ignore (Mdr_core.Heuristics.adjust ~current ~through ())))
 
+(* Figure 9's fluid controller on CAIRN at load 1.0: 60 rounds of 8
+   T_s steps, AH damped by half. SP runs no AH. *)
+let bench_controller scheme label =
+  let w = Workload.cairn ~load:1.0 in
+  let model = Workload.model w and traffic = Workload.traffic w in
+  let config = { Mdr_core.Controller.scheme; rounds = 60; ts_per_tl = 8; damping = 0.5 } in
+  Test.make ~name:("controller: CAIRN " ^ label)
+    (Staged.stage (fun () ->
+         ignore (Mdr_core.Controller.run ~config model w.Workload.topo traffic)))
+
+let bench_controller_mp = bench_controller Mdr_core.Controller.Mp "MP run (Fig. 9 settings)"
+
+let bench_controller_sp = bench_controller Mdr_core.Controller.Sp "SP run"
+
 let bench_packet_sim =
   let topo = Mdr_topology.Net1.topology () in
   let flows =
@@ -247,6 +261,8 @@ let micro_benchmarks () =
       bench_fluid_flows;
       bench_opt_iteration;
       bench_ah_step;
+      bench_controller_mp;
+      bench_controller_sp;
       bench_packet_sim;
       bench_engine;
       bench_cairn_hop;

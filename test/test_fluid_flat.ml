@@ -236,6 +236,30 @@ let test_gallager_budget () =
   Alcotest.(check int) "five iterations run" 5 (solve ()).iterations;
   within_budget "NET1 5-iteration Gallager.solve" ~budget:30_000.0 (minor_words solve)
 
+(* One CAIRN MP and one SP run at Figure 9's settings, and one CAIRN
+   load-1.0 solve (377 iterations): 2,692,420, 1,460,008 and 2,106,512
+   words, each budget about 10% above. AH runs in place on the φ rows,
+   SP repeats its round's first step instead of recomputing it, and
+   the solve reuses an accepted step's flows; with the list-based AH,
+   every step recomputed and each iteration's flows computed twice,
+   they were 8,842,788, 3,296,010 and 2,562,974. *)
+let cairn_run_words scheme =
+  let w = Workload.cairn ~load:1.0 in
+  let model = Workload.model w and traffic = Workload.traffic w in
+  minor_words (fun () -> Controller.run ~config:(fig9_config scheme) model w.topo traffic)
+
+let test_mp_run_budget () =
+  within_budget "CAIRN MP Controller.run" ~budget:2_960_000.0 (cairn_run_words Controller.Mp)
+
+let test_sp_run_budget () =
+  within_budget "CAIRN SP Controller.run" ~budget:1_600_000.0 (cairn_run_words Controller.Sp)
+
+let test_cairn_solve_budget () =
+  let w = Workload.cairn ~load:1.0 in
+  let model = Workload.model w and traffic = Workload.traffic w in
+  within_budget "CAIRN Gallager.solve" ~budget:2_320_000.0
+    (minor_words (fun () -> Gallager.solve model w.topo traffic))
+
 let suite =
   [
     Alcotest.test_case "pins: OPT/MP/SP/ECMP on CAIRN and NET1" `Quick test_pins;
@@ -243,4 +267,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flows_match_reference_cyclic;
     Alcotest.test_case "allocation budget: CAIRN Flows.compute" `Quick test_flows_budget;
     Alcotest.test_case "allocation budget: NET1 5-iteration solve" `Quick test_gallager_budget;
+    Alcotest.test_case "allocation budget: CAIRN MP run" `Quick test_mp_run_budget;
+    Alcotest.test_case "allocation budget: CAIRN SP run" `Quick test_sp_run_budget;
+    Alcotest.test_case "allocation budget: CAIRN solve" `Quick test_cairn_solve_budget;
   ]
