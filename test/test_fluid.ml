@@ -141,8 +141,10 @@ let test_params_assign () =
   let p = Params.create (diamond ()) in
   let q = Params.create (diamond ()) in
   Params.set_fractions p ~node:0 ~dst:3 [ (1, 0.6); (2, 0.4) ];
-  Params.assign q ~from_:p;
-  check_float "assigned" 0.6 (Params.fraction q ~node:0 ~dst:3 ~via:1)
+  Params.set_single p ~node:3 ~dst:1 ~via:1;
+  Params.assign q ~from_:p ~destinations:[ 3 ];
+  check_float "assigned" 0.6 (Params.fraction q ~node:0 ~dst:3 ~via:1);
+  check "other destinations untouched" false (Params.is_routed q ~node:3 ~dst:1)
 
 let test_params_acyclic_detects_loop () =
   let g = diamond () in
